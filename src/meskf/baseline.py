@@ -4,19 +4,21 @@ Tracks position and attitude on SE(3) with a 6-dof error state
 (dp, dtheta) and keeps the estimate near the surface with
 pseudo-measurements fixing elevation, roll, and pitch at tuned noise
 levels. The planar odometry input is lifted to 3-D body velocity
-(v, 0) and body rate (0, 0, omega).
+(v, 0) and body rate (0, 0, omega). Every Jacobian is analytic, with
+body-frame attitude errors R = R_hat Exp(dtheta) (Sola, arXiv:1711.02508).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quat
-from .core import (FD_STEP, OdometryInput, RobotExtrinsics, joseph_update,
-                   wrap_angle)
+from .core import OdometryInput, RobotExtrinsics, joseph_update
 from .errors import DegenerateGeometryError, SingularUpdateError
 from .sensors3d import PoseMeasurement, RangeMeasurement
-from .surface import BSplineSurface
+from .surface import (BSplineSurface, frame_angle_derivatives,
+                      frame_cos_sin, frame_matrix)
 
 
 def _skew(v):
@@ -89,27 +91,56 @@ def _correct_3d(state: FullPoseState, innovation, H, R) -> FullPoseState:
     return FullPoseState(state.p + dx[0:3], q_new, P_new)
 
 
-def _align_residual(q, normal):
-    """Rotation vector (body frame) aligning the body z-axis with normal."""
-    return _align_from_a(quat.to_matrix(q).T @ normal)
+def _align_jacobian(a0, a1, a2):
+    """Roll/pitch residual (-a1, a0) atan2(s, a2) / s, s = |(a0, a1)|,
+    and its 2x3 derivative in a = R^T n, as rows.
+
+    The residual is the x/y part of the body-frame rotation vector that
+    turns the body z-axis onto the normal. It is smooth at s = 0 when
+    a2 > 0, where g = atan2(s, a2) / s and dg/ds use their series.
+    """
+    s2 = a0 * a0 + a1 * a1
+    s = math.sqrt(s2)
+    r2 = s2 + a2 * a2
+    if s < 1e-4 and a2 > 0.0:
+        t2 = s2 / (a2 * a2)
+        g = (1.0 - t2 / 3.0 + 0.2 * t2 * t2) / a2
+        h = (-2.0 / 3.0 + 0.8 * t2) / (a2 * a2 * a2)
+    elif s < 1e-12:
+        raise DegenerateGeometryError("body z-axis opposite the normal")
+    else:
+        theta = math.atan2(s, a2)
+        g = theta / s
+        h = (a2 * s / r2 - theta) / (s2 * s)
+    # dg/da_i = h a_i for i = 0, 1 and dg/da2 = -1 / r2
+    return (-a1 * g, a0 * g), np.array(
+        [[-a1 * h * a0, -g - a1 * h * a1, a1 / r2],
+         [g + a0 * h * a0, a0 * h * a1, -a0 / r2]])
 
 
-def _align_from_a(a):
-    """Alignment rotation vector from a = R^T n (body-frame normal)."""
-    axis = np.array([-a[1], a[0], 0.0])
-    s = np.linalg.norm(axis)
-    if s < 1e-12:
-        return np.zeros(3)
-    angle = np.arctan2(s, a[2])
-    return axis / s * angle
+def _pseudo_residual_jacobian(state: FullPoseState,
+                              surface: BSplineSurface):
+    """(y0, H) of the elevation + roll/pitch pseudo-measurement.
 
-
-def _fd_chart_points(p, e):
-    """Nominal chart point plus +/- x and +/- y perturbations, (5, 2)."""
-    x, y = p[0], p[1]
-    return np.array([[x, y],
-                     [x + e, y], [x - e, y],
-                     [x, y + e], [x, y - e]])
+    H = -dy0/dx on one ``eval_point``: the unit normal n = m / |m|,
+    m = (-S_u, -S_v, 1), moves with the chart position as dn =
+    (I - n n^T) dm / |m|, and a = R^T n with the attitude as [a]_x.
+    """
+    x, y, pz = state.p.tolist()
+    s, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(x, y)
+    k = 1.0 / math.sqrt(1.0 + s_u * s_u + s_v * s_v)
+    n0, n1, n2 = -s_u * k, -s_v * k, k
+    vecs = [(n0, n1, n2)]
+    for m0, m1 in ((-s_uu, -s_uv), (-s_uv, -s_vv)):     # dm/du, dm/dv
+        nm = n0 * m0 + n1 * m1
+        vecs.append((k * (m0 - n0 * nm), k * (m1 - n1 * nm), -k * n2 * nm))
+    A = np.dot(vecs, quat.to_matrix(state.q))   # rows a, da/du, da/dv
+    rp, D = _align_jacobian(*A[0].tolist())
+    H = np.zeros((3, 6))
+    H[0, 0:3] = (-s_u, -s_v, 1.0)
+    H[1:3, 0:2] = -D.dot(A[1:3].T)
+    H[1:3, 3:6] = -D.dot(_skew(A[0]))
+    return np.array([s - pz, rp[0], rp[1]]), H
 
 
 def pseudo_update(state: FullPoseState, surface: BSplineSurface,
@@ -118,34 +149,9 @@ def pseudo_update(state: FullPoseState, surface: BSplineSurface,
 
     Elevation residual S(x, y) - p_z; roll/pitch residual is the
     small-rotation vector aligning the body z-axis with the surface
-    normal, heading untouched. Jacobian by central finite differences
-    with the surface queries batched over the perturbed states.
+    normal, heading untouched. Its Jacobian is analytic.
     """
-    e = FD_STEP
-    pts = _fd_chart_points(state.p, e)
-    z, g = surface.elevation_gradient_many(pts)
-    n = np.column_stack([-g[:, 0], -g[:, 1], np.ones(len(g))])
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    R0 = quat.to_matrix(state.q)
-    a = n @ R0                      # rows are R0^T n_i
-
-    rp0 = _align_from_a(a[0])
-    y0 = np.array([z[0] - state.p[2], rp0[0], rp0[1]])
-    H = np.zeros((3, 6))
-    # chart-position columns: elevation and normal both move
-    for j, (ip, im) in enumerate(((1, 2), (3, 4))):
-        H[0, j] = -(z[ip] - z[im]) / (2 * e)
-        drp = _align_from_a(a[ip]) - _align_from_a(a[im])
-        H[1:3, j] = -drp[0:2] / (2 * e)
-    # elevation column: residual S(x, y) - p_z is linear in p_z
-    H[0, 2] = 1.0
-    # attitude columns: R = R0 Exp(dv) gives R^T n = Exp(-dv) a0
-    for j in range(3):
-        dv = np.zeros(3)
-        dv[j] = e
-        dR = quat.to_matrix(quat.from_rotvec(dv))
-        drp = _align_from_a(dR.T @ a[0]) - _align_from_a(dR @ a[0])
-        H[1:3, 3 + j] = -drp[0:2] / (2 * e)
+    y0, H = _pseudo_residual_jacobian(state, surface)
     R = np.diag([config.sigma_z ** 2,
                  config.sigma_rp ** 2, config.sigma_rp ** 2])
     return _correct_3d(state, y0, H, R)
@@ -194,33 +200,30 @@ def range_update_3d(state: FullPoseState, extrinsics: RobotExtrinsics,
 def chart_errors(state: FullPoseState, surface: BSplineSurface):
     """Map a 3-D pose estimate to (chart position, heading) for comparison.
 
-    Heading is extracted by removing the tangent-frame component of the
-    attitude; the covariance is pushed through the map by central finite
-    differences so all filters are scored in the same space.
+    Heading gamma = atan2(c_1, c_0) with c = F^T R e_1, the body x-axis
+    in the tangent frame F. The covariance is pushed through the map by
+    its analytic Jacobian, so all filters are scored in the same space:
+    F turns with the chart position at the frame-angle rates w, so
+    dc = c x w, and the attitude error moves c by -F^T R [e_1]_x dtheta.
     """
-    e = FD_STEP
-    pts = _fd_chart_points(state.p, e)
-    frames = surface.tangent_frame_many(pts)
-    R0 = quat.to_matrix(state.q)
-    # heading gamma_i = atan2 of the first column of frame_i^T R0
-    cols = np.einsum("nji,j->ni", frames, R0[:, 0])
-    gammas = np.arctan2(cols[:, 1], cols[:, 0])
-    x0 = np.array([state.p[0], state.p[1], gammas[0]])
-
-    J = np.zeros((3, 6))
-    J[0, 0] = 1.0
-    J[1, 1] = 1.0
-    J[2, 0] = wrap_angle(gammas[1] - gammas[2]) / (2 * e)
-    J[2, 1] = wrap_angle(gammas[3] - gammas[4]) / (2 * e)
-    # attitude columns: frame fixed, R = R0 Exp(+-dv)
-    M0 = frames[0].T @ R0
-    for j in range(3):
-        dv = np.zeros(3)
-        dv[j] = e
-        dR = quat.to_matrix(quat.from_rotvec(dv))
-        cp = M0 @ dR[:, 0]
-        cm = M0 @ dR.T[:, 0]
-        dg = wrap_angle(np.arctan2(cp[1], cp[0]) - np.arctan2(cm[1], cm[0]))
-        J[2, 3 + j] = dg / (2 * e)
-    P_eval = J @ state.P @ J.T
+    x, y = state.p.tolist()[0:2]
+    _, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(x, y)
+    ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
+    M = np.transpose(frame_matrix(ca, sa, cb, sb)).dot(
+        quat.to_matrix(state.q))
+    (c0, m01, m02), (c1, m11, m12), (c2, _, _) = M.tolist()
+    inv = 1.0 / (c0 * c0 + c1 * c1)
+    row = []
+    for da, db in frame_angle_derivatives(s_u, s_uu, s_uv, s_vv,
+                                          ca, sa, cb):
+        w0, w1, w2 = cb * da, db, sb * da
+        row.append((c0 * (c2 * w0 - c0 * w2) - c1 * (c1 * w2 - c2 * w1))
+                   * inv)
+    # attitude columns: dc/dtheta = (0, -M e_3, M e_2)
+    row += [0.0, 0.0, (c1 * m02 - c0 * m12) * inv,
+            (c0 * m11 - c1 * m01) * inv]
+    J = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], row])
+    P_eval = J.dot(state.P).dot(J.T)
+    x0 = np.array([x, y, math.atan2(c1, c0)])
     return x0, 0.5 * (P_eval + P_eval.T)

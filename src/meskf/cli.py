@@ -84,7 +84,7 @@ def _write_outputs(out_dir, metrics, errors=None, covs=None, diverged=None):
             times=metrics.times, errors=errors, covariances=covs,
             diverged=diverged,
             timing_trial=np.array([r[0] for r in rows], dtype=int),
-            timing_kind=np.array([r[1] for r in rows], dtype=object),
+            timing_kind=np.array([r[1] for r in rows], dtype=str),
             timing_mean_us=np.array([r[2] for r in rows]),
             timing_p99_us=np.array([r[3] for r in rows]))
 
@@ -95,7 +95,9 @@ def cmd_simulate(args) -> int:
         if args.filter not in ("M-ESEKF", "MP-ESEKF", "C-ESEKF"):
             raise ConfigError("unknown filter kind", field="--filter")
         scenario.filter_kind = args.filter
-    if args.trials:
+    if args.trials is not None:
+        if args.trials < 1:
+            raise ConfigError("must be >= 1", field="--trials")
         scenario.n_trials = args.trials
     if args.seed is not None:
         scenario.seed = args.seed
@@ -129,14 +131,18 @@ def cmd_metrics(args) -> int:
     npz_path = in_dir / "trials.npz"
     if not npz_path.exists():
         raise ConfigError("trials.npz not found", field=str(npz_path))
-    with np.load(npz_path, allow_pickle=True) as data:
-        timing_rows = list(zip(
-            (int(t) for t in data["timing_trial"]),
-            (str(k) for k in data["timing_kind"]),
-            data["timing_mean_us"], data["timing_p99_us"]))
-        metrics = metrics_from_arrays(
-            data["times"], data["errors"], data["covariances"],
-            data["diverged"], timing_rows)
+    try:    # no pickles: unpickling an object array can run any code
+        with np.load(npz_path, allow_pickle=False) as f:
+            data = dict(f)
+    except ValueError as e:
+        raise ConfigError(str(e), field=str(npz_path)) from e
+    timing_rows = list(zip(
+        (int(t) for t in data["timing_trial"]),
+        (str(k) for k in data["timing_kind"]),
+        data["timing_mean_us"], data["timing_p99_us"]))
+    metrics = metrics_from_arrays(
+        data["times"], data["errors"], data["covariances"],
+        data["diverged"], timing_rows)
     out_dir = Path(args.out) if args.out else in_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_dir / "metrics.csv", metrics)

@@ -16,8 +16,6 @@ from scipy.linalg import lapack
 from .errors import SingularUpdateError
 from .surface import BSplineSurface, frame_angle_derivatives, frame_cos_sin
 
-FD_STEP = 1e-6
-
 
 def wrap_angle(a):
     """Wrap to (-pi, pi]."""

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FD_STEP, FilterState, RobotExtrinsics, correct,
+from .core import (FilterState, RobotExtrinsics, correct,
                    heading_rotation_2d)
 from .errors import (DegenerateCovarianceError, DegenerateGeometryError,
                      DegenerateSamplingError, NoIntersectionError)
+from .sensors3d import _sensor_model
 from .surface import BSplineSurface, world_to_chart
 
 
@@ -71,24 +72,16 @@ def _lever_arm_world(surface, state, extrinsics):
 
 
 def _lever_arm_jacobian(surface, state, extrinsics):
-    """d(R_WR r_RS)/d(error state), 3x3 by central finite differences."""
+    """d(R_WR r_RS)/d(error state), 3x3, analytic.
+
+    The sensor-position Jacobian of the pose model without its chart
+    lift d(u, v, S)/d(u, v, gamma), which leaves the lever-arm part.
+    """
     if not np.any(extrinsics.r_RS):
         return np.zeros((3, 3))
-    e = FD_STEP
-    J = np.empty((3, 3))
-    for j in range(3):
-        sp, sm = state.copy(), state.copy()
-        if j < 2:
-            sp.t_R = sp.t_R.copy()
-            sm.t_R = sm.t_R.copy()
-            sp.t_R[j] += e
-            sm.t_R[j] -= e
-        else:
-            sp.gamma_R += e
-            sm.gamma_R -= e
-        J[:, j] = (_lever_arm_world(surface, sp, extrinsics)
-                   - _lever_arm_world(surface, sm, extrinsics)) / (2 * e)
-    return J
+    _, J, _, _ = _sensor_model(surface, state, extrinsics, rotation=False,
+                               lift=False)
+    return np.array(J)
 
 
 def associate_to_surface(surface: BSplineSurface, r_Sm: np.ndarray,

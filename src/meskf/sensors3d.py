@@ -55,14 +55,16 @@ def _cross(a, b):
 
 
 def _sensor_model(surface: BSplineSurface, state: FilterState,
-                  ext: RobotExtrinsics, rotation: bool = True):
+                  ext: RobotExtrinsics, rotation: bool = True,
+                  lift: bool = True):
     """Sensor position and its error-state Jacobian at one state.
 
     Returns (p, J, q, W) as plain floats: p the world position (3,), J
     its 3x3 Jacobian as rows, q the unit world-from-sensor quaternion
     q_x(alpha) ⊗ q_y(beta) ⊗ q_z(gamma) ⊗ q_RS, and W the sensor-frame
     rotation rates per unit change of (u, v, gamma), three 3-vectors.
-    q and W are None unless ``rotation`` is set.
+    q and W are None unless ``rotation`` is set; without ``lift``, p and J
+    are those of the lever arm R_WR r_RS alone.
     """
     u, v = float(state.t_R[0]), float(state.t_R[1])
     g = float(state.gamma_R)
@@ -71,8 +73,9 @@ def _sensor_model(surface: BSplineSurface, state: FilterState,
     cg, sg = math.cos(g), math.sin(g)
     r = ext.r_RS.tolist()
     lever = r != [0.0, 0.0, 0.0]
-    J = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [s_u, s_v, 0.0]]
-    p = [u, v, s]
+    c = 1.0 if lift else 0.0          # the chart lift (u, v, S) or none
+    J = [[c, 0.0, 0.0], [0.0, c, 0.0], [c * s_u, c * s_v, 0.0]]
+    p = [c * u, c * v, c * s]
     if lever or rotation:
         # robot-frame rotation rates: the frame R_x(alpha) R_y(beta)
         # turns by (cos b da, db, sin b da), seen through R_z(gamma)

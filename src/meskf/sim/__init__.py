@@ -1,7 +1,7 @@
 from .config import Scenario, load_scenario, scenario_from_dict
 from .runner import (FILTER_KINDS, InitialUncertainty, TrialMetrics,
                      TrialResult, aggregate_metrics, anees_bounds,
-                     chi2_quantile_wh, monte_carlo, run_trial)
+                     monte_carlo, run_trial)
 from .sensors import (MeasurementStreams, ScheduleSegment, SensorSchedule,
                       SensorSuite, synthesize_measurements)
 from .trajectory import GroundTruth, TrajectorySpec, generate_ground_truth
@@ -10,7 +10,7 @@ __all__ = [
     "FILTER_KINDS", "GroundTruth", "InitialUncertainty",
     "MeasurementStreams", "Scenario", "ScheduleSegment", "SensorSchedule",
     "SensorSuite", "TrajectorySpec", "TrialMetrics", "TrialResult",
-    "aggregate_metrics", "anees_bounds", "chi2_quantile_wh",
-    "generate_ground_truth", "load_scenario", "monte_carlo", "run_trial",
-    "scenario_from_dict", "synthesize_measurements",
+    "aggregate_metrics", "anees_bounds", "generate_ground_truth",
+    "load_scenario", "monte_carlo", "run_trial", "scenario_from_dict",
+    "synthesize_measurements",
 ]

@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import chdtri
 
 from .. import baseline as bl
 from .. import projection as prj
@@ -66,18 +66,12 @@ class TrialMetrics:
         return self.n_excluded / max(self.n_trials, 1)
 
 
-def chi2_quantile_wh(p: float, dof: float) -> float:
-    """Wilson-Hilferty chi-square quantile approximation."""
-    z = ndtri(p)
-    a = 2.0 / (9.0 * dof)
-    return dof * (1.0 - a + z * np.sqrt(a)) ** 3
-
-
 def anees_bounds(n_trials: int, m: int, confidence: float = 0.99):
+    """Exact two-sided chi-square bounds on the ANEES of m-dof errors."""
+    # chdtri(dof, p) is the x with P(chi2_dof > x) = p
     dof = n_trials * m
     alpha = 0.5 * (1.0 - confidence)
-    return (chi2_quantile_wh(alpha, dof) / dof,
-            chi2_quantile_wh(1.0 - alpha, dof) / dof)
+    return chdtri(dof, 1.0 - alpha) / dof, chdtri(dof, alpha) / dof
 
 
 def _timed(timings, key, fn, *args):

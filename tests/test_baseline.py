@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
-from meskf import (FullPoseState, OdometryInput, PoseMeasurement,
-                   PseudoMeasurementConfig, RangeMeasurement, RobotExtrinsics)
+from meskf import (DegenerateGeometryError, FullPoseState, OdometryInput,
+                   PoseMeasurement, PseudoMeasurementConfig, RangeMeasurement,
+                   RobotExtrinsics, wrap_angle)
 from meskf import quat
-from meskf.baseline import (chart_errors, pose_update_3d, propagate_3d,
+from meskf.baseline import (_align_jacobian, _pseudo_residual_jacobian,
+                            chart_errors, pose_update_3d, propagate_3d,
                             pseudo_update, range_update_3d)
 
 IDENT = RobotExtrinsics.identity()
@@ -131,3 +133,106 @@ def test_chart_errors_heading_consistent_with_manifold(curved):
 def test_pseudo_config_validation():
     with pytest.raises(ValueError):
         PseudoMeasurementConfig(sigma_z=0.0)
+
+
+def perturbed(s, dx):
+    """s moved by the error (dp, dtheta), attitude R = R_hat Exp(dtheta)."""
+    return FullPoseState(s.p + dx[0:3],
+                         quat.multiply(s.q, quat.from_rotvec(dx[3:6])), s.P)
+
+
+def central_difference_jacobian(fn, s, h=1e-6):
+    """d fn / d(dp, dtheta) by central differences."""
+    cols = []
+    for k in range(6):
+        d = np.zeros(6)
+        d[k] = h
+        cols.append((fn(perturbed(s, d)) - fn(perturbed(s, -d))) / (2 * h))
+    return np.column_stack(cols)
+
+
+def check_baseline_jacobians(surface, s):
+    """Pseudo-measurement H and chart-map J against central differences."""
+    y0, H = _pseudo_residual_jacobian(s, surface)
+    H_fd = -central_difference_jacobian(
+        lambda x: _pseudo_residual_jacobian(x, surface)[0], s)
+    np.testing.assert_allclose(H, H_fd, atol=1e-7)
+    # the roll/pitch residual turns the body z-axis onto the normal
+    rp = quat.to_matrix(quat.from_rotvec([y0[1], y0[2], 0.0]))
+    np.testing.assert_allclose(quat.to_matrix(s.q) @ rp[:, 2],
+                               surface.normal(s.p[0:2]), atol=1e-12)
+
+    x0, P = chart_errors(s, surface)
+
+    def chart_map(x):
+        out = chart_errors(x, surface)[0] - x0
+        out[2] = wrap_angle(float(out[2]))
+        return out
+    J_fd = central_difference_jacobian(chart_map, s)
+    np.testing.assert_allclose(P, J_fd @ s.P @ J_fd.T, atol=1e-7)
+    return H
+
+
+def random_pose_state(rng, surface, tilt):
+    t = rng.uniform(-8, 8, size=2)
+    p = np.array([t[0], t[1], surface.elevation(t) + rng.normal(0, 0.2)])
+    q = quat.multiply(quat.z_rotation(rng.uniform(-np.pi, np.pi)),
+                      quat.from_rotvec(rng.normal(0, tilt, 3)))
+    A = rng.standard_normal((6, 6))
+    return FullPoseState(p, q, A @ A.T * 0.01 + np.eye(6) * 1e-3)
+
+
+def test_baseline_jacobians_curved_random_attitudes(curved):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        check_baseline_jacobians(curved, random_pose_state(rng, curved, 0.6))
+
+
+def test_baseline_jacobians_near_level(curved, flat):
+    # body z-axis within 1e-7 rad of the normal: the series branch
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        s = random_pose_state(rng, curved, 0.0)
+        frame = quat.from_matrix(curved.tangent_frame(s.p[0:2]))
+        q = quat.multiply(quat.multiply(frame, s.q),
+                          quat.from_rotvec(np.r_[rng.normal(0, 1e-7, 2), 0]))
+        s = FullPoseState(s.p, q, s.P)
+        a = quat.to_matrix(s.q).T @ curved.normal(s.p[0:2])
+        assert np.hypot(a[0], a[1]) < 1e-4
+        check_baseline_jacobians(curved, s)
+    # exactly level: s = |(a0, a1)| = 0
+    s = FullPoseState(np.array([1.0, -2.0, 0.3]), quat.z_rotation(2.5),
+                      np.diag([0.01, 0.02, 0.03, 0.04, 0.05, 0.06]))
+    H = check_baseline_jacobians(flat, s)
+    # a tilt dtheta leaves the residual -dtheta: H = -dy/dx = I
+    np.testing.assert_allclose(H[1:3, 3:5], np.eye(2), atol=1e-12)
+
+
+def test_baseline_jacobians_flat(flat):
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        s = random_pose_state(rng, flat, 0.4)
+        H = check_baseline_jacobians(flat, s)
+        np.testing.assert_array_equal(H[0], [0, 0, 1, 0, 0, 0])
+
+
+def test_align_series_branch_matches_closed_form():
+    def residual(a):
+        s = np.hypot(a[0], a[1])
+        return np.array([-a[1], a[0]]) * np.arctan2(s, a[2]) / s
+
+    a = np.array([3e-5, -4e-5, np.sqrt(1.0 - 2.5e-9)])
+    rp, D = _align_jacobian(*a)
+    np.testing.assert_allclose(rp, residual(a), rtol=1e-13)
+    h = 1e-7
+    D_fd = np.column_stack([(residual(a + h * e) - residual(a - h * e))
+                            / (2 * h) for e in np.eye(3)])
+    np.testing.assert_allclose(D, D_fd, rtol=0, atol=1e-11)
+
+
+def test_pseudo_update_upside_down_is_degenerate(flat):
+    s = FullPoseState(np.array([0.0, 0.0, 0.0]),
+                      quat.from_rotvec(np.array([np.pi, 0.0, 0.0])),
+                      np.eye(6) * 0.01)
+    with pytest.raises(DegenerateGeometryError):
+        pseudo_update(s, flat, PseudoMeasurementConfig())

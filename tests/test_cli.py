@@ -70,10 +70,12 @@ def test_simulate_deterministic(scenario, tmp_path):
 def test_metrics_recompute_idempotent(scenario, tmp_path):
     out = tmp_path / "out"
     main(["simulate", "--config", str(scenario), "--out", str(out)])
-    before = (out / "metrics.csv").read_bytes()
+    names = ("metrics.csv", "timings.csv", "summary.json")
+    before = {n: (out / n).read_bytes() for n in names}
     redo = tmp_path / "redo"
     assert main(["metrics", "--in", str(out), "--out", str(redo)]) == 0
-    assert (redo / "metrics.csv").read_bytes() == before
+    for n in names:
+        assert (redo / n).read_bytes() == before[n]
 
 
 def test_filter_and_trials_overrides(scenario, tmp_path):
@@ -84,6 +86,44 @@ def test_filter_and_trials_overrides(scenario, tmp_path):
     assert summary["n_trials"] == 2
     _, trows = read_rows(out / "timings.csv")
     assert "pseudo" in {r[1] for r in trows}
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_trials_override_below_one_is_config_error(scenario, tmp_path,
+                                                   capsys, trials):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(scenario), "--trials", trials,
+                 "--out", str(out)]) == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metrics_refuses_pickled_arrays(scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(scenario), "--out", str(out)])
+    with np.load(out / "trials.npz", allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    # an object array is stored as a pickle; loading it would run
+    # whatever the pickle's reducer names, so it must never be loaded
+    arrays["timing_kind"] = np.array([_Unpickled()], dtype=object)
+    np.savez_compressed(out / "trials.npz", **arrays)
+    _Unpickled.loaded = False
+    assert main(["metrics", "--in", str(out),
+                 "--out", str(tmp_path / "redo")]) == 2
+    assert not _Unpickled.loaded
+    assert "trials.npz" in capsys.readouterr().err
+
+
+class _Unpickled:
+    loaded = False
+
+    def __reduce__(self):
+        return (_mark_loaded, ())
+
+
+def _mark_loaded():
+    _Unpickled.loaded = True
+    return "pose"
 
 
 def test_surface_info(scenario, capsys):

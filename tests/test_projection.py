@@ -9,11 +9,36 @@ from meskf import (DegenerateCovarianceError, DegenerateSamplingError,
                    project_range, project_range_variance,
                    projected_position_update, projected_range_update,
                    sample_sigma_region)
-from meskf.projection import ProjectedRange
+from meskf import quat
+from meskf.projection import (ProjectedRange, _lever_arm_jacobian,
+                              _lever_arm_world)
 
 from conftest import make_random_surface, random_spd
 
 IDENT = RobotExtrinsics.identity()
+
+
+def test_lever_arm_jacobian_matches_central_differences():
+    surface = make_random_surface(77, amplitude=0.8)
+    ext = RobotExtrinsics(np.array([0.3, -0.2, 0.5]),
+                          quat.from_rotvec(np.array([0.1, 0.2, 0.3])))
+    rng = np.random.default_rng(7)
+    h = 1e-6
+    for _ in range(10):
+        s = FilterState(rng.uniform(-8, 8, size=2),
+                        rng.uniform(-np.pi, np.pi), np.eye(3) * 0.01)
+        cols = []
+        for k in range(3):
+            d = np.zeros(3)
+            d[k] = h
+            sp = FilterState(s.t_R + d[0:2], s.gamma_R + d[2], s.P_x)
+            sm = FilterState(s.t_R - d[0:2], s.gamma_R - d[2], s.P_x)
+            cols.append((_lever_arm_world(surface, sp, ext)
+                         - _lever_arm_world(surface, sm, ext)) / (2 * h))
+        np.testing.assert_allclose(_lever_arm_jacobian(surface, s, ext),
+                                   np.column_stack(cols), atol=1e-8)
+    np.testing.assert_array_equal(_lever_arm_jacobian(surface, s, IDENT),
+                                  np.zeros((3, 3)))
 
 
 def small_state(t=(0.0, 0.0), g=0.0, var=1e-4):

@@ -5,8 +5,8 @@ from scipy.stats import chi2
 
 from meskf import FilterState, OdometryInput, RobotExtrinsics, propagate
 from meskf.sim.runner import (InitialUncertainty, aggregate_metrics,
-                              anees_bounds, chi2_quantile_wh,
-                              metrics_from_arrays, monte_carlo, run_trial)
+                              anees_bounds, metrics_from_arrays,
+                              monte_carlo, run_trial)
 from meskf.sim.sensors import (ScheduleSegment, SensorSchedule, SensorSuite,
                                synthesize_measurements)
 from meskf.sim.trajectory import TrajectorySpec, generate_ground_truth
@@ -152,13 +152,15 @@ class TestMetrics:
         assert m.n_excluded == 1
         np.testing.assert_allclose(m.exclusion_rate, 1 / 3)
 
-    def test_wilson_hilferty_matches_scipy(self):
-        # frozen oracle: scipy.stats.chi2.ppf
-        for dof in (100, 200, 300, 1200):
-            for p in (0.005, 0.995):
-                exact = chi2.ppf(p, dof)
-                approx = chi2_quantile_wh(p, dof)
-                assert abs(approx - exact) / exact < 1e-3
+    def test_anees_bounds_match_scipy(self):
+        # oracle: scipy.stats.chi2.ppf, exact down to a single trial
+        for n in (1, 2, 3, 100):
+            for m in (1, 2, 3):
+                dof = n * m
+                lo, hi = anees_bounds(n, m)
+                np.testing.assert_allclose(
+                    [lo, hi], [chi2.ppf(0.005, dof) / dof,
+                               chi2.ppf(0.995, dof) / dof], rtol=1e-9)
 
     def test_anees_bounds_frozen_values(self):
         # N=100 trials, m=3 dof, 99% confidence (oracle: chi2.ppf)
