@@ -13,12 +13,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .sim.config import load_scenario
-from .sim.runner import metrics_from_arrays, run_trial, stack_results
-from .sim.sensors import synthesize_measurements
-from .sim.trajectory import generate_ground_truth
+from .sim.runner import FILTER_KINDS, metrics_from_arrays, run_campaign
 
 METRICS_HEADER = "step,time_s,rmse_pos_m,rmse_head_rad,anees,anees_lo,anees_hi"
 TIMINGS_HEADER = "trial,correction_type,mean_us,p99_us"
+TRIALS_ARRAYS = ("times", "errors", "covariances", "diverged",
+                 "timing_trial", "timing_kind", "timing_mean_us",
+                 "timing_p99_us")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,8 +93,9 @@ def _write_outputs(out_dir, metrics, errors=None, covs=None, diverged=None):
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
     if args.filter:
-        if args.filter not in ("M-ESEKF", "MP-ESEKF", "C-ESEKF"):
-            raise ConfigError("unknown filter kind", field="--filter")
+        if args.filter not in FILTER_KINDS:
+            raise ConfigError(f"must be one of {FILTER_KINDS}",
+                              field="--filter")
         scenario.filter_kind = args.filter
     if args.trials is not None:
         if args.trials < 1:
@@ -102,19 +104,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         scenario.seed = args.seed
 
-    truth = generate_ground_truth(scenario.surface, scenario.trajectory)
-    results = []
-    for trial in range(scenario.n_trials):
-        streams = synthesize_measurements(
-            scenario.surface, truth, scenario.suite, scenario.schedule,
-            scenario.extrinsics, scenario.seed, trial)
-        results.append(run_trial(
-            scenario.surface, truth, streams, scenario.filter_kind,
-            scenario.sampling, scenario.pseudo, scenario.extrinsics,
-            scenario.init))
-    errors, covs, diverged, timing_rows = stack_results(results)
-    metrics = metrics_from_arrays(truth.times, errors, covs, diverged,
-                                  timing_rows)
+    metrics, errors, covs, diverged = run_campaign(scenario)
     _write_outputs(args.out, metrics, errors, covs, diverged)
     anees_finite = metrics.anees[np.isfinite(metrics.anees)]
     mean_anees = float(np.mean(anees_finite)) if len(anees_finite) else np.nan
@@ -136,6 +126,10 @@ def cmd_metrics(args) -> int:
             data = dict(f)
     except ValueError as e:
         raise ConfigError(str(e), field=str(npz_path)) from e
+    missing = [k for k in TRIALS_ARRAYS if k not in data]
+    if missing:
+        raise ConfigError(f"missing arrays {', '.join(missing)}",
+                          field=str(npz_path))
     timing_rows = list(zip(
         (int(t) for t in data["timing_trial"]),
         (str(k) for k in data["timing_kind"]),

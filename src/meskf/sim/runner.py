@@ -1,4 +1,8 @@
-"""Trial execution and Monte-Carlo metric aggregation.
+"""Trial execution, Monte-Carlo campaigns and metric aggregation.
+
+``run_trial`` is one event loop for all three filters; each filter
+family enters it only through a ``_Filter``. ``run_campaign`` runs the
+trials of a scenario and scores them.
 
 Every filter variant is scored in the same evaluation space: chart
 position error (m) and heading error (rad). The constrained 3-D
@@ -8,20 +12,21 @@ frame decomposition so the comparison is over shared observables.
 
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import chdtri
 
 from .. import baseline as bl
 from .. import projection as prj
+from .. import quat
 from .. import sensors3d as s3d
 from ..core import FilterState, RobotExtrinsics, propagate, wrap_angle
 from ..errors import (DegenerateGeometryError, DegenerateSamplingError,
-                      MeskfError, NoIntersectionError, OutOfChartError,
-                      SingularUpdateError)
+                      MeskfError, NoIntersectionError)
 from ..surface import BSplineSurface
-from .sensors import MeasurementStreams
-from .trajectory import GroundTruth
+from .sensors import MeasurementStreams, synthesize_measurements
+from .trajectory import GroundTruth, generate_ground_truth
 
 FILTER_KINDS = ("M-ESEKF", "MP-ESEKF", "C-ESEKF")
 DIVERGENCE_LIMIT_M = 10.0
@@ -74,85 +79,61 @@ def anees_bounds(n_trials: int, m: int, confidence: float = 0.99):
     return chdtri(dof, 1.0 - alpha) / dof, chdtri(dof, alpha) / dof
 
 
-def _timed(timings, key, fn, *args):
-    start = time.perf_counter()
-    out = fn(*args)
-    timings.setdefault(key, []).append(time.perf_counter() - start)
-    return out
+class _Filter(NamedTuple):
+    """What one filter family gives the shared trial loop.
+
+    Each correction is a (timing label, function) pair; ``pose`` and
+    ``range`` take (state, measurement), ``periodic`` takes the state
+    and runs every ``every`` steps. ``to_eval`` maps a state to the
+    evaluation space (t, gamma, P_eval).
+    """
+    state: object
+    propagate: Callable           # (state, odometry) -> state
+    pose: tuple
+    range: tuple
+    to_eval: Callable
+    periodic: tuple = (None, 0, None)   # (label, every, fn), C-ESEKF
 
 
-def _init_manifold(truth: GroundTruth, init: InitialUncertainty,
-                   noise: np.ndarray) -> FilterState:
+def _manifold_filter(surface, truth, noise, projected, sampling,
+                     extrinsics, init) -> _Filter:
     P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2, init.head_std ** 2])
     t0 = truth.chart[0] + init.pos_std * noise[0:2]
     g0 = truth.gamma[0] + init.head_std * noise[2]
-    return FilterState(t0, g0, P0)
+
+    if projected:
+        def pose(st, meas):
+            p = prj.project_position(surface, meas.z_p, meas.P_m[0:3, 0:3],
+                                     extrinsics, st)
+            st = prj.projected_position_update(st, surface, p)
+            return s3d.orientation_update(st, surface, extrinsics, meas)
+
+        def rng(st, meas):
+            try:
+                pr = prj.project_range(surface, meas.z_d, meas.R_d,
+                                       meas.r_A, extrinsics, st, sampling)
+                return prj.projected_range_update(st, surface, pr)
+            except (NoIntersectionError, DegenerateSamplingError,
+                    DegenerateGeometryError):
+                return s3d.range_update(st, surface, extrinsics, meas)
+        labels = ("projected_position", "projected_range")
+    else:
+        def pose(st, meas):
+            return s3d.pose_update(st, surface, extrinsics, meas)
+
+        def rng(st, meas):
+            return s3d.range_update(st, surface, extrinsics, meas)
+        labels = ("pose", "range")
+
+    return _Filter(
+        FilterState(t0, g0, P0),
+        lambda st, odo: propagate(surface, st, odo, truth.dt),
+        (labels[0], pose), (labels[1], rng),
+        lambda st: (st.t_R, st.gamma_R, st.P_x))
 
 
-def _run_manifold(surface, truth, streams, projected, sampling,
-                  extrinsics, init) -> TrialResult:
-    state = _init_manifold(truth, init, streams.initial_state_noise)
-    n = truth.n_steps
-    errors = np.zeros((n + 1, 3))
-    covs = np.zeros((n + 1, 3, 3))
-    timings = {}
-
-    def record(k, s):
-        errors[k, 0:2] = s.t_R - truth.chart[k]
-        errors[k, 2] = wrap_angle(s.gamma_R - truth.gamma[k])
-        covs[k] = s.P_x
-
-    record(0, state)
-    for k in range(n):
-        try:
-            state = propagate(surface, state, streams.odometry[k], truth.dt)
-            step = k + 1
-            if step in streams.pose_events:
-                meas = streams.pose_events[step]
-                if projected:
-                    def proj_pose(st):
-                        p = prj.project_position(
-                            surface, meas.z_p, meas.P_m[0:3, 0:3],
-                            extrinsics, st)
-                        st = prj.projected_position_update(st, surface, p)
-                        return s3d.orientation_update(
-                            st, surface, extrinsics, meas)
-                    state = _timed(timings, "projected_position",
-                                   proj_pose, state)
-                else:
-                    state = _timed(timings, "pose", s3d.pose_update,
-                                   state, surface, extrinsics, meas)
-            for meas in streams.range_events.get(step, ()):
-                if projected:
-                    def proj_range(st):
-                        try:
-                            pr = prj.project_range(
-                                surface, meas.z_d, meas.R_d, meas.r_A,
-                                extrinsics, st, sampling)
-                            return prj.projected_range_update(
-                                st, surface, pr)
-                        except (NoIntersectionError,
-                                DegenerateSamplingError,
-                                DegenerateGeometryError):
-                            return s3d.range_update(
-                                st, surface, extrinsics, meas)
-                    state = _timed(timings, "projected_range",
-                                   proj_range, state)
-                else:
-                    state = _timed(timings, "range", s3d.range_update,
-                                   state, surface, extrinsics, meas)
-        except (OutOfChartError, SingularUpdateError, MeskfError):
-            return TrialResult(errors, covs, timings, True, k + 1)
-        record(step, state)
-        if np.linalg.norm(errors[step, 0:2]) > DIVERGENCE_LIMIT_M:
-            return TrialResult(errors, covs, timings, True, step)
-    return TrialResult(errors, covs, timings, False)
-
-
-def _run_baseline(surface, truth, streams, pseudo, extrinsics,
-                  init) -> TrialResult:
-    from .. import quat
-    noise = streams.initial_state_noise
+def _baseline_filter(surface, truth, noise, pseudo, extrinsics,
+                     init) -> _Filter:
     p0 = surface.chart_to_world(truth.chart[0])
     p0 = p0 + np.array([init.pos_std * noise[0], init.pos_std * noise[1],
                         init.z_std * noise[3]])
@@ -164,59 +145,85 @@ def _run_baseline(surface, truth, streams, pseudo, extrinsics,
                                     init.head_std * noise[2]]))
     P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2, init.z_std ** 2,
                   init.rp_std ** 2, init.rp_std ** 2, init.head_std ** 2])
-    state = bl.FullPoseState(p0, quat.multiply(q_true, dq), P0)
 
-    n = truth.n_steps
-    errors = np.zeros((n + 1, 3))
-    covs = np.zeros((n + 1, 3, 3))
-    timings = {}
-    pseudo_every = max(int(round(1.0 / (pseudo.rate * truth.dt))), 1)
+    def to_eval(st):
+        x, P_eval = bl.chart_errors(st, surface)
+        return x[0:2], x[2], P_eval
 
-    def record(k, s):
-        x_eval, P_eval = bl.chart_errors(s, surface)
-        errors[k, 0:2] = x_eval[0:2] - truth.chart[k]
-        errors[k, 2] = wrap_angle(x_eval[2] - truth.gamma[k])
-        covs[k] = P_eval
-
-    record(0, state)
-    for k in range(n):
-        try:
-            state = bl.propagate_3d(state, streams.odometry[k], truth.dt)
-            step = k + 1
-            if step % pseudo_every == 0:
-                state = _timed(timings, "pseudo", bl.pseudo_update,
-                               state, surface, pseudo)
-            if step in streams.pose_events:
-                state = _timed(timings, "pose", bl.pose_update_3d,
-                               state, extrinsics, streams.pose_events[step])
-            for meas in streams.range_events.get(step, ()):
-                state = _timed(timings, "range", bl.range_update_3d,
-                               state, extrinsics, meas)
-        except (OutOfChartError, SingularUpdateError, MeskfError):
-            return TrialResult(errors, covs, timings, True, k + 1)
-        record(step, state)
-        if np.linalg.norm(errors[step, 0:2]) > DIVERGENCE_LIMIT_M:
-            return TrialResult(errors, covs, timings, True, step)
-    return TrialResult(errors, covs, timings, False)
+    return _Filter(
+        bl.FullPoseState(p0, quat.multiply(q_true, dq), P0),
+        lambda st, odo: bl.propagate_3d(st, odo, truth.dt),
+        ("pose", lambda st, meas: bl.pose_update_3d(st, extrinsics, meas)),
+        ("range", lambda st, meas: bl.range_update_3d(st, extrinsics,
+                                                      meas)),
+        to_eval,
+        ("pseudo", max(int(round(1.0 / (pseudo.rate * truth.dt))), 1),
+         lambda st: bl.pseudo_update(st, surface, pseudo)))
 
 
 def run_trial(surface: BSplineSurface, truth: GroundTruth,
               streams: MeasurementStreams, filter_kind: str,
               sampling=None, pseudo=None, extrinsics=None,
               init=None) -> TrialResult:
-    """Event-driven execution of one trial with the selected filter."""
+    """Event-driven execution of one trial with the selected filter.
+
+    Each step propagates on the odometry, then applies the periodic
+    correction when due, the pose event, and the range events of the
+    step, timing each correction. A package error or a chart position
+    error above ``DIVERGENCE_LIMIT_M`` ends the trial as diverged.
+    """
     if filter_kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {filter_kind!r}")
     extrinsics = extrinsics or RobotExtrinsics.identity()
     init = init or InitialUncertainty()
+    noise = streams.initial_state_noise
     if filter_kind == "C-ESEKF":
-        pseudo = pseudo or bl.PseudoMeasurementConfig()
-        return _run_baseline(surface, truth, streams, pseudo, extrinsics,
-                             init)
-    projected = filter_kind == "MP-ESEKF"
-    sampling = sampling or prj.SamplingConfig()
-    return _run_manifold(surface, truth, streams, projected, sampling,
-                         extrinsics, init)
+        f = _baseline_filter(surface, truth, noise,
+                             pseudo or bl.PseudoMeasurementConfig(),
+                             extrinsics, init)
+    else:
+        f = _manifold_filter(surface, truth, noise,
+                             filter_kind == "MP-ESEKF",
+                             sampling or prj.SamplingConfig(),
+                             extrinsics, init)
+    (pose_key, pose), (range_key, rng) = f.pose, f.range
+    periodic_key, every, periodic = f.periodic
+
+    n = truth.n_steps
+    errors = np.zeros((n + 1, 3))
+    covs = np.zeros((n + 1, 3, 3))
+    timings = {}
+
+    def timed(key, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        timings.setdefault(key, []).append(time.perf_counter() - start)
+        return out
+
+    def record(k, st):
+        t, gamma, P_eval = f.to_eval(st)
+        errors[k, 0:2] = t - truth.chart[k]
+        errors[k, 2] = wrap_angle(gamma - truth.gamma[k])
+        covs[k] = P_eval
+
+    state = f.state
+    record(0, state)
+    for step in range(1, n + 1):
+        try:
+            state = f.propagate(state, streams.odometry[step - 1])
+            if every and step % every == 0:
+                state = timed(periodic_key, periodic, state)
+            if step in streams.pose_events:
+                state = timed(pose_key, pose, state,
+                              streams.pose_events[step])
+            for meas in streams.range_events.get(step, ()):
+                state = timed(range_key, rng, state, meas)
+            record(step, state)
+        except MeskfError:
+            return TrialResult(errors, covs, timings, True, step)
+        if np.linalg.norm(errors[step, 0:2]) > DIVERGENCE_LIMIT_M:
+            return TrialResult(errors, covs, timings, True, step)
+    return TrialResult(errors, covs, timings, False)
 
 
 def metrics_from_arrays(times: np.ndarray, errors: np.ndarray,
@@ -272,24 +279,25 @@ def stack_results(results: list):
     return errors, covs, diverged, timing_rows
 
 
-def aggregate_metrics(truth: GroundTruth, results: list) -> TrialMetrics:
-    errors, covs, diverged, timing_rows = stack_results(results)
-    return metrics_from_arrays(truth.times, errors, covs, diverged,
-                               timing_rows)
+def run_campaign(scenario):
+    """All trials of a scenario (``sim.config.Scenario``).
 
-
-def monte_carlo(surface, truth, suite, schedule, filter_kind, n_trials,
-                seed, sampling=None, pseudo=None, extrinsics=None,
-                init=None) -> TrialMetrics:
-    """Run N independent trials and aggregate RMSE/ANEES per step."""
-    from .sensors import synthesize_measurements
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    extrinsics = extrinsics or RobotExtrinsics.identity()
+    The ground truth is generated once; each trial then draws its
+    measurements from (seed, trial) and runs the scenario's filter.
+    Returns (metrics, errors, covariances, diverged), the last three
+    stacked over trials as ``trials.npz`` stores them.
+    """
+    sc = scenario
+    truth = generate_ground_truth(sc.surface, sc.trajectory)
     results = []
-    for trial in range(n_trials):
-        streams = synthesize_measurements(surface, truth, suite, schedule,
-                                          extrinsics, seed, trial)
-        results.append(run_trial(surface, truth, streams, filter_kind,
-                                 sampling, pseudo, extrinsics, init))
-    return aggregate_metrics(truth, results)
+    for trial in range(sc.n_trials):
+        streams = synthesize_measurements(sc.surface, truth, sc.suite,
+                                          sc.schedule, sc.extrinsics,
+                                          sc.seed, trial)
+        results.append(run_trial(sc.surface, truth, streams,
+                                 sc.filter_kind, sc.sampling, sc.pseudo,
+                                 sc.extrinsics, sc.init))
+    errors, covs, diverged, timing_rows = stack_results(results)
+    metrics = metrics_from_arrays(truth.times, errors, covs, diverged,
+                                  timing_rows)
+    return metrics, errors, covs, diverged

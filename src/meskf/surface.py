@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bspline, _kernels
+from . import bspline
 from .errors import ConfigError, NumericalFailureError, OutOfChartError
 
 CHART_JACOBIAN = np.array([[1.0, 0.0, 0.0],
@@ -150,18 +150,8 @@ class BSplineSurface:
 
         Returns (z, grad) with z of shape (N,) and grad of shape (N, 2);
         the path behind every batched geometry query. Assumes t is
-        already a validated (N, 2) float array. Uses the jitted kernel
-        when numba is available, the numpy path otherwise.
+        already a validated (N, 2) float array.
         """
-        if _kernels.HAVE_NUMBA:
-            z, gx, gy = _kernels.fused_surface_eval(
-                self.knots_u, self.degree_u, self.knots_v, self.degree_v,
-                self.control_points, np.ascontiguousarray(t))
-            return z, np.stack([gx, gy], axis=1)
-        return self._eval_fused_numpy(t)
-
-    def _eval_fused_numpy(self, t: np.ndarray):
-        """Pure-numpy reference for ``_eval_fused`` (same contract)."""
         u, v = t[:, 0], t[:, 1]
         su = bspline.find_spans(self.knots_u, self.degree_u, u)
         sv = bspline.find_spans(self.knots_v, self.degree_v, v)

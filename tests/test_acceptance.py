@@ -18,8 +18,7 @@ from meskf import quat
 from meskf.sensors3d import pose_update
 from meskf.core import heading_rotation_2d, propagate, wrap_angle
 from meskf.sim.config import load_scenario
-from meskf.sim.runner import aggregate_metrics, anees_bounds, monte_carlo
-from meskf.sim.sensors import synthesize_measurements
+from meskf.sim.runner import anees_bounds, run_campaign
 from meskf.sim.trajectory import generate_ground_truth
 
 from conftest import make_random_surface, random_spd
@@ -36,8 +35,8 @@ def report(criterion: int, ok: bool, detail: str):
     assert ok, line
 
 
-def run_campaign(scenario_path, filter_kind=None, n_trials=None,
-                 duration=None):
+def campaign_metrics(scenario_path, filter_kind=None, n_trials=None,
+                     duration=None):
     sc = load_scenario(scenario_path)
     if filter_kind:
         sc.filter_kind = filter_kind
@@ -46,23 +45,18 @@ def run_campaign(scenario_path, filter_kind=None, n_trials=None,
     if duration:
         sc.trajectory.duration = duration
         sc.schedule = type(sc.schedule).always_on(duration)
-    truth = generate_ground_truth(sc.surface, sc.trajectory)
-    metrics = monte_carlo(sc.surface, truth, sc.suite, sc.schedule,
-                          sc.filter_kind, sc.n_trials, sc.seed,
-                          sampling=sc.sampling, pseudo=sc.pseudo,
-                          extrinsics=sc.extrinsics, init=sc.init)
-    return metrics
+    return run_campaign(sc)[0]
 
 
 @pytest.fixture(scope="module")
 def reference_campaign():
     """N=100 campaigns for all three filters on the bundled scenario."""
-    # short warm-up per filter so one-off JIT compilation or cache loads
-    # do not leak into the timed corrections of the first trial
+    # short warm-up per filter so first-call costs (lazy imports, cold
+    # caches) do not leak into the timed corrections of the first trial
     for kind in ("M-ESEKF", "MP-ESEKF", "C-ESEKF"):
-        run_campaign(REFERENCE_SCENARIO, kind, n_trials=1, duration=3.0)
+        campaign_metrics(REFERENCE_SCENARIO, kind, n_trials=1, duration=3.0)
     start = time.perf_counter()
-    out = {kind: run_campaign(REFERENCE_SCENARIO, kind)
+    out = {kind: campaign_metrics(REFERENCE_SCENARIO, kind)
            for kind in ("M-ESEKF", "MP-ESEKF", "C-ESEKF")}
     out["wall_s"] = time.perf_counter() - start
     return out
@@ -366,7 +360,7 @@ def test_criterion_7_performance(reference_campaign):
 # 8. harness calibration
 # --------------------------------------------------------------------------
 def test_criterion_8_calibration():
-    m = run_campaign(FLAT_SCENARIO)
+    m = campaign_metrics(FLAT_SCENARIO)
     frac = in_bounds_fraction(m)
     ok = frac >= 0.95 and m.n_excluded == 0
     report(8, ok,

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meskf import _kernels
 from meskf.bspline import (basis_and_derivatives, basis_values, find_spans,
                            point_basis_ders2, tensor_eval)
 
@@ -137,27 +136,6 @@ def test_point_basis_matches_array_basis(degree):
         dp = basis_and_derivatives(knots, degree, sp, np.array([xp]))[1][0]
         dm = basis_and_derivatives(knots, degree, sp, np.array([xm]))[1][0]
         np.testing.assert_allclose(n2, (dp - dm) / (xp - xm), atol=1e-5)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not available")
-def test_kernel_basis_matches_numpy():
-    degree = 3
-    knots = clamped_knots(9, degree)
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(-5.0, 5.0, size=200)
-    spans = find_spans(knots, degree, xs)
-    vals, ders = basis_and_derivatives(knots, degree, spans, xs)
-    kv = np.empty(degree + 1)
-    kd = np.empty(degree + 1)
-    lower = np.empty(degree + 1)
-    left = np.empty(degree + 1)
-    right = np.empty(degree + 1)
-    for k, x in enumerate(xs):
-        span = _kernels._basis_ders_1d(knots, degree, x, kv, kd, lower,
-                                       left, right)
-        assert span == spans[k]
-        np.testing.assert_allclose(kv, vals[k], atol=1e-13)
-        np.testing.assert_allclose(kd, ders[k], atol=1e-11)
 
 
 @settings(max_examples=50, deadline=None)

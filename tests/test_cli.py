@@ -88,6 +88,15 @@ def test_filter_and_trials_overrides(scenario, tmp_path):
     assert "pseudo" in {r[1] for r in trows}
 
 
+def test_unknown_filter_override_is_config_error(scenario, tmp_path,
+                                                 capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(scenario), "--filter", "UKF",
+                 "--out", str(out)]) == 2
+    assert "--filter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_trials_override_below_one_is_config_error(scenario, tmp_path,
                                                    capsys, trials):
@@ -112,6 +121,16 @@ def test_metrics_refuses_pickled_arrays(scenario, tmp_path, capsys):
                  "--out", str(tmp_path / "redo")]) == 2
     assert not _Unpickled.loaded
     assert "trials.npz" in capsys.readouterr().err
+
+
+def test_metrics_names_missing_array(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    np.savez_compressed(out / "trials.npz", times=np.zeros(3))
+    assert main(["metrics", "--in", str(out),
+                 "--out", str(tmp_path / "redo")]) == 2
+    err = capsys.readouterr().err
+    assert "trials.npz" in err and "timing_trial" in err
 
 
 class _Unpickled:
@@ -148,7 +167,8 @@ def test_exit_code_config_error(tmp_path):
                  "--out", str(tmp_path / "o2")]) == 2
 
 
-def test_exit_code_divergence(tmp_path):
+@pytest.mark.parametrize("kind", ["M-ESEKF", "MP-ESEKF", "C-ESEKF"])
+def test_exit_code_divergence(tmp_path, kind):
     # dead-reckoning near the chart boundary with a large seeded initial
     # offset walks out of the domain: the trial is flagged diverged
     surf = tmp_path / "surf.json"
@@ -166,6 +186,7 @@ def test_exit_code_divergence(tmp_path):
     path = tmp_path / "div.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert main(["simulate", "--config", str(path), "--filter", kind,
+                 "--out", str(out)]) == 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["exclusion_rate"] > 0

@@ -4,9 +4,9 @@ import pytest
 from scipy.stats import chi2
 
 from meskf import FilterState, OdometryInput, RobotExtrinsics, propagate
-from meskf.sim.runner import (InitialUncertainty, aggregate_metrics,
-                              anees_bounds, metrics_from_arrays,
-                              monte_carlo, run_trial)
+from meskf.sim.config import scenario_from_dict
+from meskf.sim.runner import (InitialUncertainty, anees_bounds,
+                              metrics_from_arrays, run_campaign, run_trial)
 from meskf.sim.sensors import (ScheduleSegment, SensorSchedule, SensorSuite,
                                synthesize_measurements)
 from meskf.sim.trajectory import TrajectorySpec, generate_ground_truth
@@ -196,11 +196,23 @@ class TestEndToEnd:
         assert res.timings
 
     def test_monte_carlo_aggregates(self, flat):
-        truth = generate_ground_truth(flat, circle_spec(duration=5.0))
-        sched = SensorSchedule.always_on(5.0)
-        m = monte_carlo(flat, truth, suite(), sched, "M-ESEKF", 5, seed=3)
+        spec = circle_spec(duration=5.0)
+        sc = scenario_from_dict({
+            "surface": {"degree_u": flat.degree_u, "degree_v": flat.degree_v,
+                        "knots_u": flat.knots_u.tolist(),
+                        "knots_v": flat.knots_v.tolist(),
+                        "control_points": flat.control_points.tolist()},
+            "trajectory": {"path": spec.path, "speed": spec.speed,
+                           "duration": spec.duration, "dt": spec.dt},
+            "sensors": {"anchors": [[8.0, 0.0, 0.0]]},
+            "filter": "M-ESEKF", "trials": 5, "seed": 3})
+        truth = generate_ground_truth(flat, spec)
+        m, errors, covs, diverged = run_campaign(sc)
         assert m.n_trials == 5
         assert len(m.rmse_pos) == truth.n_steps + 1
+        assert errors.shape == (5, truth.n_steps + 1, 3)
+        assert covs.shape == (5, truth.n_steps + 1, 3, 3)
+        assert not np.any(diverged)
         assert np.all(np.isfinite(m.anees))
         kinds = {row[1] for row in m.timing_rows}
         assert "pose" in kinds and "range" in kinds

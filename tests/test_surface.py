@@ -42,14 +42,6 @@ def test_fused_eval_matches_separate_calls(curved):
     np.testing.assert_allclose(g, curved.gradient_many(pts), atol=1e-13)
 
 
-def test_kernel_eval_matches_numpy_path(curved):
-    pts = sample_points(curved, 300, seed=3)
-    z1, g1 = curved._eval_fused(pts)
-    z2, g2 = curved._eval_fused_numpy(pts)
-    np.testing.assert_allclose(z1, z2, atol=1e-13)
-    np.testing.assert_allclose(g1, g2, atol=1e-13)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 10 ** 6),
        st.floats(-9.5, 9.5), st.floats(-9.5, 9.5))
@@ -62,11 +54,11 @@ def test_property_eval_point_matches_numpy_path(degree, seed, u, v):
     assume(np.min(np.abs(knots - u)) > 10 * h)
     assume(np.min(np.abs(knots - v)) > 10 * h)
     s, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
-    z, g = surface._eval_fused_numpy(np.array([[u, v]]))
+    z, g = surface._eval_fused(np.array([[u, v]]))
     np.testing.assert_allclose([s, s_u, s_v], [z[0], g[0, 0], g[0, 1]],
                                rtol=1e-12, atol=1e-12)
     pts = np.array([[u + h, v], [u - h, v], [u, v + h], [u, v - h]])
-    gp = surface._eval_fused_numpy(pts)[1]
+    gp = surface._eval_fused(pts)[1]
     hess_fd = np.array([(gp[0] - gp[1]) / (2 * h), (gp[2] - gp[3]) / (2 * h)])
     np.testing.assert_allclose([[s_uu, s_uv], [s_uv, s_vv]], hess_fd,
                                rtol=1e-6, atol=1e-6)
@@ -82,7 +74,7 @@ def test_eval_point_domain_checks(curved):
         with pytest.raises(OutOfChartError, match="not finite"):
             curved.eval_point(bad, 0.0)
     # the domain's corners are inside
-    z, g = curved._eval_fused_numpy(np.array([[uhi, vhi]]))
+    z, g = curved._eval_fused(np.array([[uhi, vhi]]))
     np.testing.assert_allclose(curved.eval_point(uhi, vhi)[0:3],
                                [z[0], g[0, 0], g[0, 1]], atol=1e-12)
 
