@@ -65,7 +65,7 @@ def main():
         argv = ["simulate", "--config", str(scenario), "--out", str(out)]
         if name in FILTERS:
             argv += ["--filter", name]
-        if args.trials:
+        if args.trials is not None:
             argv += ["--trials", str(args.trials)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]

@@ -5,7 +5,7 @@ harness."""
 
 from .baseline import FullPoseState, PseudoMeasurementConfig
 from .core import (FilterState, OdometryInput, RobotExtrinsics, correct,
-                   error_jacobians, propagate, robot_rotation, wrap_angle)
+                   error_jacobians, propagate, wrap_angle)
 from .errors import (ConfigError, DegenerateCovarianceError,
                      DegenerateGeometryError, DegenerateSamplingError,
                      MeskfError, NoIntersectionError, NumericalFailureError,

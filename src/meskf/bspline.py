@@ -50,32 +50,16 @@ def basis_values(knots: np.ndarray, degree: int, spans: np.ndarray,
 
 def basis_and_derivatives(knots: np.ndarray, degree: int, spans: np.ndarray,
                           x: np.ndarray):
-    """Basis values and first derivatives in one recurrence pass.
+    """Basis values and first derivatives.
 
-    The degree-1 intermediates of the triangular recurrence are the
-    lower-degree basis functions, from which the analytic derivative
-    N'_{i,p} = p (N_{i,p-1}/(t_{i+p}-t_i) - N_{i+1,p-1}/(t_{i+p+1}-t_{i+1}))
-    follows. Returns (values, derivatives), each (len(x), degree + 1).
+    The degree-(p-1) basis functions on the same spans give the analytic
+    derivative
+    N'_{i,p} = p (N_{i,p-1}/(t_{i+p}-t_i) - N_{i+1,p-1}/(t_{i+p+1}-t_{i+1})).
+    Returns (values, derivatives), each (len(x), degree + 1).
     """
     n = x.shape[0]
-    vals = np.ones((n, degree + 1))
-    left = np.empty((n, degree + 1))
-    right = np.empty((n, degree + 1))
-    lower = None
-    for j in range(1, degree + 1):
-        left[:, j] = x - knots[spans + 1 - j]
-        right[:, j] = knots[spans + j] - x
-        if j == degree:
-            lower = vals[:, :degree].copy()
-        saved = np.zeros(n)
-        for r in range(j):
-            denom = right[:, r + 1] + left[:, j - r]
-            temp = vals[:, r] / denom
-            vals[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        vals[:, j] = saved
-
-    ders = np.empty((n, degree + 1))
+    vals = basis_values(knots, degree, spans, x)
+    lower = basis_values(knots, degree - 1, spans, x)
     offs = np.arange(degree + 1)
     i = spans[:, None] - degree + offs          # basis indices, (n, p+1)
     dt_lo = knots[i + degree] - knots[i]
@@ -86,8 +70,7 @@ def basis_and_derivatives(knots: np.ndarray, degree: int, spans: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         term_lo = np.where(dt_lo > 0, lo[:, :degree + 1] / dt_lo, 0.0)
         term_hi = np.where(dt_hi > 0, lo[:, 1:] / dt_hi, 0.0)
-    ders[:] = degree * (term_lo - term_hi)
-    return vals, ders
+    return vals, degree * (term_lo - term_hi)
 
 
 def tensor_eval(control: np.ndarray,

@@ -106,8 +106,9 @@ def cmd_simulate(args) -> int:
 
     metrics, errors, covs, diverged = run_campaign(scenario)
     _write_outputs(args.out, metrics, errors, covs, diverged)
-    anees_finite = metrics.anees[np.isfinite(metrics.anees)]
-    mean_anees = float(np.mean(anees_finite)) if len(anees_finite) else np.nan
+    mean_anees = summary_dict(metrics)["mean_anees"]
+    if mean_anees is None:
+        mean_anees = float("nan")
     print(f"{scenario.filter_kind}: {scenario.n_trials} trials, "
           f"final RMSE {metrics.rmse_pos[-1]:.4f} m / "
           f"{metrics.rmse_head[-1]:.4f} rad, "
@@ -138,10 +139,7 @@ def cmd_metrics(args) -> int:
         data["times"], data["errors"], data["covariances"],
         data["diverged"], timing_rows)
     out_dir = Path(args.out) if args.out else in_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out_dir / "metrics.csv", metrics)
-    write_timings_csv(out_dir / "timings.csv", metrics)
-    write_summary_json(out_dir / "summary.json", metrics)
+    _write_outputs(out_dir, metrics)
     print(f"recomputed metrics for {metrics.n_trials} trials -> {out_dir}")
     return 0
 

@@ -74,14 +74,6 @@ def heading_rotation_2d(gamma):
     return np.array([[c, -s], [s, c]])
 
 
-def robot_rotation(surface: BSplineSurface, state: FilterState) -> np.ndarray:
-    """World-from-robot rotation: tangent frame composed with heading."""
-    frame = surface.tangent_frame(state.t_R)
-    c, s = np.cos(state.gamma_R), np.sin(state.gamma_R)
-    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return frame @ rz
-
-
 def _motion_model(surface: BSplineSurface, state: FilterState,
                   odom: OdometryInput, dt):
     """Chart displacement dt T R_z(gamma) v_m and its Jacobians.

@@ -7,18 +7,22 @@ measurement. Range measurements are re-expressed as distances on the
 chart by sampling the filter's sigma region, intersecting it with the
 measured range sphere, and averaging chart distances to an equivalent
 anchor. Both schemes feed the ordinary chart-space correction.
+
+The sensor's lever arm R_WR r_RS, which shifts the measurement and the
+anchor, and its Jacobian come from ``sensors3d._sensor_model``, the one
+place where tangent frame, heading and extrinsics are composed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FilterState, RobotExtrinsics, correct,
-                   heading_rotation_2d)
+from .core import FilterState, RobotExtrinsics, correct
 from .errors import (DegenerateCovarianceError, DegenerateGeometryError,
                      DegenerateSamplingError, NoIntersectionError)
 from .sensors3d import _sensor_model
-from .surface import BSplineSurface, world_to_chart
+from .surface import (BSplineSurface, frame_cos_sin, frame_matrix,
+                      world_to_chart)
 
 
 @dataclass
@@ -61,27 +65,17 @@ class SamplingConfig:
             raise ValueError("shell_tolerance must be positive")
 
 
-def _lever_arm_world(surface, state, extrinsics):
-    frame = surface.tangent_frame(state.t_R)
-    rz2 = heading_rotation_2d(state.gamma_R)
-    r = extrinsics.r_RS
-    body = np.array([rz2[0, 0] * r[0] + rz2[0, 1] * r[1],
-                     rz2[1, 0] * r[0] + rz2[1, 1] * r[1],
-                     r[2]])
-    return frame @ body
+def _lever_arm(surface, state, extrinsics):
+    """World lever arm R_WR r_RS and its 3x3 error-state Jacobian.
 
-
-def _lever_arm_jacobian(surface, state, extrinsics):
-    """d(R_WR r_RS)/d(error state), 3x3, analytic.
-
-    The sensor-position Jacobian of the pose model without its chart
-    lift d(u, v, S)/d(u, v, gamma), which leaves the lever-arm part.
+    Both come from the pose model without its chart lift; a zero r_RS
+    gives zeros without evaluating the surface.
     """
     if not np.any(extrinsics.r_RS):
-        return np.zeros((3, 3))
-    _, J, _, _ = _sensor_model(surface, state, extrinsics, rotation=False,
+        return np.zeros(3), np.zeros((3, 3))
+    p, J, _, _ = _sensor_model(surface, state, extrinsics, rotation=False,
                                lift=False)
-    return np.array(J)
+    return np.array(p), np.array(J)
 
 
 def associate_to_surface(surface: BSplineSurface, r_Sm: np.ndarray,
@@ -89,7 +83,7 @@ def associate_to_surface(surface: BSplineSurface, r_Sm: np.ndarray,
                          state: FilterState) -> np.ndarray:
     """Closest surface point to the lever-arm-compensated measurement."""
     r_Sm = np.asarray(r_Sm, dtype=float)
-    center = r_Sm - _lever_arm_world(surface, state, extrinsics)
+    center = r_Sm - _lever_arm(surface, state, extrinsics)[0]
     return surface.closest_point(center)
 
 
@@ -123,7 +117,7 @@ def project_position(surface: BSplineSurface, r_Sm: np.ndarray,
     """Project a 3-D position measurement and its covariance to the chart."""
     z_pM = associate_to_surface(surface, r_Sm, extrinsics, state)
     z_t = world_to_chart(z_pM)
-    J = _lever_arm_jacobian(surface, state, extrinsics)
+    J = _lever_arm(surface, state, extrinsics)[1]
     P_M = np.asarray(P_m, dtype=float) + J @ state.P_x @ J.T
     frame = surface.tangent_frame(z_t)
     r1, r2 = ellipsoid_tangent_intersection(P_M, frame)
@@ -173,15 +167,16 @@ def project_range_variance(surface: BSplineSurface, R_d: float,
     of its surface-normal component, and mapped through the chart.
     Floored at 1e-12.
     """
-    p_R = surface.chart_to_world(state.t_R)
-    d = p_R - anchor_shifted
+    u, v = float(state.t_R[0]), float(state.t_R[1])
+    s, s_u, s_v = surface.eval_point(u, v)[:3]
+    d = np.array([u, v, s]) - anchor_shifted
     dist = np.linalg.norm(d)
     if dist < 1e-6:
         raise DegenerateGeometryError("anchor coincides with sensor")
     n_AS = d / dist
-    J_d = _lever_arm_jacobian(surface, state, extrinsics)
+    J_d = _lever_arm(surface, state, extrinsics)[1]
     p_d = n_AS * R_d + (J_d @ state.P_x @ J_d.T) @ n_AS
-    normal = surface.tangent_frame(state.t_R)[:, 2]
+    normal = np.array(frame_matrix(*frame_cos_sin(s_u, s_v)))[:, 2]
     p_dT = p_d - normal * (normal @ p_d)
     return max(float(np.linalg.norm(p_dT[0:2])), 1e-12)
 
@@ -196,7 +191,7 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
     region entirely; callers fall back to the 3-D range update.
     """
     anchor = np.asarray(anchor, dtype=float)
-    A_prime = anchor - _lever_arm_world(surface, state, extrinsics)
+    A_prime = anchor - _lever_arm(surface, state, extrinsics)[0]
     samples = sample_sigma_region(state, surface, config)
     p_R = surface.chart_to_world_many(samples)
     dists = np.linalg.norm(p_R - A_prime, axis=1)

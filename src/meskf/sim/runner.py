@@ -30,6 +30,7 @@ from .trajectory import GroundTruth, generate_ground_truth
 
 FILTER_KINDS = ("M-ESEKF", "MP-ESEKF", "C-ESEKF")
 DIVERGENCE_LIMIT_M = 10.0
+ANEES_CONFIDENCE = 0.99
 
 
 @dataclass
@@ -71,11 +72,12 @@ class TrialMetrics:
         return self.n_excluded / max(self.n_trials, 1)
 
 
-def anees_bounds(n_trials: int, m: int, confidence: float = 0.99):
-    """Exact two-sided chi-square bounds on the ANEES of m-dof errors."""
+def anees_bounds(n_trials: int, m: int):
+    """Exact two-sided chi-square bounds on the ANEES of m-dof errors,
+    at ``ANEES_CONFIDENCE``."""
     # chdtri(dof, p) is the x with P(chi2_dof > x) = p
     dof = n_trials * m
-    alpha = 0.5 * (1.0 - confidence)
+    alpha = 0.5 * (1.0 - ANEES_CONFIDENCE)
     return chdtri(dof, 1.0 - alpha) / dof, chdtri(dof, alpha) / dof
 
 
@@ -134,12 +136,11 @@ def _manifold_filter(surface, truth, noise, projected, sampling,
 
 def _baseline_filter(surface, truth, noise, pseudo, extrinsics,
                      init) -> _Filter:
-    p0 = surface.chart_to_world(truth.chart[0])
+    p0, q_true = s3d.predict_pose(
+        surface, FilterState(truth.chart[0], truth.gamma[0], np.eye(3)),
+        RobotExtrinsics.identity())
     p0 = p0 + np.array([init.pos_std * noise[0], init.pos_std * noise[1],
                         init.z_std * noise[3]])
-    frame0 = surface.tangent_frame(truth.chart[0])
-    q_true = quat.from_matrix(frame0 @ quat.to_matrix(
-        quat.z_rotation(truth.gamma[0])))
     dq = quat.from_rotvec(np.array([init.rp_std * noise[4],
                                     init.rp_std * noise[5],
                                     init.head_std * noise[2]]))

@@ -24,6 +24,8 @@ from .errors import ConfigError, NumericalFailureError, OutOfChartError
 
 CHART_JACOBIAN = np.array([[1.0, 0.0, 0.0],
                            [0.0, 1.0, 0.0]])
+CLOSEST_POINT_MAX_ITER = 50
+CLOSEST_POINT_TOL = 1e-10     # chart step, m
 
 
 @dataclass(frozen=True)
@@ -227,13 +229,13 @@ class BSplineSurface:
 
     # -- closest point -------------------------------------------------------
 
-    def closest_point(self, r: np.ndarray, max_iter: int = 50,
-                      tol: float = 1e-10) -> np.ndarray:
+    def closest_point(self, r: np.ndarray) -> np.ndarray:
         """Local minimizer of ||r - sigma^{-1}(t)|| by damped Gauss-Newton.
 
         Initialized at the vertical projection of r; iterates are clipped
         to the chart domain. Raises NumericalFailureError (carrying the
-        best iterate) if the step norm does not drop below tol.
+        best iterate) if the step norm does not drop below
+        CLOSEST_POINT_TOL within CLOSEST_POINT_MAX_ITER iterations.
         """
         r = np.asarray(r, dtype=float)
         if not np.all(np.isfinite(r)):
@@ -243,7 +245,7 @@ class BSplineSurface:
         u, v = min(max(rx, u0), u1), min(max(ry, v0), v1)
         z, gu, gv = self.eval_point(u, v)[:3]
         cost = (rx - u) ** 2 + (ry - v) ** 2 + (rz - z) ** 2
-        for _ in range(max_iter):
+        for _ in range(CLOSEST_POINT_MAX_ITER):
             # normal equations of the Jacobian [[1,0],[0,1],[Su,Sv]]
             ez = rz - z
             b0 = rx - u + gu * ez
@@ -253,7 +255,7 @@ class BSplineSurface:
             du = (a11 * b0 - a01 * b1) / det
             dv = (a00 * b1 - a01 * b0) / det
             step = math.hypot(du, dv)
-            if step < tol:
+            if step < CLOSEST_POINT_TOL:
                 return np.array([u, v, z])
             # backtracking damping on the squared residual
             lam = 1.0
@@ -269,7 +271,7 @@ class BSplineSurface:
             moved = math.hypot(u_new - u, v_new - v)
             u, v, z, cost = u_new, v_new, z_new, cost_new
             gu, gv = gu_new, gv_new
-            if lam * step < tol or moved < tol:
+            if lam * step < CLOSEST_POINT_TOL or moved < CLOSEST_POINT_TOL:
                 return np.array([u, v, z])
         raise NumericalFailureError(
             "closest-point iteration did not converge",

@@ -118,13 +118,11 @@ def test_chart_errors_flat_identity(flat):
 
 def test_chart_errors_heading_consistent_with_manifold(curved):
     # lifting a chart state to 3-D and mapping back is the identity
-    from meskf import FilterState, robot_rotation
+    from meskf import FilterState, predict_pose
     t = np.array([1.0, 2.0])
     g = 0.8
-    st = FilterState(t, g, np.eye(3))
-    R = robot_rotation(curved, st)
-    s3 = FullPoseState(curved.chart_to_world(t), quat.from_matrix(R),
-                       np.eye(6) * 0.01)
+    p, q = predict_pose(curved, FilterState(t, g, np.eye(3)), IDENT)
+    s3 = FullPoseState(p, q, np.eye(6) * 0.01)
     x, _ = chart_errors(s3, curved)
     np.testing.assert_allclose(x[0:2], t, atol=1e-12)
     np.testing.assert_allclose(x[2], g, atol=1e-9)

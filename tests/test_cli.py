@@ -1,6 +1,8 @@
 """Command-line interface: output contract and exit codes."""
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,15 +69,20 @@ def test_simulate_deterministic(scenario, tmp_path):
         (b / "summary.json").read_bytes()
 
 
-def test_metrics_recompute_idempotent(scenario, tmp_path):
+def test_metrics_recompute_idempotent(scenario, tmp_path, capsys):
     out = tmp_path / "out"
     main(["simulate", "--config", str(scenario), "--out", str(out)])
+    # the printed mean ANEES is the one summary.json records
+    summary = json.loads((out / "summary.json").read_text())
+    assert f"mean ANEES {summary['mean_anees']:.3f}," in \
+        capsys.readouterr().out
     names = ("metrics.csv", "timings.csv", "summary.json")
     before = {n: (out / n).read_bytes() for n in names}
     redo = tmp_path / "redo"
     assert main(["metrics", "--in", str(out), "--out", str(redo)]) == 0
     for n in names:
         assert (redo / n).read_bytes() == before[n]
+    assert sorted(p.name for p in redo.iterdir()) == sorted(names)
 
 
 def test_filter_and_trials_overrides(scenario, tmp_path):
@@ -104,6 +111,19 @@ def test_trials_override_below_one_is_config_error(scenario, tmp_path,
     assert main(["simulate", "--config", str(scenario), "--trials", trials,
                  "--out", str(out)]) == 2
     assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reference_campaign_script_refuses_zero_trials(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "run_reference_campaign.py"
+    out = tmp_path / "out"
+    # refused before any trial runs; the timeout stops a full campaign
+    proc = subprocess.run([sys.executable, str(script), "--trials", "0",
+                           "--out", str(out)], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "--trials" in proc.stderr
     assert not out.exists()
 
 

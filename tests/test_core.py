@@ -4,7 +4,7 @@ import pytest
 
 from meskf import (FilterState, OdometryInput, OutOfChartError,
                    RobotExtrinsics, SingularUpdateError, correct,
-                   error_jacobians, propagate, robot_rotation, wrap_angle)
+                   error_jacobians, propagate, wrap_angle)
 from meskf.core import _motion_model, heading_rotation_2d, joseph_update
 
 from conftest import random_spd
@@ -172,14 +172,6 @@ def test_covariance_psd_through_random_cycles(curved):
             s = correct(s, rng.normal(0, 0.05, m), H, R)
         assert np.max(np.abs(s.P_x - s.P_x.T)) < 1e-12
         assert np.linalg.eigvalsh(s.P_x)[0] >= -1e-9
-
-
-def test_robot_rotation_flat_is_heading(flat):
-    s = FilterState(np.array([1.0, 1.0]), 0.6, np.eye(3))
-    R = robot_rotation(flat, s)
-    c, ss = np.cos(0.6), np.sin(0.6)
-    np.testing.assert_allclose(R, [[c, -ss, 0], [ss, c, 0], [0, 0, 1]],
-                               atol=1e-12)
 
 
 def test_extrinsics_identity():

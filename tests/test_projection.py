@@ -10,8 +10,7 @@ from meskf import (DegenerateCovarianceError, DegenerateSamplingError,
                    projected_position_update, projected_range_update,
                    sample_sigma_region)
 from meskf import quat
-from meskf.projection import (ProjectedRange, _lever_arm_jacobian,
-                              _lever_arm_world)
+from meskf.projection import ProjectedRange, _lever_arm
 
 from conftest import make_random_surface, random_spd
 
@@ -19,6 +18,13 @@ IDENT = RobotExtrinsics.identity()
 
 
 def test_lever_arm_jacobian_matches_central_differences():
+    # oracle: the lever arm written out as tangent frame times heading
+    def lever_world(surface, s, ext):
+        c, sn = np.cos(s.gamma_R), np.sin(s.gamma_R)
+        r = ext.r_RS
+        body = np.array([c * r[0] - sn * r[1], sn * r[0] + c * r[1], r[2]])
+        return surface.tangent_frame(s.t_R) @ body
+
     surface = make_random_surface(77, amplitude=0.8)
     ext = RobotExtrinsics(np.array([0.3, -0.2, 0.5]),
                           quat.from_rotvec(np.array([0.1, 0.2, 0.3])))
@@ -33,12 +39,17 @@ def test_lever_arm_jacobian_matches_central_differences():
             d[k] = h
             sp = FilterState(s.t_R + d[0:2], s.gamma_R + d[2], s.P_x)
             sm = FilterState(s.t_R - d[0:2], s.gamma_R - d[2], s.P_x)
-            cols.append((_lever_arm_world(surface, sp, ext)
-                         - _lever_arm_world(surface, sm, ext)) / (2 * h))
-        np.testing.assert_allclose(_lever_arm_jacobian(surface, s, ext),
-                                   np.column_stack(cols), atol=1e-8)
-    np.testing.assert_array_equal(_lever_arm_jacobian(surface, s, IDENT),
-                                  np.zeros((3, 3)))
+            cols.append((lever_world(surface, sp, ext)
+                         - lever_world(surface, sm, ext)) / (2 * h))
+        p, J = _lever_arm(surface, s, ext)
+        np.testing.assert_allclose(p, lever_world(surface, s, ext),
+                                   atol=1e-14)
+        np.testing.assert_allclose(J, np.column_stack(cols), atol=1e-8)
+    # a zero lever arm never evaluates the surface, even off the chart
+    p, J = _lever_arm(surface, FilterState(np.array([50.0, 50.0]), 0.3,
+                                           np.eye(3)), IDENT)
+    np.testing.assert_array_equal(p, np.zeros(3))
+    np.testing.assert_array_equal(J, np.zeros((3, 3)))
 
 
 def small_state(t=(0.0, 0.0), g=0.0, var=1e-4):

@@ -5,11 +5,14 @@ from scipy.stats import chi2
 
 from meskf import FilterState, OdometryInput, RobotExtrinsics, propagate
 from meskf.sim.config import scenario_from_dict
-from meskf.sim.runner import (InitialUncertainty, anees_bounds,
-                              metrics_from_arrays, run_campaign, run_trial)
-from meskf.sim.sensors import (ScheduleSegment, SensorSchedule, SensorSuite,
+from meskf.sim.runner import (DIVERGENCE_LIMIT_M, InitialUncertainty,
+                              anees_bounds, metrics_from_arrays,
+                              run_campaign, run_trial)
+from meskf.sim.sensors import (MeasurementStreams, ScheduleSegment,
+                               SensorSchedule, SensorSuite,
                                synthesize_measurements)
-from meskf.sim.trajectory import TrajectorySpec, generate_ground_truth
+from meskf.sim.trajectory import (GroundTruth, TrajectorySpec,
+                                  generate_ground_truth)
 
 IDENT = RobotExtrinsics.identity()
 
@@ -216,6 +219,25 @@ class TestEndToEnd:
         assert np.all(np.isfinite(m.anees))
         kinds = {row[1] for row in m.timing_rows}
         assert "pose" in kinds and "range" in kinds
+
+    @pytest.mark.parametrize("kind", ["M-ESEKF", "MP-ESEKF", "C-ESEKF"])
+    def test_drift_past_limit_diverges(self, flat, kind):
+        # stationary truth, odometry biased by 0.3 m/s, no pose or range
+        # events: the estimate walks off without any MeskfError, so only
+        # the chart-error limit can end the trial
+        n, dt = 400, 0.1
+        truth = GroundTruth(np.arange(n + 1) * dt, np.zeros((n + 1, 2)),
+                            np.zeros(n + 1), np.zeros((n, 2)), np.zeros(n),
+                            dt)
+        odo = OdometryInput(np.array([0.3, 0.0]), 0.0, np.eye(2) * 1e-4,
+                            1e-6)
+        streams = MeasurementStreams([odo] * n, {}, {}, np.zeros(6))
+        res = run_trial(flat, truth, streams, kind)
+        dist = np.linalg.norm(res.errors[:, 0:2], axis=1)
+        first = int(np.argmax(dist > DIVERGENCE_LIMIT_M))
+        assert res.diverged
+        assert 0 < first < n
+        assert res.diverged_step == first
 
     def test_unknown_filter_rejected(self, flat):
         truth = generate_ground_truth(flat, circle_spec(duration=1.0))
