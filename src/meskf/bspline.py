@@ -3,8 +3,16 @@
 The array routines accept arrays of query points and return the
 non-vanishing basis values together with the knot span indices so that
 tensor-product surfaces can gather their control points with fancy
-indexing. ``point_basis_ders2`` is the plain-float counterpart for a
-single parameter value, where numpy's per-call overhead would dominate.
+indexing.
+
+``surface.BSplineSurface`` calls ``find_spans`` on every batched query
+and ``basis_values`` once, when it builds its power-basis patch table;
+every surface query is then evaluated from that table. The other three
+routines have no caller in the package. ``basis_and_derivatives`` (array
+values and first derivatives), ``tensor_eval`` (the tensor-product sum)
+and ``point_basis_ders2`` (the plain-float recurrence for one parameter
+value, with second derivatives) remain as the tests' independent oracle
+for the table and as layer boundaries that the benchmark's tracer names.
 """
 
 import bisect

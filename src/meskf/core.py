@@ -60,7 +60,13 @@ class RobotExtrinsics:
     def __post_init__(self):
         self.r_RS = np.asarray(self.r_RS, dtype=float)
         self.q_RS = np.asarray(self.q_RS, dtype=float)
+        if self.r_RS.shape != (3,) or not np.all(np.isfinite(self.r_RS)):
+            raise ValueError("r_RS must be a finite 3-vector")
+        if self.q_RS.shape != (4,) or not np.all(np.isfinite(self.q_RS)):
+            raise ValueError("q_RS must be a finite 4-vector")
         n = np.linalg.norm(self.q_RS)
+        if n == 0.0:
+            raise ValueError("q_RS must have non-zero norm")
         if abs(n - 1.0) > 1e-12:
             self.q_RS = self.q_RS / n
 

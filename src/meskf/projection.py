@@ -13,6 +13,7 @@ anchor, and its Jacobian come from ``sensors3d._sensor_model``, the one
 place where tangent frame, heading and extrinsics are composed.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,10 @@ def _lever_arm(surface, state, extrinsics):
 
 
 def associate_to_surface(surface: BSplineSurface, r_Sm: np.ndarray,
-                         extrinsics: RobotExtrinsics,
-                         state: FilterState) -> np.ndarray:
-    """Closest surface point to the lever-arm-compensated measurement."""
-    r_Sm = np.asarray(r_Sm, dtype=float)
-    center = r_Sm - _lever_arm(surface, state, extrinsics)[0]
-    return surface.closest_point(center)
+                         lever: np.ndarray) -> np.ndarray:
+    """Closest surface point to the measurement less the world lever arm
+    ``lever`` (the p of ``_lever_arm``)."""
+    return surface.closest_point(np.asarray(r_Sm, dtype=float) - lever)
 
 
 def ellipsoid_tangent_intersection(P_M: np.ndarray, frame: np.ndarray):
@@ -115,9 +114,9 @@ def project_position(surface: BSplineSurface, r_Sm: np.ndarray,
                      P_m: np.ndarray, extrinsics: RobotExtrinsics,
                      state: FilterState) -> ProjectedPosition:
     """Project a 3-D position measurement and its covariance to the chart."""
-    z_pM = associate_to_surface(surface, r_Sm, extrinsics, state)
+    lever, J = _lever_arm(surface, state, extrinsics)
+    z_pM = associate_to_surface(surface, r_Sm, lever)
     z_t = world_to_chart(z_pM)
-    J = _lever_arm(surface, state, extrinsics)[1]
     P_M = np.asarray(P_m, dtype=float) + J @ state.P_x @ J.T
     frame = surface.tangent_frame(z_t)
     r1, r2 = ellipsoid_tangent_intersection(P_M, frame)
@@ -130,6 +129,21 @@ def projected_position_update(state: FilterState, surface: BSplineSurface,
                               proj: ProjectedPosition) -> FilterState:
     H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     return correct(state, proj.z_t - state.t_R, H, proj.P_t)
+
+
+@functools.lru_cache(maxsize=8)
+def _whitened_grid(half_width: float, resolution: int) -> np.ndarray:
+    """Read-only (N, 2) square grid nodes inside the Mahalanobis radius.
+
+    Depends only on the sampling configuration, so it is built once per
+    (half_width, resolution) pair and shared between calls.
+    """
+    axis = np.linspace(-half_width, half_width, resolution)
+    gu, gv = np.meshgrid(axis, axis, indexing="ij")
+    g = np.column_stack([gu.ravel(), gv.ravel()])
+    g = g[np.einsum("ij,ij->i", g, g) <= half_width * half_width + 1e-12]
+    g.flags.writeable = False
+    return g
 
 
 def sample_sigma_region(state: FilterState, surface: BSplineSurface,
@@ -145,11 +159,7 @@ def sample_sigma_region(state: FilterState, surface: BSplineSurface,
         L = np.linalg.cholesky(P_pos)
     except np.linalg.LinAlgError as e:
         raise DegenerateSamplingError("position covariance not SPD") from e
-    w = config.grid_half_width
-    axis = np.linspace(-w, w, config.grid_resolution)
-    gu, gv = np.meshgrid(axis, axis, indexing="ij")
-    g = np.column_stack([gu.ravel(), gv.ravel()])
-    g = g[np.einsum("ij,ij->i", g, g) <= w * w + 1e-12]
+    g = _whitened_grid(config.grid_half_width, config.grid_resolution)
     pts = state.t_R + g @ L.T
     pts = pts[surface.contains(pts)]
     if len(pts) == 0:
@@ -158,14 +168,14 @@ def sample_sigma_region(state: FilterState, surface: BSplineSurface,
 
 
 def project_range_variance(surface: BSplineSurface, R_d: float,
-                           extrinsics: RobotExtrinsics, state: FilterState,
+                           J_lever: np.ndarray, state: FilterState,
                            anchor_shifted: np.ndarray) -> float:
     """Radial variance on the chart.
 
     The range variance is carried along the unit anchor-to-sensor
-    direction, augmented with the lever-arm state uncertainty, stripped
-    of its surface-normal component, and mapped through the chart.
-    Floored at 1e-12.
+    direction, augmented with the lever-arm state uncertainty through
+    J_lever (the J of ``_lever_arm``), stripped of its surface-normal
+    component, and mapped through the chart. Floored at 1e-12.
     """
     u, v = float(state.t_R[0]), float(state.t_R[1])
     s, s_u, s_v = surface.eval_point(u, v)[:3]
@@ -174,8 +184,7 @@ def project_range_variance(surface: BSplineSurface, R_d: float,
     if dist < 1e-6:
         raise DegenerateGeometryError("anchor coincides with sensor")
     n_AS = d / dist
-    J_d = _lever_arm(surface, state, extrinsics)[1]
-    p_d = n_AS * R_d + (J_d @ state.P_x @ J_d.T) @ n_AS
+    p_d = n_AS * R_d + (J_lever @ state.P_x @ J_lever.T) @ n_AS
     normal = np.array(frame_matrix(*frame_cos_sin(s_u, s_v)))[:, 2]
     p_dT = p_d - normal * (normal @ p_d)
     return max(float(np.linalg.norm(p_dT[0:2])), 1e-12)
@@ -190,8 +199,8 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
     Raises NoIntersectionError when the range shell misses the sampled
     region entirely; callers fall back to the 3-D range update.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    A_prime = anchor - _lever_arm(surface, state, extrinsics)[0]
+    lever, J = _lever_arm(surface, state, extrinsics)
+    A_prime = np.asarray(anchor, dtype=float) - lever
     samples = sample_sigma_region(state, surface, config)
     p_R = surface.chart_to_world_many(samples)
     dists = np.linalg.norm(p_R - A_prime, axis=1)
@@ -204,7 +213,7 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
     t_m = samples[keep]
     t_A = world_to_chart(surface.closest_point(A_prime))
     z_dU = float(np.mean(np.linalg.norm(t_A - t_m, axis=1)))
-    R_dU = project_range_variance(surface, R_d, extrinsics, state, A_prime)
+    R_dU = project_range_variance(surface, R_d, J, state, A_prime)
     return ProjectedRange(z_dU, R_dU, t_A)
 
 

@@ -8,11 +8,16 @@ variant operating on (N, 2) / (N, 3) arrays.
 The chart map is the vertical projection: sigma(x, y, z) = (x, y) and
 sigma^{-1}(u, v) = (u, v, S(u, v)).
 
-Single-point queries run on ``eval_point``, a plain-float evaluation of
-S, its gradient and its Hessian; the ``_many`` variants use numpy and
-pay off for point clouds.
+On each knot-span patch [u_i, u_i+1) x [v_j, v_j+1) the spline is one
+polynomial of degree (p, q) (the pp-form: de Boor, *A Practical Guide to
+Splines*; Piegl & Tiller, *The NURBS Book*, ch. 2). The surface converts
+every patch to power-basis coefficients once, at construction, and
+evaluates all queries from that table by Horner's rule: ``eval_point``
+in plain floats for single points (S, its gradient and its Hessian),
+the ``_many`` variants vectorised over a point cloud.
 """
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,9 +38,9 @@ class BSplineSurface:
     """Immutable clamped b-spline elevation surface z = S(u, v).
 
     control_points is an (n+1, m+1) grid of scalar elevations, row index
-    running along u. Elevation and gradient are evaluated in one fused
-    basis-recurrence pass so joint queries cost little more than either
-    alone.
+    running along u. Each end of a knot vector is repeated exactly
+    degree + 1 times, so the domain has positive width and its first and
+    last knot spans are not empty.
     """
 
     degree_u: int
@@ -43,13 +48,17 @@ class BSplineSurface:
     knots_u: np.ndarray
     knots_v: np.ndarray
     control_points: np.ndarray
-    _offs_u: np.ndarray = field(init=False, repr=False)
-    _offs_v: np.ndarray = field(init=False, repr=False)
-    # plain-float copies for eval_point: knot lists, control rows, and
+    # power-basis coefficients c_kl of patch (i, j) as _table[i - p, j - q],
+    # in x = u - u_i and y = v - v_j
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    # plain-float copies for eval_point: knot lists, the table with both
+    # power axes reversed for Horner's rule as _patches[i - p][j - q],
+    # the span search ranges (lo_u, hi_u, lo_v, hi_v) for bisect, and
     # the domain (u_min, u_max, v_min, v_max)
     _ku: list = field(init=False, repr=False, compare=False)
     _kv: list = field(init=False, repr=False, compare=False)
-    _rows: list = field(init=False, repr=False, compare=False)
+    _patches: list = field(init=False, repr=False, compare=False)
+    _search: tuple = field(init=False, repr=False, compare=False)
     _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,25 +69,36 @@ class BSplineSurface:
                              ("knots_v", kv, self.degree_v)):
             if deg < 1:
                 raise ValueError(f"degree for {name} must be >= 1")
+            if k.ndim != 1 or not np.all(np.isfinite(k)):
+                raise ValueError(f"{name} must be a finite 1-D sequence")
             if np.any(np.diff(k) < 0):
                 raise ValueError(f"{name} must be nondecreasing")
-            if not (np.all(k[:deg + 1] == k[0])
-                    and np.all(k[-deg - 1:] == k[-1])):
+            if len(k) < 2 * deg + 2 or not k[deg] < k[-deg - 1]:
+                raise ValueError(f"{name} gives a zero-width domain")
+            if not (np.all(k[:deg + 1] == k[0]) and k[deg + 1] > k[0]
+                    and np.all(k[-deg - 1:] == k[-1])
+                    and k[-deg - 2] < k[-1]):
                 raise ValueError(f"{name} must be clamped (ends repeated "
-                                 f"degree+1 times)")
+                                 f"exactly degree+1 times)")
         if cp.ndim != 2:
             raise ValueError("control_points must be a 2-D grid")
         if cp.shape != (len(ku) - self.degree_u - 1,
                         len(kv) - self.degree_v - 1):
             raise ValueError("control grid inconsistent with knot counts")
+        if not np.all(np.isfinite(cp)):
+            raise ValueError("control_points must be finite")
         object.__setattr__(self, "knots_u", ku)
         object.__setattr__(self, "knots_v", kv)
         object.__setattr__(self, "control_points", cp)
-        object.__setattr__(self, "_offs_u", np.arange(self.degree_u + 1))
-        object.__setattr__(self, "_offs_v", np.arange(self.degree_v + 1))
+        table = _patch_table(cp, ku, self.degree_u, kv, self.degree_v)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_patches",
+                           table[:, :, ::-1, ::-1].tolist())
         object.__setattr__(self, "_ku", ku.tolist())
         object.__setattr__(self, "_kv", kv.tolist())
-        object.__setattr__(self, "_rows", cp.tolist())
+        object.__setattr__(self, "_search",
+                           (self.degree_u + 1, len(ku) - self.degree_u - 1,
+                            self.degree_v + 1, len(kv) - self.degree_v - 1))
         (u0, u1), (v0, v1) = self.domain
         object.__setattr__(self, "_bounds",
                            (float(u0), float(u1), float(v0), float(v1)))
@@ -118,66 +138,83 @@ class BSplineSurface:
     def eval_point(self, u: float, v: float):
         """(S, S_u, S_v, S_uu, S_uv, S_vv) at one chart point.
 
-        Plain-float tensor-product evaluation over the (p+1) x (q+1)
-        non-vanishing basis functions; about ten times cheaper than a
+        Horner's rule in plain floats over the power-basis patch that
+        holds (u, v), in y = v - v_j per row and then in x = u - u_i,
+        carrying the derivatives along; about ten times cheaper than a
         numpy call for a single point. Raises OutOfChartError like the
         batched queries.
         """
         self._check_point(u, v)
-        pu, pv = self.degree_u, self.degree_v
-        su, nu, du, ddu = bspline.point_basis_ders2(self._ku, pu, u)
-        sv, nv, dv, ddv = bspline.point_basis_ders2(self._kv, pv, v)
-        j0 = sv - pv
+        lo_u, hi_u, lo_v, hi_v = self._search
+        ku, kv = self._ku, self._kv
+        # bisect within the interior knots: the clamped span index, with
+        # the domain's right end on the last span
+        i = bisect.bisect_right(ku, u, lo_u, hi_u)
+        j = bisect.bisect_right(kv, v, lo_v, hi_v)
+        x, y = u - ku[i - 1], v - kv[j - 1]
         s = s_u = s_v = s_uu = s_uv = s_vv = 0.0
-        for a, row in enumerate(self._rows[su - pu:su + 1]):
+        for row in self._patches[i - lo_u][j - lo_v]:
             w0 = w1 = w2 = 0.0
-            for b in range(pv + 1):
-                c = row[j0 + b]
-                w0 += c * nv[b]
-                w1 += c * dv[b]
-                w2 += c * ddv[b]
-            n, d = nu[a], du[a]
-            s += n * w0
-            s_u += d * w0
-            s_v += n * w1
-            s_uu += ddu[a] * w0
-            s_uv += d * w1
-            s_vv += n * w2
-        return s, s_u, s_v, s_uu, s_uv, s_vv
+            for c in row:
+                w2 = w2 * y + w1
+                w1 = w1 * y + w0
+                w0 = w0 * y + c
+            s_uu = s_uu * x + s_u
+            s_u = s_u * x + s
+            s = s * x + w0
+            s_uv = s_uv * x + s_v
+            s_v = s_v * x + w1
+            s_vv = s_vv * x + w2
+        return s, s_u, s_v, 2.0 * s_uu, s_uv, 2.0 * s_vv
 
     # -- elevation / gradient ------------------------------------------------
 
-    def _eval_fused(self, t: np.ndarray):
-        """Elevation and exact analytic gradient in one basis pass.
+    def _patch_coefficients(self, t: np.ndarray):
+        """Each point's patch from the table, and its local coordinates.
 
-        Returns (z, grad) with z of shape (N,) and grad of shape (N, 2);
-        the path behind every batched geometry query. Assumes t is
-        already a validated (N, 2) float array.
+        Returns (c, x, y): c of shape (N, p+1, q+1), x = u - u_i of shape
+        (N,) and y = v - v_j of shape (N, 1). Assumes t is already a
+        validated (N, 2) float array.
         """
+        pu, pv = self.degree_u, self.degree_v
         u, v = t[:, 0], t[:, 1]
-        su = bspline.find_spans(self.knots_u, self.degree_u, u)
-        sv = bspline.find_spans(self.knots_v, self.degree_v, v)
-        bu, du = bspline.basis_and_derivatives(self.knots_u, self.degree_u,
-                                               su, u)
-        bv, dv = bspline.basis_and_derivatives(self.knots_v, self.degree_v,
-                                               sv, v)
-        iu = su[:, None] - self.degree_u + self._offs_u
-        iv = sv[:, None] - self.degree_v + self._offs_v
-        cp = self.control_points[iu[:, :, None], iv[:, None, :]]
-        wb = np.matmul(cp, bv[:, :, None])[:, :, 0]
-        wd = np.matmul(cp, dv[:, :, None])[:, :, 0]
-        z = np.einsum("ni,ni->n", bu, wb)
-        grad = np.stack([np.einsum("ni,ni->n", du, wb),
-                         np.einsum("ni,ni->n", bu, wd)], axis=1)
-        return z, grad
+        su = bspline.find_spans(self.knots_u, pu, u)
+        sv = bspline.find_spans(self.knots_v, pv, v)
+        return (self._table[su - pu, sv - pv], u - self.knots_u[su],
+                (v - self.knots_v[sv])[:, None])
+
+    def _eval_fused(self, t: np.ndarray):
+        """Elevation and exact analytic gradient in one Horner pass.
+
+        Horner's rule over all points at once, in y along each patch row
+        and then in x, carrying the first derivatives along. Returns
+        (z, grad) with z of shape (N,) and grad of shape (N, 2); the path
+        behind every batched gradient query. Assumes t is already a
+        validated (N, 2) float array.
+        """
+        c, x, y = self._patch_coefficients(t)
+        w, w_y = c[:, :, -1], 0.0
+        for b in range(self.degree_v - 1, -1, -1):
+            w_y = w_y * y + w
+            w = w * y + c[:, :, b]
+        z, z_u, z_v = w[:, -1], 0.0, w_y[:, -1]
+        for a in range(self.degree_u - 1, -1, -1):
+            z_u = z_u * x + z
+            z = z * x + w[:, a]
+            z_v = z_v * x + w_y[:, a]
+        return z, np.column_stack([z_u, z_v])
 
     def elevation_many(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_2d(np.asarray(t, dtype=float))
         self._check_domain(t)
-        return bspline.tensor_eval(self.control_points,
-                                   self.knots_u, self.degree_u,
-                                   self.knots_v, self.degree_v,
-                                   t[:, 0], t[:, 1])
+        c, x, y = self._patch_coefficients(t)
+        w = c[:, :, -1]
+        for b in range(self.degree_v - 1, -1, -1):
+            w = w * y + c[:, :, b]
+        z = w[:, -1]
+        for a in range(self.degree_u - 1, -1, -1):
+            z = z * x + w[:, a]
+        return z
 
     def elevation(self, t: np.ndarray) -> float:
         return self.eval_point(float(t[0]), float(t[1]))[0]
@@ -276,6 +313,58 @@ class BSplineSurface:
         raise NumericalFailureError(
             "closest-point iteration did not converge",
             best=np.array([u, v, z]))
+
+
+def _power_basis(knots: np.ndarray, degree: int) -> np.ndarray:
+    """Power-basis form of the basis functions on every knot span.
+
+    Returns A of shape (n_spans, p+1, p+1) over the spans i = p..n with
+    N_{i-p+a}(u) = sum_k A[i-p, a, k] (u - knots[i])^k on span i. The
+    coefficients are the exact Taylor terms N^(k)(knots[i]) / k!: the
+    k-th derivative of a spline of degree p is a spline of degree p - k
+    whose coefficients are k-fold differences
+    Q_m = d (P_m - P_{m-1}) / (t_{m+d} - t_m), d = p, p-1, ... (Piegl &
+    Tiller, sec. 3.3), evaluated with ``bspline.basis_values`` at the
+    span's left knot. Inside a span every difference has a positive
+    denominator. Zero-length spans, which no span lookup selects, stay
+    zero.
+    """
+    p = degree
+    width = knots[p + 1:len(knots) - p] - knots[p:len(knots) - p - 1]
+    live = np.flatnonzero(width > 0)
+    spans = live + p
+    x = knots[spans]
+    # rows: local degree-d coefficients Q_{i-d..i}, as maps of P_{i-p..i}
+    diff = np.broadcast_to(np.eye(p + 1), (len(live), p + 1, p + 1))
+    A = np.zeros((len(width), p + 1, p + 1))
+    for k in range(p + 1):
+        d = p - k
+        basis = bspline.basis_values(knots, d, spans, x)
+        A[live, :, k] = (np.einsum("sm,sma->sa", basis, diff)
+                         / math.factorial(k))
+        if d:
+            m = spans[:, None] - d + 1 + np.arange(d)
+            step = d / (knots[m + d] - knots[m])
+            diff = step[:, :, None] * (diff[:, 1:] - diff[:, :-1])
+    return A
+
+
+def _patch_table(control: np.ndarray, knots_u: np.ndarray, degree_u: int,
+                 knots_v: np.ndarray, degree_v: int) -> np.ndarray:
+    """(n_spans_u, n_spans_v, p+1, q+1) power-basis coefficients.
+
+    Patch (i, j) is A_u^T P A_v over its (p+1) x (q+1) control points,
+    so S(u, v) = sum_kl c_kl x^k y^l with x = u - u_i and y = v - v_j.
+    """
+    A_u = _power_basis(knots_u, degree_u)
+    A_v = _power_basis(knots_v, degree_v)
+    iu = np.arange(len(A_u))[:, None] + np.arange(degree_u + 1)
+    iv = np.arange(len(A_v))[:, None] + np.arange(degree_v + 1)
+    P = control[iu[:, None, :, None], iv[None, :, None, :]]
+    # the optimised contraction returns strided output; the batched
+    # queries gather whole patches, which wants them contiguous
+    return np.ascontiguousarray(
+        np.einsum("iak,ijab,jbl->ijkl", A_u, P, A_v, optimize=True))
 
 
 def frame_cos_sin(s_u, s_v):

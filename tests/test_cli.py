@@ -187,6 +187,55 @@ def test_exit_code_config_error(tmp_path):
                  "--out", str(tmp_path / "o2")]) == 2
 
 
+@pytest.mark.parametrize("extrinsics", [
+    {"r_RS": [0.1, 0.0, 0.2], "q_RS": [0, 0, 0, 0]},
+    {"r_RS": [0.1, 0.0, 0.2], "q_RS": [1, 0, 0, float("nan")]},
+    {"r_RS": [float("inf"), 0.0, 0.2]},
+])
+def test_bad_extrinsics_is_config_error(scenario, tmp_path, extrinsics,
+                                        capsys):
+    cfg = json.loads(scenario.read_text())
+    cfg["extrinsics"] = extrinsics
+    scenario.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(scenario),
+                 "--out", str(out)]) == 2
+    assert "extrinsics" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _all_zero(data):
+    data["knots_u"] = [0.0] * len(data["knots_u"])
+
+
+def _nan_knot(data):
+    data["knots_v"][5] = float("nan")
+
+
+def _nan_control(data):
+    data["control_points"][1][2] = float("nan")
+
+
+def _inf_control(data):
+    data["control_points"][2][1] = float("inf")
+
+
+@pytest.mark.parametrize("spoil", [_all_zero, _nan_knot, _nan_control,
+                                   _inf_control])
+def test_bad_surface_is_config_error(scenario, tmp_path, spoil, capsys):
+    # all-zero knots used to end in a bare ZeroDivisionError, and a NaN
+    # control point in NaN everywhere without an error
+    surf = tmp_path / "surf.json"
+    data = json.loads(surf.read_text())
+    spoil(data)
+    surf.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(scenario),
+                 "--out", str(out)]) == 2
+    assert "surface" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["M-ESEKF", "MP-ESEKF", "C-ESEKF"])
 def test_exit_code_divergence(tmp_path, kind):
     # dead-reckoning near the chart boundary with a large seeded initial

@@ -178,3 +178,23 @@ def test_extrinsics_identity():
     e = RobotExtrinsics.identity()
     np.testing.assert_allclose(e.r_RS, np.zeros(3))
     np.testing.assert_allclose(e.q_RS, [1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("r_RS, q_RS", [
+    ([0.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),
+    ([0.1, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0]),
+    ([0.1, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]),
+    ([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+    ([0.0, np.inf, 0.0], [1.0, 0.0, 0.0, 0.0]),
+    ([0.1, 0.0], [1.0, 0.0, 0.0, 0.0]),
+])
+def test_extrinsics_reject_bad_values(r_RS, q_RS):
+    # a zero or non-finite quaternion used to become NaN with only a
+    # RuntimeWarning
+    with pytest.raises(ValueError):
+        RobotExtrinsics(np.array(r_RS), np.array(q_RS))
+
+
+def test_extrinsics_normalize_q_RS():
+    e = RobotExtrinsics(np.zeros(3), np.array([2.0, 0.0, 0.0, 0.0]))
+    np.testing.assert_allclose(e.q_RS, [1.0, 0.0, 0.0, 0.0])

@@ -1,4 +1,6 @@
 """Chart projection of position and range measurements."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from meskf import (DegenerateCovarianceError, DegenerateSamplingError,
                    project_range, project_range_variance,
                    projected_position_update, projected_range_update,
                    sample_sigma_region)
-from meskf import quat
+from meskf import projection, quat
 from meskf.projection import ProjectedRange, _lever_arm
+from meskf.sim.config import load_scenario
 
 from conftest import make_random_surface, random_spd
 
 IDENT = RobotExtrinsics.identity()
+ZERO_J = np.zeros((3, 3))   # lever-arm Jacobian of IDENT
 
 
 def test_lever_arm_jacobian_matches_central_differences():
@@ -118,7 +122,7 @@ class TestProjectPosition:
     def test_association_is_closest_point(self, curved):
         state = small_state((1.0, 1.0))
         r_Sm = curved.chart_to_world(np.array([1.1, 0.9])) + [0, 0, 0.3]
-        p = associate_to_surface(curved, r_Sm, IDENT, state)
+        p = associate_to_surface(curved, r_Sm, np.zeros(3))
         np.testing.assert_allclose(p, curved.closest_point(r_Sm), atol=1e-12)
 
     def test_update_moves_position_only(self, curved):
@@ -174,6 +178,29 @@ class TestSampling:
         pts = sample_sigma_region(state, flat, SamplingConfig())
         assert np.max(np.abs(pts[:, 0])) > np.max(np.abs(pts[:, 1])) + 0.1
 
+    def test_grid_matches_inline_construction(self, curved):
+        # the cached whitened grid gives the samples of building it anew
+        state = FilterState(np.array([0.5, -0.3]), 0.2,
+                            np.array([[0.02, 0.005, 0.0],
+                                      [0.005, 0.01, 0.0],
+                                      [0.0, 0.0, 0.01]]))
+        for w, n in ((3.0, 41), (2.5, 21), (3.0, 41)):
+            cfg = SamplingConfig(grid_half_width=w, grid_resolution=n)
+            axis = np.linspace(-w, w, n)
+            gu, gv = np.meshgrid(axis, axis, indexing="ij")
+            g = np.column_stack([gu.ravel(), gv.ravel()])
+            g = g[np.einsum("ij,ij->i", g, g) <= w * w + 1e-12]
+            L = np.linalg.cholesky(state.P_x[0:2, 0:2])
+            ref = state.t_R + g @ L.T
+            ref = ref[curved.contains(ref)]
+            pts = sample_sigma_region(state, curved, cfg)
+            np.testing.assert_array_equal(pts, ref)
+        # one grid is shared by every call, so no caller may write to it
+        grid = projection._whitened_grid(3.0, 41)
+        assert grid is projection._whitened_grid(3.0, 41)
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+
     def test_determinism(self, curved):
         state = small_state((0.5, 0.5), var=0.01)
         cfg = SamplingConfig()
@@ -198,20 +225,20 @@ class TestProjectRangeVariance:
         state = small_state()
         R_d = 0.0025
         anchor = np.array([5.0, 0.0, 0.0])
-        got = project_range_variance(flat, R_d, IDENT, state, anchor)
+        got = project_range_variance(flat, R_d, ZERO_J, state, anchor)
         np.testing.assert_allclose(got, R_d, atol=1e-12)
 
     def test_flat_anchor_overhead_floors(self, flat):
         state = small_state()
         anchor = np.array([0.0, 0.0, 5.0])
-        got = project_range_variance(flat, 0.0025, IDENT, state, anchor)
+        got = project_range_variance(flat, 0.0025, ZERO_J, state, anchor)
         np.testing.assert_allclose(got, 1e-12)
 
     def test_coincident_anchor_raises(self, flat):
         state = small_state()
         anchor = flat.chart_to_world(state.t_R)
         with pytest.raises(Exception):
-            project_range_variance(flat, 0.0025, IDENT, state, anchor)
+            project_range_variance(flat, 0.0025, ZERO_J, state, anchor)
 
 
 class TestProjectRange:
@@ -286,3 +313,33 @@ class TestProjectedRangeUpdate:
         proj = ProjectedRange(0.0, 0.0025, state.t_R.copy())
         with pytest.raises(Exception):
             projected_range_update(state, flat, proj)
+
+
+def test_lever_arm_computed_once_per_measurement(monkeypatch):
+    # with a lever arm, each projection takes p and J from one call
+    lever = load_scenario(Path(__file__).resolve().parents[1] / "bench"
+                          / "lever_curved.json")
+    surface, ext = lever.surface, lever.extrinsics
+    assert np.any(ext.r_RS)
+    calls = []
+    real = projection._lever_arm
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(projection, "_lever_arm", counted)
+    state = FilterState(np.array([2.0, 1.0]), 0.4, np.eye(3) * 0.01)
+    p, J = real(surface, state, ext)
+    sensor = surface.chart_to_world(state.t_R) + p
+    project_position(surface, sensor + [0.01, -0.02, 0.03],
+                     np.eye(3) * 1e-3, ext, state)
+    assert len(calls) == 1
+    anchor = np.array([9.5, -1.0, 0.1])
+    proj = project_range(surface, float(np.linalg.norm(sensor - anchor)),
+                         0.0025, anchor, ext, state,
+                         SamplingConfig(3.0, 41, 0.02))
+    assert len(calls) == 2
+    # the variance is the one the lever-arm Jacobian gives
+    assert proj.R_dU == project_range_variance(surface, 0.0025, J, state,
+                                               anchor - p)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meskf import (BSplineSurface, OutOfChartError, chart_jacobian,
-                   flat_surface, load_surface, save_surface,
+from meskf import (BSplineSurface, ConfigError, OutOfChartError,
+                   chart_jacobian, flat_surface, load_surface, save_surface,
                    surface_from_dict, world_to_chart)
+from meskf.bspline import (basis_and_derivatives, find_spans,
+                           point_basis_ders2, tensor_eval)
 from meskf.surface import _frames_from_gradient
 
 from conftest import make_random_surface
@@ -62,6 +64,141 @@ def test_property_eval_point_matches_numpy_path(degree, seed, u, v):
     hess_fd = np.array([(gp[0] - gp[1]) / (2 * h), (gp[2] - gp[3]) / (2 * h)])
     np.testing.assert_allclose([[s_uu, s_uv], [s_uv, s_vv]], hess_fd,
                                rtol=1e-6, atol=1e-6)
+
+
+def nonuniform_surface(seed, degree_u, degree_v):
+    """Random surface on knots with uneven spans and one interior knot
+    repeated up to the degree (each repeat is a zero-length span), over
+    [-7, 13] x [-3, 9]."""
+    rng = np.random.default_rng(seed)
+
+    def knots(deg, lo, hi):
+        gaps = rng.uniform(0.3, 1.0, size=rng.integers(2, 7))
+        inner = lo + (hi - lo) * np.cumsum(gaps)[:-1] / gaps.sum()
+        inner = np.sort(np.concatenate(
+            [inner, np.repeat(rng.choice(inner), rng.integers(1, deg + 1)
+                              - 1)]))
+        return np.concatenate([[lo] * (deg + 1), inner, [hi] * (deg + 1)])
+
+    ku, kv = knots(degree_u, -7.0, 13.0), knots(degree_v, -3.0, 9.0)
+    control = 1.5 * rng.standard_normal((len(ku) - degree_u - 1,
+                                         len(kv) - degree_v - 1))
+    return BSplineSurface(degree_u, degree_v, ku, kv, control)
+
+
+def table_test_points(surface, seed):
+    """Random points, points on every knot line, and the corners."""
+    (u0, u1), (v0, v1) = surface.domain
+    rng = np.random.default_rng(seed)
+    pts = [rng.uniform([u0, v0], [u1, v1], size=(20, 2))]
+    ku, kv = np.unique(surface.knots_u), np.unique(surface.knots_v)
+    pts.append(np.column_stack([ku, rng.uniform(v0, v1, len(ku))]))
+    pts.append(np.column_stack([rng.uniform(u0, u1, len(kv)), kv]))
+    pts.append(np.array([[u0, v0], [u0, v1], [u1, v0], [u1, v1]]))
+    return np.vstack(pts)
+
+
+def de_boor_point(surface, u, v):
+    """(S, S_u, S_v, S_uu, S_uv, S_vv) summed over the Cox-de Boor basis
+    values and derivatives of ``point_basis_ders2``."""
+    p, q = surface.degree_u, surface.degree_v
+    su, *bu = point_basis_ders2(surface.knots_u.tolist(), p, u)
+    sv, *bv = point_basis_ders2(surface.knots_v.tolist(), q, v)
+    P = surface.control_points[su - p:su + 1, sv - q:sv + 1]
+    return np.array([np.asarray(bu[a]) @ P @ np.asarray(bv[b])
+                     for a, b in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
+                                  (0, 2))])
+
+
+def de_boor_many(surface, t):
+    """(z, grad) summed over ``basis_and_derivatives`` at points t."""
+    p, q = surface.degree_u, surface.degree_v
+    su = find_spans(surface.knots_u, p, t[:, 0])
+    sv = find_spans(surface.knots_v, q, t[:, 1])
+    bu, du = basis_and_derivatives(surface.knots_u, p, su, t[:, 0])
+    bv, dv = basis_and_derivatives(surface.knots_v, q, sv, t[:, 1])
+    iu = su[:, None] - p + np.arange(p + 1)
+    iv = sv[:, None] - q + np.arange(q + 1)
+    P = surface.control_points[iu[:, :, None], iv[:, None, :]]
+    z = np.einsum("ni,nij,nj->n", bu, P, bv)
+    grad = np.column_stack([np.einsum("ni,nij,nj->n", du, P, bv),
+                            np.einsum("ni,nij,nj->n", bu, P, dv)])
+    return z, grad
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
+def test_property_patch_table_matches_de_boor(degree_u, degree_v, seed):
+    surface = nonuniform_surface(seed, degree_u, degree_v)
+    t = table_test_points(surface, seed)
+    ref_z = tensor_eval(surface.control_points, surface.knots_u, degree_u,
+                        surface.knots_v, degree_v, t[:, 0], t[:, 1])
+    got = np.array([surface.eval_point(u, v) for u, v in t])
+    ref = np.array([de_boor_point(surface, u, v) for u, v in t])
+    # rtol 1e-12, with the point's largest term as the scale of a
+    # derivative that cancels to near zero
+    atol = 1e-12 * np.max(np.abs(ref), axis=1, keepdims=True)
+    np.testing.assert_array_less(np.abs(got - ref), 1e-12 * np.abs(ref)
+                                 + atol)
+    np.testing.assert_allclose(got[:, 0], ref_z, rtol=1e-12, atol=1e-12)
+    z, grad = surface._eval_fused(t)
+    z_ref, grad_ref = de_boor_many(surface, t)
+    np.testing.assert_allclose(z, ref_z, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(z, z_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_less(np.abs(grad - grad_ref),
+                                 1e-12 * np.abs(grad_ref) + atol)
+    np.testing.assert_allclose(surface.elevation_many(t), ref_z,
+                               rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_property_table_hessian_matches_finite_differences(
+        degree_u, degree_v, seed, fu, fv):
+    surface = nonuniform_surface(seed, degree_u, degree_v)
+    (u0, u1), (v0, v1) = surface.domain
+    u, v = u0 + fu * (u1 - u0), v0 + fv * (v1 - v0)
+    h = 1e-6
+    # the Hessian jumps across knots, so keep the stencil in one span
+    assume(np.min(np.abs(surface.knots_u - u)) > 10 * h)
+    assume(np.min(np.abs(surface.knots_v - v)) > 10 * h)
+    _, _, _, s_uu, s_uv, s_vv = surface.eval_point(u, v)
+    pts = np.array([[u + h, v], [u - h, v], [u, v + h], [u, v - h]])
+    gp = surface._eval_fused(pts)[1]
+    hess_fd = np.array([(gp[0] - gp[1]) / (2 * h), (gp[2] - gp[3]) / (2 * h)])
+    np.testing.assert_allclose([[s_uu, s_uv], [s_uv, s_vv]], hess_fd,
+                               rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda d: d.update(knots_u=[0.0] * 8), "zero-width"),
+    (lambda d: d.update(knots_v=[-1.0] * 4 + [1.0] * 4, degree_v=4,
+                        control_points=[[0.0] * 3] * 4), "zero-width"),
+    (lambda d: d["knots_u"].__setitem__(4, float("nan")), "finite"),
+    (lambda d: d["knots_v"].__setitem__(-1, float("inf")), "finite"),
+    (lambda d: d["control_points"][2].__setitem__(1, float("nan")),
+     "control_points must be finite"),
+    (lambda d: d["control_points"][0].__setitem__(0, -float("inf")),
+     "control_points must be finite"),
+    # the last span would be empty: ends repeated degree + 2 times
+    (lambda d: d.update(knots_u=[-1.0] * 4 + [1.0] * 5,
+                        control_points=[[0.0] * 4] * 5), "clamped"),
+], ids=["all-zero-knots", "too-few-knots", "nan-knot", "inf-knot",
+        "nan-control", "inf-control", "end-repeated-p+2"])
+def test_bad_geometry_rejected(change, match):
+    data = {"degree_u": 3, "degree_v": 3,
+            "knots_u": [-1.0] * 4 + [1.0] * 4,
+            "knots_v": [-1.0] * 4 + [1.0] * 4,
+            "control_points": [[0.0] * 4 for _ in range(4)]}
+    surface_from_dict(data)
+    change(data)
+    with pytest.raises(ValueError, match=match):
+        BSplineSurface(data["degree_u"], data["degree_v"],
+                       np.array(data["knots_u"]), np.array(data["knots_v"]),
+                       np.array(data["control_points"]))
+    with pytest.raises(ConfigError):
+        surface_from_dict(data)
 
 
 def test_eval_point_domain_checks(curved):
