@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .sim.config import load_scenario
+from .sim.config import check_seed, load_scenario
 from .sim.runner import FILTER_KINDS, metrics_from_arrays, run_campaign
 
 METRICS_HEADER = "step,time_s,rmse_pos_m,rmse_head_rad,anees,anees_lo,anees_hi"
@@ -102,6 +102,7 @@ def cmd_simulate(args) -> int:
             raise ConfigError("must be >= 1", field="--trials")
         scenario.n_trials = args.trials
     if args.seed is not None:
+        check_seed(args.seed, "--seed")
         scenario.seed = args.seed
 
     metrics, errors, covs, diverged = run_campaign(scenario)

@@ -32,9 +32,20 @@ class FilterState:
     P_x: np.ndarray          # 3x3 error covariance
 
     def __post_init__(self):
-        self.t_R = np.asarray(self.t_R, dtype=float).copy()
+        # copies: the state never shares its arrays with the caller
+        self.t_R = np.array(self.t_R, dtype=float)
         self.gamma_R = wrap_angle(float(self.gamma_R))
-        self.P_x = np.asarray(self.P_x, dtype=float).copy()
+        self.P_x = np.array(self.P_x, dtype=float)
+
+    @classmethod
+    def _adopt(cls, t_R: np.ndarray, gamma_R: float,
+               P_x: np.ndarray) -> "FilterState":
+        """State over float arrays that the filter has just built and
+        hands over; they need no second, defensive copy."""
+        state = cls.__new__(cls)
+        state.t_R, state.P_x = t_R, P_x
+        state.gamma_R = wrap_angle(float(gamma_R))
+        return state
 
     def copy(self) -> "FilterState":
         return FilterState(self.t_R, self.gamma_R, self.P_x)
@@ -87,9 +98,12 @@ def _motion_model(surface: BSplineSurface, state: FilterState,
     T = [[cos b, 0], [sin a sin b, cos a]] is the chart block of the
     tangent frame R_x(a) R_y(b). Its derivatives in t_R follow from the
     frame angles' derivatives through the Hessian of S; the heading
-    enters through R_z. Returns (displacement (2,), F, G, T).
+    enters through R_z. Returns plain floats: the displacement (du, dv),
+    the first two rows of F as six entries (F's last row is e_3^T), the
+    velocity block of G as four entries (G's only other entry is dt on
+    the rate noise), and T as four entries, all row by row.
     """
-    u, v = float(state.t_R[0]), float(state.t_R[1])
+    u, v = state.t_R.tolist()
     g = float(state.gamma_R)
     _, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
@@ -100,60 +114,80 @@ def _motion_model(surface: BSplineSurface, state: FilterState,
     (da_u, db_u), (da_v, db_v) = frame_angle_derivatives(
         s_u, s_uu, s_uv, s_vv, ca, sa, cb)
     # dT = [[-sin b db, 0], [cos a sin b da + sin a cos b db, -sin a da]]
-    F = np.array([
-        [1.0 - dt * sb * db_u * wx, -dt * sb * db_v * wx, -dt * cb * wy],
-        [dt * ((ca * sb * da_u + sa * cb * db_u) * wx - sa * da_u * wy),
+    F = (1.0 - dt * sb * db_u * wx, -dt * sb * db_v * wx, -dt * cb * wy,
+         dt * ((ca * sb * da_u + sa * cb * db_u) * wx - sa * da_u * wy),
          1.0 + dt * ((ca * sb * da_v + sa * cb * db_v) * wx
                      - sa * da_v * wy),
-         dt * (ca * wx - t10 * wy)],
-        [0.0, 0.0, 1.0]])
-    # G: minus T R_z(gamma) dt on the velocity noise, dt on the rate noise
-    G = np.array([[-dt * cb * c, dt * cb * s, 0.0],
-                  [-dt * (t10 * c + ca * s), dt * (t10 * s - ca * c), 0.0],
-                  [0.0, 0.0, dt]])
-    disp = np.array([dt * cb * wx, dt * (t10 * wx + ca * wy)])
-    return disp, F, G, np.array([[cb, 0.0], [t10, ca]])
+         dt * (ca * wx - t10 * wy))
+    # G: minus T R_z(gamma) dt on the velocity noise
+    G = (-dt * cb * c, dt * cb * s,
+         -dt * (t10 * c + ca * s), dt * (t10 * s - ca * c))
+    disp = (dt * cb * wx, dt * (t10 * wx + ca * wy))
+    return disp, F, G, (cb, 0.0, t10, ca)
 
 
 def error_jacobians(surface: BSplineSurface, state: FilterState,
                     odom: OdometryInput, dt):
     """Discrete error-state Jacobians (F, G) of the displacement model,
     both analytic, plus the chart block T of the tangent frame."""
-    return _motion_model(surface, state, odom, dt)[1:]
+    _, F, (g00, g01, g10, g11), T = _motion_model(surface, state, odom, dt)
+    return (np.array(F + (0.0, 0.0, 1.0)).reshape(3, 3),
+            np.array([[g00, g01, 0.0], [g10, g11, 0.0], [0.0, 0.0, dt]]),
+            np.array(T).reshape(2, 2))
 
 
 def propagate(surface: BSplineSurface, state: FilterState,
               odom: OdometryInput, dt) -> FilterState:
-    """One discrete propagation step evaluated at the pre-step state."""
+    """One discrete propagation step evaluated at the pre-step state.
+
+    P' = F P F^T + G Q G^T, written out on the six unique entries of
+    the symmetric 3x3 (upper triangles of P and of the velocity noise
+    are read): with F's last row e_3^T and G's only third-row entry dt,
+    only the chart rows of F and the 2x2 velocity block of G take part.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    disp, F, G, _ = _motion_model(surface, state, odom, dt)
-    t_new = state.t_R + disp
-    surface._check_point(*t_new.tolist())
-    # Noise covariances are per-sample; G already carries dt.
-    Q = np.zeros((3, 3))
-    Q[0:2, 0:2] = odom.sigma_v
-    Q[2, 2] = odom.sigma_omega
-    P = F.dot(state.P_x).dot(F.T) + G.dot(Q).dot(G.T)
-    # FilterState wraps the heading
-    return FilterState(t_new, state.gamma_R + odom.omega_m * dt,
-                       0.5 * (P + P.T))
+    (du, dv), (f00, f01, f02, f10, f11, f12), (g00, g01, g10, g11), _ = \
+        _motion_model(surface, state, odom, dt)
+    u, v = state.t_R.tolist()
+    u, v = u + du, v + dv
+    surface._check_point(u, v)
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P_x.tolist()
+    (q00, q01), (_, q11) = odom.sigma_v.tolist()
+    # rows of F P, then of G_v Q_v; noise covariances are per-sample and
+    # G already carries dt
+    a00 = f00 * p00 + f01 * p01 + f02 * p02
+    a01 = f00 * p01 + f01 * p11 + f02 * p12
+    a02 = f00 * p02 + f01 * p12 + f02 * p22
+    a10 = f10 * p00 + f11 * p01 + f12 * p02
+    a11 = f10 * p01 + f11 * p11 + f12 * p12
+    a12 = f10 * p02 + f11 * p12 + f12 * p22
+    b00, b01 = g00 * q00 + g01 * q01, g00 * q01 + g01 * q11
+    b10, b11 = g10 * q00 + g11 * q01, g10 * q01 + g11 * q11
+    n00 = a00 * f00 + a01 * f01 + a02 * f02 + b00 * g00 + b01 * g01
+    n01 = a00 * f10 + a01 * f11 + a02 * f12 + b00 * g10 + b01 * g11
+    n11 = a10 * f10 + a11 * f11 + a12 * f12 + b10 * g10 + b11 * g11
+    n22 = p22 + dt * dt * odom.sigma_omega
+    P = np.array([n00, n01, a02, n01, n11, a12, a02, a12, n22]).reshape(3, 3)
+    return FilterState._adopt(np.array([u, v]),
+                              state.gamma_R + odom.omega_m * dt, P)
 
 
 def correct(state: FilterState, innovation: np.ndarray, H: np.ndarray,
             R: np.ndarray) -> FilterState:
     """Generic ESEKF correction: gain, injection, Joseph covariance.
 
+    Takes the innovation (m,), H (m, 3) and R (m, m) as float arrays.
     The error reset Jacobian is the identity for this vector-plus-angle
     parameterization, so resetting the error is implicit.
     """
-    innovation = np.atleast_1d(np.asarray(innovation, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
     ok, dx, P_new = joseph_update(state.P_x, H, R, innovation)
     if not ok:
         raise SingularUpdateError("innovation covariance is singular")
-    return FilterState(state.t_R + dx[0:2], state.gamma_R + dx[2], P_new)
+    u, v = state.t_R.tolist()
+    du, dv, dg = dx.tolist()
+    return FilterState._adopt(np.array([u + du, v + dv]),
+                              state.gamma_R + dg, P_new)
 
 
 def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
@@ -161,31 +195,67 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     """Shared gain/injection/Joseph-covariance core.
 
     Returns (ok, dx, P_new); ok is False when the innovation covariance
-    S is singular or its condition number exceeds 1e12. A one-row update
-    has a scalar S and needs no factorization. Otherwise S is checked by
-    its eigenvalues and the gain solved by Cholesky, both through the
-    LAPACK wrappers directly: for these few-row systems the numpy
-    wrappers cost more than the arithmetic. Both read the upper triangle
-    of S.
+    S is singular or its condition number exceeds 1e12. P is symmetric.
+
+    A one-row update has a scalar S and needs no factorization. With
+    a = P h, s = h^T a + r and k = a / s, the Joseph form
+    (I - k h^T) P (I - k h^T)^T + r k k^T expands to
+    P - k a^T - a k^T + s k k^T (Bierman, "Factorization Methods for
+    Discrete Sequential Estimation", 1977), which is written out on
+    floats for the 3-state filter.
+
+    Otherwise S is checked by its eigenvalues and the gain solved by
+    Cholesky, both through the LAPACK wrappers directly: for these
+    few-row systems the numpy wrappers cost more than the arithmetic.
+    Both read the upper triangle of S.
     """
+    if H.shape[0] == 1:
+        if P.shape[0] == 3:
+            return _joseph_row3(P, H, R, innovation)
+        a = P.dot(H[0])
+        s = float(H[0].dot(a) + R[0, 0])
+        if not s > 0.0:
+            return False, np.zeros(P.shape[0]), P
+        k = a / s
+        ka = np.outer(k, a)
+        return (True, k * innovation[0],
+                P - (ka + ka.T) + s * np.outer(k, k))
     # ndarray.dot: for these tiny operands its call overhead is well
     # below that of the matmul ufunc behind @
     PHt = P.dot(H.T)
-    if H.shape[0] == 1:
-        s = float(H[0].dot(PHt[:, 0]) + R[0, 0])
-        if not s > 0.0:
-            return False, np.zeros(P.shape[0]), P
-        K = PHt / s
-    else:
-        S = H.dot(PHt) + R
-        w, _, info = lapack.dsyevd(S, compute_v=0)
-        if info or not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
-            return False, np.zeros(P.shape[0]), P
-        _, Kt, info = lapack.dposv(S, PHt.T)
-        if info:
-            return False, np.zeros(P.shape[0]), P
-        K = Kt.T
+    S = H.dot(PHt) + R
+    w, _, info = lapack.dsyevd(S, compute_v=0)
+    if info or not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
+        return False, np.zeros(P.shape[0]), P
+    _, Kt, info = lapack.dposv(S, PHt.T)
+    if info:
+        return False, np.zeros(P.shape[0]), P
+    K = Kt.T
     dx = K.dot(innovation)
     IKH = np.eye(P.shape[0]) - K.dot(H)
     P_new = IKH.dot(P).dot(IKH.T) + K.dot(R).dot(K.T)
     return True, dx, 0.5 * (P_new + P_new.T)
+
+
+def _joseph_row3(P, H, R, innovation):
+    """The one-row Joseph update of ``joseph_update`` for three states,
+    on the six unique entries of P."""
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = P.tolist()
+    h0, h1, h2 = H[0].tolist()
+    a0 = p00 * h0 + p01 * h1 + p02 * h2
+    a1 = p01 * h0 + p11 * h1 + p12 * h2
+    a2 = p02 * h0 + p12 * h1 + p22 * h2
+    s = h0 * a0 + h1 * a1 + h2 * a2 + float(R[0, 0])
+    if not s > 0.0:
+        return False, np.zeros(3), P
+    k0, k1, k2 = a0 / s, a1 / s, a2 / s
+    y = float(innovation[0])
+    n00 = p00 - 2.0 * k0 * a0 + s * k0 * k0
+    n01 = p01 - (k0 * a1 + a0 * k1) + s * k0 * k1
+    n02 = p02 - (k0 * a2 + a0 * k2) + s * k0 * k2
+    n11 = p11 - 2.0 * k1 * a1 + s * k1 * k1
+    n12 = p12 - (k1 * a2 + a1 * k2) + s * k1 * k2
+    n22 = p22 - 2.0 * k2 * a2 + s * k2 * k2
+    return (True, np.array([k0 * y, k1 * y, k2 * y]),
+            np.array([n00, n01, n02, n01, n11, n12,
+                      n02, n12, n22]).reshape(3, 3))

@@ -36,6 +36,14 @@ class Scenario:
     seed: int
 
 
+def check_seed(seed, field: str):
+    """A noise seed keys the Philox generators as an unsigned 64-bit
+    integer; one out of that range is a ConfigError naming ``field``."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError("seed must be an integer in [0, 2**64)",
+                          field=field)
+
+
 def _require(data: dict, key: str, path: str):
     if key not in data:
         raise ConfigError("missing required field", field=f"{path}.{key}")
@@ -112,6 +120,10 @@ def scenario_from_dict(data: dict, base_dir=Path(".")) -> Scenario:
     n_trials = int(data.get("trials", 1))
     if n_trials < 1:
         raise ConfigError("trials must be >= 1", field="trials")
-    seed = int(data.get("seed", 0))
+    try:
+        seed = int(data.get("seed", 0))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e), field="seed") from e
+    check_seed(seed, "seed")
     return Scenario(surface, trajectory, suite, schedule, sampling, pseudo,
                     extrinsics, init, filter_kind, n_trials, seed)

@@ -10,6 +10,7 @@ baseline is mapped into that space through the chart and the tangent
 frame decomposition so the comparison is over shared observables.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -22,10 +23,12 @@ from .. import projection as prj
 from .. import quat
 from .. import sensors3d as s3d
 from ..core import FilterState, RobotExtrinsics, propagate, wrap_angle
-from ..errors import (DegenerateGeometryError, DegenerateSamplingError,
-                      MeskfError, NoIntersectionError)
+from ..errors import (ConfigError, DegenerateGeometryError,
+                      DegenerateSamplingError, MeskfError,
+                      NoIntersectionError)
 from ..surface import BSplineSurface
-from .sensors import MeasurementStreams, synthesize_measurements
+from .sensors import (MeasurementStreams, noise_free_measurements,
+                      synthesize_measurements)
 from .trajectory import GroundTruth, generate_ground_truth
 
 FILTER_KINDS = ("M-ESEKF", "MP-ESEKF", "C-ESEKF")
@@ -40,6 +43,14 @@ class InitialUncertainty:
     head_std: float = 0.02    # heading, rad
     z_std: float = 0.05       # baseline elevation, m
     rp_std: float = 0.02      # baseline roll/pitch, rad
+
+    def __post_init__(self):
+        for name in ("pos_std", "head_std", "z_std", "rp_std"):
+            std = getattr(self, name)
+            if not (math.isfinite(std) and std > 0):
+                # a zero std makes P0 singular, and with it every NEES
+                raise ConfigError("must be finite and positive",
+                                  field=f"init.{name}")
 
 
 @dataclass
@@ -283,18 +294,19 @@ def stack_results(results: list):
 def run_campaign(scenario):
     """All trials of a scenario (``sim.config.Scenario``).
 
-    The ground truth is generated once; each trial then draws its
-    measurements from (seed, trial) and runs the scenario's filter.
+    The ground truth and the noise-free measurements are built once;
+    each trial then draws its measurement noise from (seed, trial) and
+    runs the scenario's filter.
     Returns (metrics, errors, covariances, diverged), the last three
     stacked over trials as ``trials.npz`` stores them.
     """
     sc = scenario
     truth = generate_ground_truth(sc.surface, sc.trajectory)
+    clean = noise_free_measurements(sc.surface, truth, sc.suite,
+                                    sc.schedule, sc.extrinsics)
     results = []
     for trial in range(sc.n_trials):
-        streams = synthesize_measurements(sc.surface, truth, sc.suite,
-                                          sc.schedule, sc.extrinsics,
-                                          sc.seed, trial)
+        streams = synthesize_measurements(clean, sc.seed, trial)
         results.append(run_trial(sc.surface, truth, streams,
                                  sc.filter_kind, sc.sampling, sc.pseudo,
                                  sc.extrinsics, sc.init))

@@ -1,15 +1,19 @@
 """Synthetic sensor streams from ground truth.
 
-Noise comes from counter-based Philox generators keyed by
-(seed, trial, sensor id), so streams are bitwise reproducible and
-independent of evaluation order. Sensor samples are generated for the
-whole duration and then filtered by the schedule, which keeps a given
-sensor's noise sequence independent of which segments enable it.
+A campaign computes the noise-free measurements once
+(``noise_free_measurements``); each trial draws its noise and adds it
+(``synthesize_measurements``). Noise comes from counter-based Philox
+generators keyed by (seed, trial, sensor id), so streams are bitwise
+reproducible and independent of evaluation order. Noise is drawn for
+every sample of the whole duration and then filtered by the schedule,
+which keeps a given sensor's noise sequence independent of which
+segments enable it.
 
 Orientation noise is generated as Tait-Bryan angles and converted to
 quaternions.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,11 +43,27 @@ class SensorSuite:
         default_factory=lambda: np.zeros((0, 3)))
 
     def __post_init__(self):
-        self.anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
-        if any(r <= 0 for r in (self.odometry_rate, self.pose_rate,
-                                self.range_rate)):
-            raise ConfigError("sensor rates must be positive",
-                              field="sensors")
+        for name in ("odometry_rate", "pose_rate", "range_rate"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigError("sensor rates must be finite and positive",
+                                  field=f"sensors.{name}")
+        for name in ("odometry_linear_std", "odometry_angular_std",
+                     "pose_position_std", "pose_orientation_std",
+                     "range_distance_std"):
+            std = getattr(self, name)
+            if not (math.isfinite(std) and std >= 0):
+                raise ConfigError("noise std must be finite and >= 0",
+                                  field=f"sensors.{name}")
+        # one anchor may be given as a bare 3-vector, none as []
+        anchors = np.asarray(self.anchors, dtype=float)
+        anchors = (anchors.reshape(0, 3) if anchors.size == 0
+                   else np.atleast_2d(anchors))
+        if anchors.ndim != 2 or anchors.shape[1] != 3 \
+                or not np.all(np.isfinite(anchors)):
+            raise ConfigError("anchors must be finite (N, 3) positions",
+                              field="sensors.anchors")
+        self.anchors = anchors
 
 
 @dataclass
@@ -110,15 +130,94 @@ def _rng(seed: int, trial: int, sensor: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def synthesize_measurements(surface: BSplineSurface, truth: GroundTruth,
+@dataclass
+class NoiseFreeMeasurements:
+    """The noise-free part of a campaign's sensor streams.
+
+    Built once per campaign by ``noise_free_measurements``; each trial's
+    ``synthesize_measurements`` only draws and adds its noise. Pose and
+    range sample on their own grids of truth steps, their slots. Every
+    slot draws noise, enabled or not; only the enabled ones are kept
+    here, with their slot number so that they pick out their draws.
+    """
+    truth: GroundTruth
+    suite: SensorSuite
+    n_pose_slots: int
+    pose_slots: np.ndarray        # (m,) slot number of each enabled slot
+    pose_steps: list              # (m,) truth step of each
+    pose_p: np.ndarray            # (m, 3) true sensor position
+    pose_q: np.ndarray            # (m, 4) true sensor orientation
+    n_range_slots: int
+    range_slots: np.ndarray
+    range_steps: list
+    range_anchors: np.ndarray     # (m, 3) anchor of each enabled slot
+    range_d: np.ndarray           # (m,) true distance to it
+
+
+def _slot_every(suite: SensorSuite, sensor: str) -> int:
+    rate = getattr(suite, f"{sensor}_rate")
+    every = int(round(suite.odometry_rate / rate))
+    if abs(every * rate - suite.odometry_rate) > 1e-9:
+        raise ConfigError(f"{sensor} rate must divide the odometry rate",
+                          field=f"sensors.{sensor}_rate")
+    return every
+
+
+def noise_free_measurements(surface: BSplineSurface, truth: GroundTruth,
                             suite: SensorSuite, schedule: SensorSchedule,
-                            extrinsics: RobotExtrinsics, seed: int,
-                            trial: int = 0) -> MeasurementStreams:
+                            extrinsics: RobotExtrinsics
+                            ) -> NoiseFreeMeasurements:
+    """True sensor pose at each enabled pose slot and true distance at
+    each enabled range slot; ranges visit the anchors round-robin, one
+    per slot, whether or not the slot is enabled."""
     duration = truth.times[-1]
     schedule.validate(duration)
     if abs(suite.odometry_rate * truth.dt - 1.0) > 1e-9:
         raise ConfigError("odometry rate must equal 1/dt of the trajectory",
                           field="sensors.odometry_rate")
+    n = truth.n_steps
+
+    def enabled(sensor):
+        every = _slot_every(suite, sensor)
+        steps = range(every, n + 1, every)
+        slots = [i for i, k in enumerate(steps)
+                 if schedule.enabled(sensor, truth.times[k])]
+        return len(steps), slots, [steps[i] for i in slots]
+
+    def true_pose(k):
+        state = FilterState(truth.chart[k], truth.gamma[k], np.eye(3))
+        return predict_pose(surface, state, extrinsics)
+
+    n_pose, pose_slots, pose_steps = enabled("pose")
+    poses = [true_pose(k) for k in pose_steps]
+    n_range, range_slots, range_steps = enabled("range")
+    anchors = suite.anchors
+    if len(anchors) == 0:
+        range_slots, range_steps = [], []
+    anchors = np.array([anchors[i % len(anchors)] for i in range_slots])
+    # one norm per slot, as for a single sample: a batched norm may
+    # round differently
+    d = [np.linalg.norm(true_pose(k)[0] - a)
+         for k, a in zip(range_steps, anchors)]
+    return NoiseFreeMeasurements(
+        truth, suite,
+        n_pose, np.array(pose_slots, dtype=int), pose_steps,
+        np.array([p for p, _ in poses]).reshape(-1, 3),
+        np.array([q for _, q in poses]).reshape(-1, 4),
+        n_range, np.array(range_slots, dtype=int), range_steps,
+        anchors.reshape(-1, 3), np.array(d, dtype=float))
+
+
+def synthesize_measurements(clean: NoiseFreeMeasurements, seed: int,
+                            trial: int = 0) -> MeasurementStreams:
+    """One trial's streams: the noise of (seed, trial) on ``clean``.
+
+    Each stream's noise is drawn in one call, in sample order: per pose
+    slot three position then three orientation draws, one draw per
+    range slot. Drawn one sample at a time, the noise would be bitwise
+    the same.
+    """
+    truth, suite = clean.truth, clean.suite
 
     # odometry: every truth step
     rng = _rng(seed, trial, "odometry")
@@ -127,54 +226,34 @@ def synthesize_measurements(surface: BSplineSurface, truth: GroundTruth,
     noise_w = rng.normal(0.0, suite.odometry_angular_std, size=n)
     sigma_v = np.eye(2) * suite.odometry_linear_std ** 2
     sigma_w = suite.odometry_angular_std ** 2
-    odometry = [OdometryInput(truth.v_m[k] + noise_v[k],
-                              truth.omega[k] + noise_w[k],
-                              sigma_v, sigma_w)
+    v_m = truth.v_m + noise_v
+    omega = (truth.omega + noise_w).tolist()
+    odometry = [OdometryInput(v_m[k], omega[k], sigma_v, sigma_w)
                 for k in range(n)]
 
-    # pose: sampled on its own grid, mapped to truth steps
-    rng = _rng(seed, trial, "pose")
-    pose_every = int(round(suite.odometry_rate / suite.pose_rate))
-    if abs(pose_every * suite.pose_rate - suite.odometry_rate) > 1e-9:
-        raise ConfigError("pose rate must divide the odometry rate",
-                          field="sensors.pose_rate")
+    # pose: position noise added, Tait-Bryan orientation noise composed
+    scale = ([suite.pose_position_std] * 3
+             + [suite.pose_orientation_std] * 3)
+    noise = _rng(seed, trial, "pose").normal(
+        0.0, scale, size=(clean.n_pose_slots, 6))[clean.pose_slots]
+    z_p = clean.pose_p + noise[:, 0:3]
     P_m = np.diag([suite.pose_position_std ** 2] * 3
                   + [suite.pose_orientation_std ** 2] * 3)
     pose_events = {}
-    for k in range(pose_every, n + 1, pose_every):
-        pos_noise = rng.normal(0.0, suite.pose_position_std, size=3)
-        ang = rng.normal(0.0, suite.pose_orientation_std, size=3)
-        if not schedule.enabled("pose", truth.times[k]):
-            continue
-        state = FilterState(truth.chart[k], truth.gamma[k], np.eye(3))
-        pos, q = predict_pose(surface, state, extrinsics)
-        q_noise = quat.from_tait_bryan(ang[0], ang[1], ang[2])
-        z_q = quat.canonicalize(quat.multiply(q, q_noise))
-        pose_events[k] = PoseMeasurement(pos + pos_noise, z_q, P_m)
+    for i, k in enumerate(clean.pose_steps):
+        roll, pitch, yaw = noise[i, 3:6]
+        q_noise = quat.from_tait_bryan(roll, pitch, yaw)
+        z_q = quat.canonicalize(quat.multiply(clean.pose_q[i], q_noise))
+        pose_events[k] = PoseMeasurement(z_p[i], z_q, P_m)
 
-    # range: round-robin over anchors on its own grid
-    rng = _rng(seed, trial, "range")
-    range_every = int(round(suite.odometry_rate / suite.range_rate))
-    if abs(range_every * suite.range_rate - suite.odometry_rate) > 1e-9:
-        raise ConfigError("range rate must divide the odometry rate",
-                          field="sensors.range_rate")
+    # range: one draw per slot
+    noise = _rng(seed, trial, "range").normal(
+        0.0, suite.range_distance_std, size=clean.n_range_slots)
+    z_d = np.maximum(clean.range_d + noise[clean.range_slots], 0.0).tolist()
+    R_d = max(suite.range_distance_std ** 2, 1e-12)
     range_events = {}
-    anchor_idx = 0
-    n_anchors = len(suite.anchors)
-    for k in range(range_every, n + 1, range_every):
-        noise = rng.normal(0.0, suite.range_distance_std)
-        if n_anchors == 0:
-            continue
-        anchor = suite.anchors[anchor_idx % n_anchors]
-        anchor_idx += 1
-        if not schedule.enabled("range", truth.times[k]):
-            continue
-        state = FilterState(truth.chart[k], truth.gamma[k], np.eye(3))
-        pos, _ = predict_pose(surface, state, extrinsics)
-        d_true = np.linalg.norm(pos - anchor)
-        range_events.setdefault(k, []).append(
-            RangeMeasurement(anchor, max(d_true + noise, 0.0),
-                             max(suite.range_distance_std ** 2, 1e-12)))
+    for k, anchor, d in zip(clean.range_steps, clean.range_anchors, z_d):
+        range_events.setdefault(k, []).append(RangeMeasurement(anchor, d, R_d))
 
     init_noise = _rng(seed, trial, "init").normal(size=6)
     return MeasurementStreams(odometry, pose_events, range_events, init_noise)

@@ -270,9 +270,12 @@ class BSplineSurface:
         """Local minimizer of ||r - sigma^{-1}(t)|| by damped Gauss-Newton.
 
         Initialized at the vertical projection of r; iterates are clipped
-        to the chart domain. Raises NumericalFailureError (carrying the
-        best iterate) if the step norm does not drop below
-        CLOSEST_POINT_TOL within CLOSEST_POINT_MAX_ITER iterations.
+        to the chart domain. The search ends when the step norm, or the
+        damped step, drops below CLOSEST_POINT_TOL, or when backtracking
+        finds no lower cost before the damped step does; the cost then
+        differs from its neighbours' only by rounding. Raises
+        NumericalFailureError (carrying the best iterate) if none of this
+        happens within CLOSEST_POINT_MAX_ITER iterations.
         """
         r = np.asarray(r, dtype=float)
         if not np.all(np.isfinite(r)):
@@ -305,6 +308,10 @@ class BSplineSurface:
                 if cost_new <= cost:
                     break
                 lam *= 0.5
+                if lam * step < CLOSEST_POINT_TOL:
+                    # no descent left above the cost's rounding: any
+                    # shorter step moves less than the tolerance
+                    return np.array([u, v, z])
             moved = math.hypot(u_new - u, v_new - v)
             u, v, z, cost = u_new, v_new, z_new, cost_new
             gu, gv = gu_new, gv_new

@@ -204,6 +204,67 @@ def test_bad_extrinsics_is_config_error(scenario, tmp_path, extrinsics,
     assert not out.exists()
 
 
+def _simulate_with(scenario, tmp_path, key, value, *extra):
+    cfg = json.loads(scenario.read_text())
+    cfg[key] = value
+    scenario.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(scenario), "--out", str(out),
+                 *extra])
+    assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize("name, value", [
+    ("pose_position_std", -0.1),
+    ("range_distance_std", float("nan")),
+    ("odometry_linear_std", float("inf")),
+])
+def test_bad_sensor_noise_is_config_error(scenario, tmp_path, capsys, name,
+                                          value):
+    # a negative std used to end in "ValueError: scale < 0"
+    sensors = {"anchors": [[8.0, 0.0, 0.0]], name: value}
+    assert _simulate_with(scenario, tmp_path, "sensors", sensors) == 2
+    assert f"sensors.{name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("anchors", [
+    [[8.0, 0.0]],
+    [[8.0, 0.0, float("nan")]],
+    [[8.0, 0.0, 0.0], [1.0, 2.0]],
+    [[[8.0, 0.0, 0.0]]],
+])
+def test_bad_anchors_is_config_error(scenario, tmp_path, capsys, anchors):
+    # anchors of the wrong shape used to end in a broadcasting traceback
+    assert _simulate_with(scenario, tmp_path, "sensors",
+                          {"anchors": anchors}) == 2
+    assert "sensors" in capsys.readouterr().err
+
+
+def test_negative_seed_in_scenario_is_config_error(scenario, tmp_path,
+                                                   capsys):
+    # used to end in an OverflowError from np.uint64
+    assert _simulate_with(scenario, tmp_path, "seed", -1) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_override_out_of_range_is_config_error(scenario, tmp_path,
+                                                    capsys, seed):
+    assert _simulate_with(scenario, tmp_path, "seed", 5,
+                          "--seed", seed) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("init", [{"pos_std": 0}, {"head_std": -0.02},
+                                  {"rp_std": float("inf")}])
+def test_bad_initial_uncertainty_is_config_error(scenario, tmp_path, capsys,
+                                                 init):
+    # a zero std made P0 singular, and the metrics raised LinAlgError
+    assert _simulate_with(scenario, tmp_path, "init", init) == 2
+    assert f"init.{next(iter(init))}" in capsys.readouterr().err
+
+
 def _all_zero(data):
     data["knots_u"] = [0.0] * len(data["knots_u"])
 

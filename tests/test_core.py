@@ -1,6 +1,8 @@
 """Error-state propagation and correction machinery."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meskf import (FilterState, OdometryInput, OutOfChartError,
                    RobotExtrinsics, SingularUpdateError, correct,
@@ -69,14 +71,38 @@ def test_jacobians_match_central_differences(curved):
             d[k] = h
             sp = FilterState(s.t_R + d[0:2], s.gamma_R + d[2], s.P_x)
             sm = FilterState(s.t_R - d[0:2], s.gamma_R - d[2], s.P_x)
-            F_fd[0:2, k] += (_motion_model(curved, sp, o, dt)[0]
-                             - _motion_model(curved, sm, o, dt)[0]) / (2 * h)
+            F_fd[0:2, k] += (np.subtract(_motion_model(curved, sp, o, dt)[0],
+                                         _motion_model(curved, sm, o, dt)[0])
+                             / (2 * h))
         np.testing.assert_allclose(F, F_fd, atol=1e-8)
         T = curved.tangent_frame_many(s.t_R[None, :])[0, 0:2, 0:2]
         np.testing.assert_allclose(frame2, T, atol=1e-12)
         np.testing.assert_allclose(G[0:2, 0:2],
                                    -T @ heading_rotation_2d(s.gamma_R) * dt,
                                    atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0), st.floats(-np.pi, np.pi),
+       st.floats(-2.0, 2.0), st.floats(-0.5, 0.5), st.integers(0, 10 ** 6))
+def test_propagate_covariance_matches_matrix_form(curved, u, v, g, vx, vy,
+                                                  seed):
+    # the written-out covariance against F P F^T + G Q G^T in numpy
+    rng = np.random.default_rng(seed)
+    s = FilterState(np.array([u, v]), g, random_spd(rng, 3, 1e-3))
+    sigma_v = random_spd(rng, 2, 1e-4)
+    o = OdometryInput(np.array([vx, vy]), rng.normal(0, 0.3), sigma_v,
+                      rng.uniform(1e-6, 1e-3))
+    dt = 0.05
+    F, G, _ = error_jacobians(curved, s, o, dt)
+    Q = np.zeros((3, 3))
+    Q[0:2, 0:2] = sigma_v
+    Q[2, 2] = o.sigma_omega
+    P_ref = F @ s.P_x @ F.T + G @ Q @ G.T
+    P = propagate(curved, s, o, dt).P_x
+    np.testing.assert_allclose(P, P_ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(P_ref).max())
+    np.testing.assert_array_equal(P, P.T)
 
 
 def test_propagate_grows_covariance(curved):
@@ -151,6 +177,59 @@ def test_joseph_update_never_increases_diagonals():
         ok, dx, P2 = joseph_update(P, H, R, np.zeros(m))
         assert ok
         assert np.all(np.diag(P2) <= np.diag(P) + 1e-12)
+
+
+def textbook_joseph(P, H, R, y):
+    S = H @ P @ H.T + R
+    K = P @ H.T @ np.linalg.inv(S)
+    IKH = np.eye(len(P)) - K @ H
+    return K @ y, IKH @ P @ IKH.T + K @ R @ K.T
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_one_row_update_matches_textbook_joseph(n):
+    rng = np.random.default_rng(20 + n)
+    for _ in range(100):
+        P = random_spd(rng, n, 0.1)
+        H = rng.standard_normal((1, n))
+        R = np.array([[rng.uniform(1e-4, 1.0)]])
+        y = rng.standard_normal(1)
+        ok, dx, P2 = joseph_update(P, H, R, y)
+        dx_ref, P_ref = textbook_joseph(P, H, R, y)
+        assert ok
+        scale = np.abs(P_ref).max()
+        np.testing.assert_allclose(dx, dx_ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(dx_ref).max())
+        np.testing.assert_allclose(P2, P_ref, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_array_equal(P2, P2.T)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("r", [-1.0, -0.1, np.nan])
+def test_one_row_update_refuses_nonpositive_s(n, r):
+    # s = h^T P h + r = 0.1 + r: negative, zero, or not a number
+    P = np.eye(n) * 0.1
+    H = np.zeros((1, n))
+    H[0, 0] = 1.0
+    ok, dx, P2 = joseph_update(P, H, np.array([[r]]), np.array([0.5]))
+    assert not ok
+    np.testing.assert_array_equal(dx, np.zeros(n))
+    assert P2 is P
+
+
+def test_states_hand_out_independent_arrays():
+    t, P = np.array([1.0, 2.0]), np.eye(3)
+    s = FilterState(t, 0.3, P)
+    t[0], P[0, 0] = 9.0, 9.0
+    assert s.t_R[0] == 1.0 and s.P_x[0, 0] == 1.0
+    c = s.copy()
+    c.t_R[1], c.P_x[1, 1] = 7.0, 7.0
+    assert s.t_R[1] == 2.0 and s.P_x[1, 1] == 1.0
+    # a filter step's output owns its arrays too
+    s2 = correct(s, np.array([0.1]), np.array([[1.0, 0.0, 0.0]]),
+                 np.array([[0.01]]))
+    assert not np.shares_memory(s2.P_x, s.P_x)
+    assert not np.shares_memory(s2.t_R, s.t_R)
 
 
 def test_covariance_psd_through_random_cycles(curved):

@@ -3,14 +3,17 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from meskf import FilterState, OdometryInput, RobotExtrinsics, propagate
+from meskf import (FilterState, OdometryInput, RobotExtrinsics, propagate,
+                   quat)
 from meskf.sim.config import scenario_from_dict
 from meskf.sim.runner import (DIVERGENCE_LIMIT_M, InitialUncertainty,
                               anees_bounds, metrics_from_arrays,
                               run_campaign, run_trial)
 from meskf.sim.sensors import (MeasurementStreams, ScheduleSegment,
                                SensorSchedule, SensorSuite,
+                               _rng, noise_free_measurements,
                                synthesize_measurements)
+from meskf.sensors3d import predict_pose
 from meskf.sim.trajectory import (GroundTruth, TrajectorySpec,
                                   generate_ground_truth)
 
@@ -24,6 +27,11 @@ def circle_spec(duration=10.0, dt=0.05, radius=4.0, speed=1.0):
 
 def suite(anchors=((8.0, 0.0, 0.0),)):
     return SensorSuite(anchors=np.asarray(anchors, dtype=float))
+
+
+def synthesize(surface, truth, su, sched, seed, trial, extrinsics=IDENT):
+    clean = noise_free_measurements(surface, truth, su, sched, extrinsics)
+    return synthesize_measurements(clean, seed, trial)
 
 
 class TestGroundTruth:
@@ -61,9 +69,9 @@ class TestSensorSynthesis:
     def test_deterministic_per_seed_and_trial(self, flat):
         truth = generate_ground_truth(flat, circle_spec(duration=5.0))
         sched = SensorSchedule.always_on(5.0)
-        a = synthesize_measurements(flat, truth, suite(), sched, IDENT, 7, 3)
-        b = synthesize_measurements(flat, truth, suite(), sched, IDENT, 7, 3)
-        c = synthesize_measurements(flat, truth, suite(), sched, IDENT, 7, 4)
+        a = synthesize(flat, truth, suite(), sched, 7, 3)
+        b = synthesize(flat, truth, suite(), sched, 7, 3)
+        c = synthesize(flat, truth, suite(), sched, 7, 4)
         k = next(iter(a.pose_events))
         np.testing.assert_array_equal(a.pose_events[k].z_p,
                                       b.pose_events[k].z_p)
@@ -77,8 +85,7 @@ class TestSensorSynthesis:
         su = suite()
         vs, ranges = [], []
         for trial in range(20):
-            st = synthesize_measurements(flat, truth, su, sched, IDENT,
-                                         11, trial)
+            st = synthesize(flat, truth, su, sched, 11, trial)
             vs.append(np.array([o.v_m for o in st.odometry])
                       - truth.v_m)
             for k, events in st.range_events.items():
@@ -99,7 +106,7 @@ class TestSensorSynthesis:
             ScheduleSegment(0.0, 5.0, frozenset({"pose"})),
             ScheduleSegment(5.0, 10.0, frozenset({"range"}))])
         sched.validate(10.0)
-        st = synthesize_measurements(flat, truth, suite(), sched, IDENT, 1, 0)
+        st = synthesize(flat, truth, suite(), sched, 1, 0)
         t = truth.times
         assert all(t[k] < 5.0 for k in st.pose_events)
         assert all(t[k] >= 5.0 for k in st.range_events)
@@ -114,11 +121,98 @@ class TestSensorSynthesis:
         truth = generate_ground_truth(flat, circle_spec(duration=5.0))
         sched = SensorSchedule.always_on(5.0)
         anchors = [[8.0, 0, 0], [-8.0, 0, 0]]
-        st = synthesize_measurements(flat, truth, suite(anchors), sched,
-                                     IDENT, 2, 0)
+        st = synthesize(flat, truth, suite(anchors), sched, 2, 0)
         seen = [m.r_A[0] for k in sorted(st.range_events)
                 for m in st.range_events[k]]
         assert seen[0] != seen[1]  # alternates between the two anchors
+
+
+def old_streams(surface, truth, su, sched, extrinsics, seed, trial):
+    """The per-trial synthesis loop as it was before its noise-free part
+    moved to the campaign: one predicted pose and one draw per sample."""
+    rng = _rng(seed, trial, "odometry")
+    n = truth.n_steps
+    noise_v = rng.normal(0.0, su.odometry_linear_std, size=(n, 2))
+    noise_w = rng.normal(0.0, su.odometry_angular_std, size=n)
+    odometry = [(truth.v_m[k] + noise_v[k], truth.omega[k] + noise_w[k])
+                for k in range(n)]
+    rng = _rng(seed, trial, "pose")
+    every = int(round(su.odometry_rate / su.pose_rate))
+    pose_events = {}
+    for k in range(every, n + 1, every):
+        pos_noise = rng.normal(0.0, su.pose_position_std, size=3)
+        ang = rng.normal(0.0, su.pose_orientation_std, size=3)
+        if not sched.enabled("pose", truth.times[k]):
+            continue
+        st = FilterState(truth.chart[k], truth.gamma[k], np.eye(3))
+        pos, q = predict_pose(surface, st, extrinsics)
+        q_noise = quat.from_tait_bryan(ang[0], ang[1], ang[2])
+        z_q = quat.canonicalize(quat.multiply(q, q_noise))
+        pose_events[k] = (pos + pos_noise, quat.normalize(z_q))
+    rng = _rng(seed, trial, "range")
+    every = int(round(su.odometry_rate / su.range_rate))
+    range_events = {}
+    idx = 0
+    for k in range(every, n + 1, every):
+        noise = rng.normal(0.0, su.range_distance_std)
+        anchor = su.anchors[idx % len(su.anchors)]
+        idx += 1
+        if not sched.enabled("range", truth.times[k]):
+            continue
+        st = FilterState(truth.chart[k], truth.gamma[k], np.eye(3))
+        pos, _ = predict_pose(surface, st, extrinsics)
+        d = np.linalg.norm(pos - anchor)
+        range_events.setdefault(k, []).append((anchor, max(d + noise, 0.0)))
+    return (odometry, pose_events, range_events,
+            _rng(seed, trial, "init").normal(size=6))
+
+
+class TestNoiseFreeSplit:
+    SCHED = SensorSchedule([
+        ScheduleSegment(0.0, 3.0, frozenset({"pose"})),
+        ScheduleSegment(3.0, 6.0, frozenset({"range"})),
+        ScheduleSegment(6.0, 10.0, frozenset({"pose", "range"}))])
+
+    def test_streams_bitwise_equal_to_per_trial_loop(self, curved):
+        truth = generate_ground_truth(curved, circle_spec(duration=10.0))
+        su = suite([[8.0, 0.0, 0.5], [-8.0, 1.0, 0.2]])
+        ext = RobotExtrinsics(np.array([0.25, -0.1, 0.4]),
+                              np.array([0.99, 0.03, 0.045, 0.14]))
+        clean = noise_free_measurements(curved, truth, su, self.SCHED, ext)
+        for trial in range(3):
+            st = synthesize_measurements(clean, 4, trial)
+            odo, poses, ranges, init = old_streams(curved, truth, su,
+                                                   self.SCHED, ext, 4, trial)
+            for o, (v_m, omega_m) in zip(st.odometry, odo, strict=True):
+                np.testing.assert_array_equal(o.v_m, v_m)
+                assert o.omega_m == omega_m
+            assert st.pose_events.keys() == poses.keys()
+            for k, (z_p, z_q) in poses.items():
+                np.testing.assert_array_equal(st.pose_events[k].z_p, z_p)
+                np.testing.assert_array_equal(st.pose_events[k].z_q, z_q)
+            assert st.range_events.keys() == ranges.keys()
+            for k, events in ranges.items():
+                for m, (anchor, z_d) in zip(st.range_events[k], events,
+                                            strict=True):
+                    np.testing.assert_array_equal(m.r_A, anchor)
+                    assert m.z_d == z_d
+            np.testing.assert_array_equal(st.initial_state_noise, init)
+
+    def test_noise_does_not_depend_on_schedule(self, flat):
+        # the same slot draws the same noise whichever segments enable it
+        truth = generate_ground_truth(flat, circle_spec(duration=10.0))
+        su = suite([[8.0, 0.0, 0.0], [-8.0, 0.0, 0.0]])
+        on = synthesize(flat, truth, su, SensorSchedule.always_on(10.0), 6, 1)
+        part = synthesize(flat, truth, su, self.SCHED, 6, 1)
+        assert part.pose_events and part.range_events
+        assert len(part.pose_events) < len(on.pose_events)
+        for k, m in part.pose_events.items():
+            np.testing.assert_array_equal(m.z_p, on.pose_events[k].z_p)
+            np.testing.assert_array_equal(m.z_q, on.pose_events[k].z_q)
+        for k, events in part.range_events.items():
+            for m, ref in zip(events, on.range_events[k], strict=True):
+                np.testing.assert_array_equal(m.r_A, ref.r_A)
+                assert m.z_d == ref.z_d
 
 
 class TestMetrics:
@@ -180,8 +274,7 @@ class TestEndToEnd:
         sched = SensorSchedule.always_on(5.0)
         results = []
         for _ in range(2):
-            st = synthesize_measurements(curved, truth, suite(), sched,
-                                         IDENT, 5, 0)
+            st = synthesize(curved, truth, suite(), sched, 5, 0)
             results.append(run_trial(curved, truth, st, "M-ESEKF"))
         np.testing.assert_array_equal(results[0].errors, results[1].errors)
         np.testing.assert_array_equal(results[0].covariances,
@@ -191,8 +284,7 @@ class TestEndToEnd:
     def test_each_filter_tracks(self, curved, kind):
         truth = generate_ground_truth(curved, circle_spec(duration=8.0))
         sched = SensorSchedule.always_on(8.0)
-        st = synthesize_measurements(curved, truth, suite(), sched, IDENT,
-                                     9, 0)
+        st = synthesize(curved, truth, suite(), sched, 9, 0)
         res = run_trial(curved, truth, st, kind)
         assert not res.diverged
         assert np.linalg.norm(res.errors[-1, 0:2]) < 0.3
@@ -241,8 +333,7 @@ class TestEndToEnd:
 
     def test_unknown_filter_rejected(self, flat):
         truth = generate_ground_truth(flat, circle_spec(duration=1.0))
-        st = synthesize_measurements(flat, truth, suite(),
-                                     SensorSchedule.always_on(1.0),
-                                     IDENT, 0, 0)
+        st = synthesize(flat, truth, suite(), SensorSchedule.always_on(1.0),
+                        0, 0)
         with pytest.raises(ValueError):
             run_trial(flat, truth, st, "EKF")

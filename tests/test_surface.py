@@ -1,19 +1,24 @@
 """Surface geometry: frames, gradients, chart maps, closest point."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meskf import (BSplineSurface, ConfigError, OutOfChartError,
-                   chart_jacobian, flat_surface, load_surface, save_surface,
-                   surface_from_dict, world_to_chart)
+from meskf import (BSplineSurface, ConfigError, NumericalFailureError,
+                   OutOfChartError, chart_jacobian, flat_surface,
+                   load_surface, save_surface, surface_from_dict,
+                   world_to_chart)
 from meskf.bspline import (basis_and_derivatives, find_spans,
                            point_basis_ders2, tensor_eval)
 from meskf.surface import _frames_from_gradient
 
 from conftest import make_random_surface
+
+REFERENCE_SURFACE = (Path(__file__).resolve().parents[1] / "scenarios"
+                     / "reference_surface.json")
 
 
 def sample_points(surface, n, seed=0, margin=0.5):
@@ -329,6 +334,39 @@ class TestClosestPoint:
         r = np.array([2.0, -3.0, 5.0])
         np.testing.assert_allclose(flat.closest_point(r),
                                    [2.0, -3.0, 0.0], atol=1e-12)
+
+    def test_rounding_noise_stops_backtracking(self, monkeypatch):
+        # the costliest query of trial 0 of bench/lever_curved.json
+        # (MP-ESEKF, its A' about 1.3 m from the surface): near the
+        # optimum the cost changes only by rounding, and each of its
+        # backtracking searches used to halve the step 20 times,
+        # 44 evaluations in all
+        surface = load_surface(REFERENCE_SURFACE)
+        calls = []
+        eval_point = BSplineSurface.eval_point
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            return eval_point(self, u, v)
+
+        monkeypatch.setattr(BSplineSurface, "eval_point", counted)
+        r = np.array([9.438342615744679, -0.7720989523053567,
+                      -0.3204277338930861])
+        p = surface.closest_point(r)
+        assert len(calls) <= 32
+        np.testing.assert_allclose(
+            p, [9.513244697239172, -0.7500237946697049, 0.9557095687942184],
+            rtol=0, atol=1e-9)
+        t = world_to_chart(p)
+        tang = surface.tangent_frame(t)[:, 0:2].T @ (r - p)
+        assert np.max(np.abs(tang)) < 1e-7
+
+    def test_no_convergence_raises_with_best_iterate(self, curved,
+                                                     monkeypatch):
+        monkeypatch.setattr("meskf.surface.CLOSEST_POINT_MAX_ITER", 1)
+        with pytest.raises(NumericalFailureError) as err:
+            curved.closest_point(np.array([3.0, -2.0, 4.0]))
+        assert err.value.best.shape == (3,)
 
 
 def test_save_load_roundtrip(curved, tmp_path):
