@@ -16,15 +16,9 @@ import numpy as np
 from . import quat
 from .core import OdometryInput, RobotExtrinsics, joseph_update
 from .errors import DegenerateGeometryError, SingularUpdateError
-from .sensors3d import PoseMeasurement, RangeMeasurement
+from .sensors3d import PoseMeasurement, RangeMeasurement, _cross
 from .surface import (BSplineSurface, frame_angle_derivatives,
                       frame_cos_sin, frame_matrix)
-
-
-def _skew(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
 
 
 @dataclass
@@ -34,9 +28,20 @@ class FullPoseState:
     P: np.ndarray            # 6x6 covariance over (dp, dtheta)
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float).copy()
-        self.q = quat.normalize(self.q)
-        self.P = np.asarray(self.P, dtype=float).copy()
+        # copies: the state never shares its arrays with the caller
+        self.p = np.array(self.p, dtype=float)
+        self.q = np.array(quat.normalize(self.q))
+        self.P = np.array(self.P, dtype=float)
+
+    @classmethod
+    def _adopt(cls, p: np.ndarray, q: np.ndarray,
+               P: np.ndarray) -> "FullPoseState":
+        """State over float arrays that the filter has just built and
+        hands over, q already unit; they need no second, defensive copy
+        and no second normalisation."""
+        state = cls.__new__(cls)
+        state.p, state.q, state.P = p, q, P
+        return state
 
     def copy(self) -> "FullPoseState":
         return FullPoseState(self.p, self.q, self.P)
@@ -49,8 +54,10 @@ class PseudoMeasurementConfig:
     rate: float = 20.0       # application frequency, Hz
 
     def __post_init__(self):
-        if self.sigma_z <= 0 or self.sigma_rp <= 0 or self.rate <= 0:
-            raise ValueError("pseudo-measurement parameters must be > 0")
+        for value in (self.sigma_z, self.sigma_rp, self.rate):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    "pseudo-measurement parameters must be finite and > 0")
 
 
 def propagate_3d(state: FullPoseState, odom: OdometryInput,
@@ -58,37 +65,78 @@ def propagate_3d(state: FullPoseState, odom: OdometryInput,
     """Lifted planar odometry step with analytic 6x6 error propagation.
 
     Attitude error is body-frame (local) perturbation: R = R_hat Exp(dtheta).
+    With body velocity v = (v_x, v_y, 0) and the turn
+    dq = Exp((0, 0, omega dt)), p' = p + R v dt and q' = q ⊗ dq. The
+    error Jacobian is F = [[I, A], [0, B]] with A = -R [v]_x dt and
+    B = R_z(-omega dt), and the noise enters through
+    G = [[-R_2 dt, 0], [0, -dt e_3]], R_2 the first two columns of R.
+    P' = F P F^T + G Q G^T is written out on those blocks: with
+    P = [[P_pp, X], [X^T, T]] and Y = X + A T,
+    P'_pp = P_pp + A X^T + Y A^T + dt^2 R_2 Q_v R_2^T, P'_pt = Y B^T and
+    P'_tt = B T B^T + dt^2 sigma_omega e_3 e_3^T (upper triangles of P
+    and of Q_v are read).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    R = quat.to_matrix(state.q)
-    v = np.array([odom.v_m[0], odom.v_m[1], 0.0])
-    w = np.array([0.0, 0.0, odom.omega_m])
-    p_new = state.p + R @ v * dt
-    q_new = quat.normalize(quat.multiply(state.q, quat.from_rotvec(w * dt)))
+    q = state.q.tolist()
+    R = quat.to_matrix(q)
+    vx, vy = odom.v_m.tolist()
+    p_new = [p + (r0 * vx + r1 * vy) * dt
+             for p, (r0, r1, _) in zip(state.p.tolist(), R)]
+    dq = quat.z_rotation(odom.omega_m * dt)
+    q_new = quat.normalize(quat.multiply(q, dq))
+    # B = R(dq)^T = [[c, s, 0], [-s, c, 0], [0, 0, 1]]
+    c = 1.0 - 2.0 * dq[3] * dq[3]
+    s = 2.0 * dq[0] * dq[3]
 
-    F = np.eye(6)
-    F[0:3, 3:6] = -R @ _skew(v) * dt
-    F[3:6, 3:6] = quat.to_matrix(quat.from_rotvec(-w * dt))
-    G = np.zeros((6, 3))
-    G[0:3, 0:2] = -R[:, 0:2] * dt
-    G[3:6, 2] = np.array([0.0, 0.0, -dt])
-    Q = np.zeros((3, 3))
-    Q[0:2, 0:2] = odom.sigma_v
-    Q[2, 2] = odom.sigma_omega
-    P = F @ state.P @ F.T + G @ Q @ G.T
-    return FullPoseState(p_new, q_new, 0.5 * (P + P.T))
+    # rows of A = -R [v]_x dt, of G's velocity block and of G Q_v
+    A = [(r2 * vy * dt, -r2 * vx * dt, (r1 * vx - r0 * vy) * dt)
+         for r0, r1, r2 in R]
+    G = [(-r0 * dt, -r1 * dt) for r0, r1, _ in R]
+    (q00, q01), (_, q11) = odom.sigma_v.tolist()
+    GQ = [(g0 * q00 + g1 * q01, g0 * q01 + g1 * q11) for g0, g1 in G]
+    P = state.P.tolist()
+    (t00, t01, t02), (_, t11, t12), (_, _, t22) = [
+        row[3:6] for row in P[3:6]]
+    Y = [(x[3] + a0 * t00 + a1 * t01 + a2 * t02,
+          x[4] + a0 * t01 + a1 * t11 + a2 * t12,
+          x[5] + a0 * t02 + a1 * t12 + a2 * t22)
+         for (a0, a1, a2), x in zip(A, P)]
+    n00, n01, n02, n11, n12, n22 = [
+        P[i][j] + A[i][0] * P[j][3] + A[i][1] * P[j][4] + A[i][2] * P[j][5]
+        + Y[i][0] * A[j][0] + Y[i][1] * A[j][1] + Y[i][2] * A[j][2]
+        + GQ[i][0] * G[j][0] + GQ[i][1] * G[j][1]
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
+    (e0, e1, e2), (f0, f1, f2), (h0, h1, h2) = [
+        (c * y0 + s * y1, c * y1 - s * y0, y2) for y0, y1, y2 in Y]
+    # B T B^T through the rows u0, u1 of B T
+    u00, u01, u02 = c * t00 + s * t01, c * t01 + s * t11, c * t02 + s * t12
+    u10, u11, u12 = c * t01 - s * t00, c * t11 - s * t01, c * t12 - s * t02
+    b00, b01, b11 = c * u00 + s * u01, c * u01 - s * u00, c * u11 - s * u10
+    b22 = t22 + dt * dt * odom.sigma_omega
+    P_new = np.array([n00, n01, n02, e0, e1, e2,
+                      n01, n11, n12, f0, f1, f2,
+                      n02, n12, n22, h0, h1, h2,
+                      e0, f0, h0, b00, b01, u02,
+                      e1, f1, h1, b01, b11, u12,
+                      e2, f2, h2, u02, u12, b22]).reshape(6, 6)
+    return FullPoseState._adopt(np.array(p_new), np.array(q_new), P_new)
 
 
-def _correct_3d(state: FullPoseState, innovation, H, R) -> FullPoseState:
-    innovation = np.atleast_1d(np.asarray(innovation, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+def _correct_3d(state: FullPoseState, innovation: np.ndarray,
+                H: np.ndarray, R: np.ndarray) -> FullPoseState:
+    """Joseph-form correction of the 6-dof state on the innovation (m,),
+    H (m, 6) and R (m, m), all float arrays; the attitude error is
+    injected on the right, q ⊗ Exp(dtheta)."""
     ok, dx, P_new = joseph_update(state.P, H, R, innovation)
     if not ok:
         raise SingularUpdateError("innovation covariance is singular")
-    q_new = quat.normalize(quat.multiply(state.q, quat.from_rotvec(dx[3:6])))
-    return FullPoseState(state.p + dx[0:3], q_new, P_new)
+    d = dx.tolist()
+    q_new = quat.normalize(quat.multiply(state.q.tolist(),
+                                         quat.from_rotvec(d[3:6])))
+    return FullPoseState._adopt(
+        np.array([p + dp for p, dp in zip(state.p.tolist(), d)]),
+        np.array(q_new), P_new)
 
 
 def _align_jacobian(a0, a1, a2):
@@ -113,9 +161,13 @@ def _align_jacobian(a0, a1, a2):
         g = theta / s
         h = (a2 * s / r2 - theta) / (s2 * s)
     # dg/da_i = h a_i for i = 0, 1 and dg/da2 = -1 / r2
-    return (-a1 * g, a0 * g), np.array(
-        [[-a1 * h * a0, -g - a1 * h * a1, a1 / r2],
-         [g + a0 * h * a0, a0 * h * a1, -a0 / r2]])
+    return (-a1 * g, a0 * g), (
+        (-a1 * h * a0, -g - a1 * h * a1, a1 / r2),
+        (g + a0 * h * a0, a0 * h * a1, -a0 / r2))
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _pseudo_residual_jacobian(state: FullPoseState,
@@ -124,7 +176,9 @@ def _pseudo_residual_jacobian(state: FullPoseState,
 
     H = -dy0/dx on one ``eval_point``: the unit normal n = m / |m|,
     m = (-S_u, -S_v, 1), moves with the chart position as dn =
-    (I - n n^T) dm / |m|, and a = R^T n with the attitude as [a]_x.
+    (I - n n^T) dm / |m|, and a = R^T n with the attitude as [a]_x,
+    so that a row d of the residual's derivative in a contributes
+    -d [a]_x = a x d to H.
     """
     x, y, pz = state.p.tolist()
     s, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(x, y)
@@ -134,13 +188,14 @@ def _pseudo_residual_jacobian(state: FullPoseState,
     for m0, m1 in ((-s_uu, -s_uv), (-s_uv, -s_vv)):     # dm/du, dm/dv
         nm = n0 * m0 + n1 * m1
         vecs.append((k * (m0 - n0 * nm), k * (m1 - n1 * nm), -k * n2 * nm))
-    A = np.dot(vecs, quat.to_matrix(state.q))   # rows a, da/du, da/dv
-    rp, D = _align_jacobian(*A[0].tolist())
-    H = np.zeros((3, 6))
-    H[0, 0:3] = (-s_u, -s_v, 1.0)
-    H[1:3, 0:2] = -D.dot(A[1:3].T)
-    H[1:3, 3:6] = -D.dot(_skew(A[0]))
-    return np.array([s - pz, rp[0], rp[1]]), H
+    r0, r1, r2 = zip(*quat.to_matrix(state.q))      # columns of R
+    a, a_u, a_v = [(_dot(v, r0), _dot(v, r1), _dot(v, r2)) for v in vecs]
+    (rp0, rp1), D = _align_jacobian(*a)
+    rows = [-s_u, -s_v, 1.0, 0.0, 0.0, 0.0]
+    for d in D:
+        rows += [-_dot(d, a_u), -_dot(d, a_v), 0.0, *_cross(a, d)]
+    return (np.array([s - pz, rp0, rp1]),
+            np.array(rows).reshape(3, 6))
 
 
 def pseudo_update(state: FullPoseState, surface: BSplineSurface,
@@ -152,49 +207,74 @@ def pseudo_update(state: FullPoseState, surface: BSplineSurface,
     normal, heading untouched. Its Jacobian is analytic.
     """
     y0, H = _pseudo_residual_jacobian(state, surface)
-    R = np.diag([config.sigma_z ** 2,
-                 config.sigma_rp ** 2, config.sigma_rp ** 2])
+    vz, vrp = config.sigma_z ** 2, config.sigma_rp ** 2
+    R = np.array([vz, 0.0, 0.0, 0.0, vrp, 0.0, 0.0, 0.0, vrp]).reshape(3, 3)
     return _correct_3d(state, y0, H, R)
 
 
-def _sensor_pose(state: FullPoseState, ext: RobotExtrinsics):
+def _sensor_position(state: FullPoseState, ext: RobotExtrinsics):
+    """Sensor position p + R r_RS, with R (rows) and r_RS, as floats."""
     R = quat.to_matrix(state.q)
-    pos = state.p + R @ ext.r_RS
-    q = quat.canonicalize(quat.multiply(state.q, ext.q_RS))
-    return pos, q
+    r = ext.r_RS.tolist()
+    return ([p + _dot(row, r) for p, row in zip(state.p.tolist(), R)],
+            R, r)
+
+
+def _pose_residual_jacobian_3d(state: FullPoseState,
+                               extrinsics: RobotExtrinsics,
+                               meas: PoseMeasurement):
+    """(y0, H) of the six-row pose model.
+
+    y0 = [z_p - p - R r_RS; 2 vec(q_e)] with q_e = (q ⊗ q_RS)* ⊗ z_q and
+    H = [[I, -R [r_RS]_x], [0, R_RS^T]], where a row w of R gives the
+    row -w [r_RS]_x = r_RS x w. The rotation rows are -dy0/dx at a zero
+    rotation residual, as in the classical loosely-coupled update.
+    """
+    pos, R, r = _sensor_position(state, extrinsics)
+    q_pred = quat.canonicalize(quat.multiply(state.q, extrinsics.q_RS))
+    rot_res = quat.small_angle(
+        quat.multiply(quat.conjugate(q_pred), meas.z_q))
+    y0 = [z - p for z, p in zip(meas.z_p.tolist(), pos)] + list(rot_res)
+    rows = []
+    for e, row in zip(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+                      R):
+        rows += [*e, *_cross(r, row)]
+    for col in zip(*quat.to_matrix(extrinsics.q_RS)):
+        rows += [0.0, 0.0, 0.0, *col]
+    return np.array(y0), np.array(rows).reshape(6, 6)
 
 
 def pose_update_3d(state: FullPoseState, extrinsics: RobotExtrinsics,
                    meas: PoseMeasurement) -> FullPoseState:
     """Standard loosely-coupled pose update with analytic Jacobian."""
-    pos, q_pred = _sensor_pose(state, extrinsics)
-    rot_res = quat.small_angle(
-        quat.multiply(quat.conjugate(q_pred), meas.z_q))
-    y = np.concatenate([meas.z_p - pos, rot_res])
-    R_wb = quat.to_matrix(state.q)
-    R_bs = quat.to_matrix(extrinsics.q_RS)
-    H = np.zeros((6, 6))
-    H[0:3, 0:3] = np.eye(3)
-    H[0:3, 3:6] = -R_wb @ _skew(extrinsics.r_RS)
-    H[3:6, 3:6] = R_bs.T
-    return _correct_3d(state, y, H, meas.P_m)
+    y0, H = _pose_residual_jacobian_3d(state, extrinsics, meas)
+    return _correct_3d(state, y0, H, meas.P_m)
+
+
+def _range_residual_jacobian_3d(state: FullPoseState,
+                                extrinsics: RobotExtrinsics,
+                                meas: RangeMeasurement):
+    """(innovation, H) of the range model d = |p + R r_RS - r_A|.
+
+    H = [u^T, -u^T R [r_RS]_x] with u the unit vector from the anchor
+    to the sensor; the attitude part is r_RS x R^T u.
+    """
+    pos, R, r = _sensor_position(state, extrinsics)
+    anchor = meas.r_A.tolist()
+    dist = math.dist(pos, anchor)
+    if dist < 1e-6:
+        raise DegenerateGeometryError("anchor coincides with sensor")
+    u = [(p - a) / dist for p, a in zip(pos, anchor)]
+    Rt_u = [_dot(u, col) for col in zip(*R)]
+    return (np.array([meas.z_d - dist]),
+            np.array([u + list(_cross(r, Rt_u))]))
 
 
 def range_update_3d(state: FullPoseState, extrinsics: RobotExtrinsics,
                     meas: RangeMeasurement) -> FullPoseState:
     """Standard tightly-coupled range update with analytic Jacobian."""
-    R = quat.to_matrix(state.q)
-    pos = state.p + R @ extrinsics.r_RS
-    d = pos - meas.r_A
-    dist = np.linalg.norm(d)
-    if dist < 1e-6:
-        raise DegenerateGeometryError("anchor coincides with sensor")
-    u = d / dist
-    H = np.zeros((1, 6))
-    H[0, 0:3] = u
-    H[0, 3:6] = -u @ R @ _skew(extrinsics.r_RS)
-    return _correct_3d(state, np.array([meas.z_d - dist]), H,
-                       np.array([[meas.R_d]]))
+    innovation, H = _range_residual_jacobian_3d(state, extrinsics, meas)
+    return _correct_3d(state, innovation, H, np.array([[meas.R_d]]))
 
 
 def chart_errors(state: FullPoseState, surface: BSplineSurface):
@@ -205,25 +285,35 @@ def chart_errors(state: FullPoseState, surface: BSplineSurface):
     its analytic Jacobian, so all filters are scored in the same space:
     F turns with the chart position at the frame-angle rates w, so
     dc = c x w, and the attitude error moves c by -F^T R [e_1]_x dtheta.
+    The Jacobian's rows are e_1, e_2 and one heading row j that is zero
+    in p_z and dtheta_x, so J P J^T is written out on those entries.
     """
     x, y = state.p.tolist()[0:2]
     _, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(x, y)
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
-    M = np.transpose(frame_matrix(ca, sa, cb, sb)).dot(
-        quat.to_matrix(state.q))
-    (c0, m01, m02), (c1, m11, m12), (c2, _, _) = M.tolist()
+    # M = F^T R from the rows f_i of F^T and the body axes, R's columns
+    f0, f1, f2 = zip(*frame_matrix(ca, sa, cb, sb))
+    bx, by, bz = zip(*quat.to_matrix(state.q))
+    c0, c1, c2 = _dot(f0, bx), _dot(f1, bx), _dot(f2, bx)
+    m01, m02 = _dot(f0, by), _dot(f0, bz)
+    m11, m12 = _dot(f1, by), _dot(f1, bz)
     inv = 1.0 / (c0 * c0 + c1 * c1)
-    row = []
+    j = []
     for da, db in frame_angle_derivatives(s_u, s_uu, s_uv, s_vv,
                                           ca, sa, cb):
         w0, w1, w2 = cb * da, db, sb * da
-        row.append((c0 * (c2 * w0 - c0 * w2) - c1 * (c1 * w2 - c2 * w1))
-                   * inv)
+        j.append((c0 * (c2 * w0 - c0 * w2) - c1 * (c1 * w2 - c2 * w1))
+                 * inv)
     # attitude columns: dc/dtheta = (0, -M e_3, M e_2)
-    row += [0.0, 0.0, (c1 * m02 - c0 * m12) * inv,
-            (c0 * m11 - c1 * m01) * inv]
-    J = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-                  [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], row])
-    P_eval = J.dot(state.P).dot(J.T)
-    x0 = np.array([x, y, math.atan2(c1, c0)])
-    return x0, 0.5 * (P_eval + P_eval.T)
+    j0, j1 = j
+    j4 = (c1 * m02 - c0 * m12) * inv
+    j5 = (c0 * m11 - c1 * m01) * inv
+    P = state.P.tolist()
+    # P j on the rows that J reads
+    a0, a1, a4, a5 = [P[i][0] * j0 + P[i][1] * j1 + P[i][4] * j4
+                      + P[i][5] * j5 for i in (0, 1, 4, 5)]
+    jpj = j0 * a0 + j1 * a1 + j4 * a4 + j5 * a5
+    P_eval = np.array([P[0][0], P[0][1], a0,
+                       P[0][1], P[1][1], a1,
+                       a0, a1, jpj]).reshape(3, 3)
+    return np.array([x, y, math.atan2(c1, c0)]), P_eval

@@ -1,79 +1,117 @@
-"""Hamilton quaternions, scalar-first, passive body-to-world.
+"""Hamilton quaternions, scalar-first, passive body-to-world, on floats.
 
-Kept deliberately small; only what the measurement models need. All
-functions take and return plain (4,) arrays (w, x, y, z) unless a
-``_many`` suffix says otherwise.
+Attitude errors are body-frame: R = R_hat Exp(dtheta), so an error
+composes on the right, q ⊗ Exp(dtheta) (Sola, "Quaternion kinematics
+for the error-state Kalman filter", arXiv:1711.02508). ``sensors3d``,
+``baseline`` and the sensor synthesis all compose rotations here.
+
+Every function takes any sequence of numbers (a tuple, a list or an
+ndarray) and returns plain Python floats: a quaternion (w, x, y, z) or
+a vector as a tuple, a matrix as a tuple of row tuples. These are
+single-rotation operations in the filters' inner loops, where numpy's
+per-call dispatch on a 4-vector costs several times the arithmetic.
+Only ``from_matrix_many`` works on arrays, over (N, 3, 3) stacks.
 """
+
+import math
 
 import numpy as np
 
+# An ndarray is read through tolist(): its entries would be numpy scalars,
+# which are slower than floats and would make the results numpy scalars.
+# The exact type test costs a fraction of isinstance's.
+_ndarray = np.ndarray
 
-def normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q)
+
+def normalize(q):
+    """q / |q|; a zero quaternion is a ValueError."""
+    w, x, y, z = q.tolist() if type(q) is _ndarray else q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n == 0.0:
+        raise ValueError("quaternion has zero norm")
+    return (w / n, x / n, y / n, z / n)
 
 
-def canonicalize(q: np.ndarray) -> np.ndarray:
+def canonicalize(q):
     """Flip sign so the scalar part is non-negative."""
-    q = np.asarray(q, dtype=float)
-    return -q if q[0] < 0 else q.copy()
+    w, x, y, z = q.tolist() if type(q) is _ndarray else q
+    return (-w, -x, -y, -z) if w < 0 else (w, x, y, z)
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+def multiply(a, b):
+    """Hamilton product a ⊗ b."""
+    w1, x1, y1, z1 = a.tolist() if type(a) is _ndarray else a
+    w2, x2, y2, z2 = b.tolist() if type(b) is _ndarray else b
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
 
-def conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+def conjugate(q):
+    w, x, y, z = q.tolist() if type(q) is _ndarray else q
+    return (w, -x, -y, -z)
 
 
-def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
+def rotate(q, v):
+    """R(q) v for a unit quaternion q, as v + w t + u x t with
+    t = 2 u x v and u the vector part of q."""
+    w, ux, uy, uz = q.tolist() if type(q) is _ndarray else q
+    vx, vy, vz = v.tolist() if type(v) is _ndarray else v
+    tx = 2.0 * (uy * vz - uz * vy)
+    ty = 2.0 * (uz * vx - ux * vz)
+    tz = 2.0 * (ux * vy - uy * vx)
+    return (vx + w * tx + (uy * tz - uz * ty),
+            vy + w * ty + (uz * tx - ux * tz),
+            vz + w * tz + (ux * ty - uy * tx))
+
+
+def from_axis_angle(axis, angle: float):
+    ax, ay, az = axis.tolist() if type(axis) is _ndarray else axis
     half = 0.5 * angle
-    return np.concatenate([[np.cos(half)], np.sin(half) * axis])
+    s = math.sin(half)
+    return (math.cos(half), s * ax, s * ay, s * az)
 
 
-def from_rotvec(v: np.ndarray) -> np.ndarray:
+def from_rotvec(v):
     """Exponential map: rotation vector -> quaternion."""
-    v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
+    x, y, z = v.tolist() if type(v) is _ndarray else v
+    angle = math.sqrt(x * x + y * y + z * z)
     if angle < 1e-12:
-        return normalize(np.array([1.0, 0.5 * v[0], 0.5 * v[1], 0.5 * v[2]]))
-    return from_axis_angle(v / angle, angle)
+        return normalize((1.0, 0.5 * x, 0.5 * y, 0.5 * z))
+    return from_axis_angle((x / angle, y / angle, z / angle), angle)
 
 
-def to_rotvec(q: np.ndarray) -> np.ndarray:
+def to_rotvec(q):
     """Logarithmic map: quaternion -> rotation vector (angle in [0, pi])."""
-    q = canonicalize(normalize(q))
-    s = np.linalg.norm(q[1:])
+    w, x, y, z = canonicalize(normalize(q))
+    s = math.sqrt(x * x + y * y + z * z)
     if s < 1e-12:
-        return 2.0 * q[1:]
-    angle = 2.0 * np.arctan2(s, q[0])
-    return q[1:] * (angle / s)
+        return (2.0 * x, 2.0 * y, 2.0 * z)
+    k = 2.0 * math.atan2(s, w) / s
+    return (x * k, y * k, z * k)
 
 
-def z_rotation(angle: float) -> np.ndarray:
-    return np.array([np.cos(0.5 * angle), 0.0, 0.0, np.sin(0.5 * angle)])
+def z_rotation(angle: float):
+    return (math.cos(0.5 * angle), 0.0, 0.0, math.sin(0.5 * angle))
 
 
-def to_matrix(q: np.ndarray) -> np.ndarray:
+def to_matrix(q):
+    """Rotation matrix of q / |q|, as three row tuples."""
     w, x, y, z = normalize(q)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    return ((1 - 2 * (y * y + z * z), 2 * (x * y - w * z),
+             2 * (x * z + w * y)),
+            (2 * (x * y + w * z), 1 - 2 * (x * x + z * z),
+             2 * (y * z - w * x)),
+            (2 * (x * z - w * y), 2 * (y * z + w * x),
+             1 - 2 * (x * x + y * y)))
 
 
-def from_matrix(r: np.ndarray) -> np.ndarray:
-    return from_matrix_many(np.asarray(r, dtype=float)[None])[0]
+def from_matrix(r):
+    """Rotation matrix -> canonical unit quaternion (``from_matrix_many``
+    on one matrix)."""
+    return tuple(from_matrix_many(np.asarray(r, dtype=float)[None])[0]
+                 .tolist())
 
 
 def from_matrix_many(r: np.ndarray) -> np.ndarray:
@@ -111,17 +149,14 @@ def from_matrix_many(r: np.ndarray) -> np.ndarray:
     return q
 
 
-def small_angle(q_err: np.ndarray) -> np.ndarray:
+def small_angle(q_err):
     """Small-angle vector 2*vec(q) of an error quaternion, sign-safe."""
-    q = np.asarray(q_err, dtype=float)
-    if q[0] < 0:
-        q = -q
-    return 2.0 * q[1:]
+    w, x, y, z = canonicalize(q_err)
+    return (2.0 * x, 2.0 * y, 2.0 * z)
 
 
-def from_tait_bryan(roll: float, pitch: float, yaw: float) -> np.ndarray:
+def from_tait_bryan(roll: float, pitch: float, yaw: float):
     """Intrinsic z-y-x (yaw, pitch, roll) Tait-Bryan angles -> quaternion."""
-    qz = z_rotation(yaw)
-    qy = from_axis_angle(np.array([0.0, 1.0, 0.0]), pitch)
-    qx = from_axis_angle(np.array([1.0, 0.0, 0.0]), roll)
-    return multiply(multiply(qz, qy), qx)
+    return multiply(multiply(z_rotation(yaw),
+                             from_axis_angle((0.0, 1.0, 0.0), pitch)),
+                    from_axis_angle((1.0, 0.0, 0.0), roll))

@@ -30,7 +30,7 @@ class PoseMeasurement:
 
     def __post_init__(self):
         self.z_p = np.asarray(self.z_p, dtype=float)
-        self.z_q = quat.normalize(self.z_q)
+        self.z_q = np.array(quat.normalize(self.z_q))
         self.P_m = np.asarray(self.P_m, dtype=float)
 
 
@@ -60,13 +60,13 @@ def _sensor_model(surface: BSplineSurface, state: FilterState,
     """Sensor position and its error-state Jacobian at one state.
 
     Returns (p, J, q, W) as plain floats: p the world position (3,), J
-    its 3x3 Jacobian as rows, q the unit world-from-sensor quaternion
+    its 3x3 Jacobian as rows, q the world-from-sensor quaternion
     q_x(alpha) ⊗ q_y(beta) ⊗ q_z(gamma) ⊗ q_RS, and W the sensor-frame
     rotation rates per unit change of (u, v, gamma), three 3-vectors.
     q and W are None unless ``rotation`` is set; without ``lift``, p and J
     are those of the lever arm R_WR r_RS alone.
     """
-    u, v = float(state.t_R[0]), float(state.t_R[1])
+    u, v = state.t_R.tolist()
     g = float(state.gamma_R)
     s, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
@@ -101,36 +101,21 @@ def _sensor_model(surface: BSplineSurface, state: FilterState,
     if not rotation:
         return p, J, None, None
 
-    # half-angle cos/sin, alpha and beta in (-pi/2, pi/2)
+    # q_x(alpha) ⊗ q_y(beta) written out, as frame_matrix writes out
+    # R_x(alpha) R_y(beta), from the half-angle cos/sin (alpha and beta
+    # lie in (-pi/2, pi/2)). A product of unit quaternions, q is unit up
+    # to rounding, which is all its users need.
     ha = math.sqrt(0.5 * (1.0 + ca))
     hb = math.sqrt(0.5 * (1.0 + cb))
     xa, yb = 0.5 * sa / ha, 0.5 * sb / hb
-    w1, x1, y1, z1 = ha * hb, xa * hb, ha * yb, xa * yb
-    c2, s2 = math.cos(0.5 * g), math.sin(0.5 * g)
-    q = (w1 * c2 - z1 * s2, x1 * c2 + y1 * s2,
-         y1 * c2 - x1 * s2, w1 * s2 + z1 * c2)
+    q = quat.multiply((ha * hb, xa * hb, ha * yb, xa * yb),
+                      quat.z_rotation(g))
     q_rs = ext.q_RS.tolist()
     if q_rs != [1.0, 0.0, 0.0, 0.0]:
-        qw, qx, qy, qz = q
-        w2, x2, y2, z2 = q_rs
-        q = (qw * w2 - qx * x2 - qy * y2 - qz * z2,
-             qw * x2 + qx * w2 + qy * z2 - qz * y2,
-             qw * y2 - qx * z2 + qy * w2 + qz * x2,
-             qw * z2 + qx * y2 - qy * x2 + qz * w2)
-        # sensor-frame rates R_RS^T w: rotate by the conjugate of q_RS
-        vec = (-x2, -y2, -z2)
-        rotated = []
-        for w in rates:
-            t = _cross(vec, w)
-            t = (2.0 * t[0], 2.0 * t[1], 2.0 * t[2])
-            c = _cross(vec, t)
-            rotated.append((w[0] + w2 * t[0] + c[0],
-                            w[1] + w2 * t[1] + c[1],
-                            w[2] + w2 * t[2] + c[2]))
-        rates = rotated
-    n = 1.0 / math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
-                        + q[3] * q[3])
-    q = (q[0] * n, q[1] * n, q[2] * n, q[3] * n)
+        q = quat.multiply(q, q_rs)
+        # sensor-frame rates R_RS^T w
+        q_sr = quat.conjugate(q_rs)
+        rates = [quat.rotate(q_sr, w) for w in rates]
     return p, J, q, rates
 
 
@@ -138,7 +123,7 @@ def predict_pose(surface: BSplineSurface, state: FilterState,
                  extrinsics: RobotExtrinsics):
     """Predicted sensor position and orientation in the world frame."""
     p, _, q, _ = _sensor_model(surface, state, extrinsics)
-    return np.array(p), quat.canonicalize(np.array(q))
+    return np.array(p), np.array(quat.canonicalize(q))
 
 
 def _pose_residual_jacobian(state: FilterState, surface: BSplineSurface,
@@ -153,24 +138,18 @@ def _pose_residual_jacobian(state: FilterState, surface: BSplineSurface,
     are w_e w_k + w_k x vec(q_e).
     """
     p, J, q, rates = _sensor_model(surface, state, extrinsics)
-    qw, qx, qy, qz = q
-    zw, zx, zy, zz = meas.z_q.tolist()
-    ew = qw * zw + qx * zx + qy * zy + qz * zz
-    e = (qw * zx - qx * zw - qy * zz + qz * zy,
-         qw * zy + qx * zz - qy * zw - qz * zx,
-         qw * zz - qx * zy + qy * zx - qz * zw)
-    if ew < 0.0:
-        ew, e = -ew, (-e[0], -e[1], -e[2])
+    ew, ex, ey, ez = quat.canonicalize(
+        quat.multiply(quat.conjugate(q), meas.z_q))
     zp = meas.z_p.tolist()
     y0 = np.array([zp[0] - p[0], zp[1] - p[1], zp[2] - p[2],
-                   2.0 * e[0], 2.0 * e[1], 2.0 * e[2]])
-    cols = []
-    for w in rates:
-        c = _cross(w, e)
-        cols.append((ew * w[0] + c[0], ew * w[1] + c[1], ew * w[2] + c[2]))
+                   2.0 * ex, 2.0 * ey, 2.0 * ez])
+    # column k of the rotation rows, for the rate w_k
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = [
+        (ew * w0 + (w1 * ez - w2 * ey), ew * w1 + (w2 * ex - w0 * ez),
+         ew * w2 + (w0 * ey - w1 * ex)) for w0, w1, w2 in rates]
     # built flat: np.array on nested lists costs twice as much
-    H = np.array(J[0] + J[1] + J[2]
-                 + [col[i] for i in range(3) for col in cols]).reshape(6, 3)
+    H = np.array(J[0] + J[1] + J[2] + [c00, c10, c20, c01, c11, c21,
+                                       c02, c12, c22]).reshape(6, 3)
     return y0, H
 
 

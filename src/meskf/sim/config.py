@@ -6,6 +6,7 @@ dotted field path of the offending entry.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +51,23 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
+def _number(kind, value, field: str):
+    """``kind(value)`` for kind int or float. A value it refuses, a float
+    that is not finite, a boolean, or a fraction where an int is asked
+    for is a ConfigError naming ``field``."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"must be {kind.__name__}, not {value!r}",
+                          field=field)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(str(e), field=field) from e
+    if kind is float and not math.isfinite(number):
+        raise ConfigError("must be finite", field=field)
+    return number
+
+
 def _build(cls, data: dict, path: str, **extra):
     try:
         return cls(**{**data, **extra})
@@ -90,10 +108,11 @@ def scenario_from_dict(data: dict, base_dir=Path(".")) -> Scenario:
     else:
         segments = []
         for i, seg in enumerate(sched_raw):
+            path = f"schedule[{i}]"
             segments.append(ScheduleSegment(
-                float(_require(seg, "start", f"schedule[{i}]")),
-                float(_require(seg, "end", f"schedule[{i}]")),
-                frozenset(_require(seg, "sensors", f"schedule[{i}]"))))
+                _number(float, _require(seg, "start", path), f"{path}.start"),
+                _number(float, _require(seg, "end", path), f"{path}.end"),
+                frozenset(_require(seg, "sensors", path))))
         schedule = SensorSchedule(segments)
     schedule.validate(trajectory.duration)
 
@@ -117,13 +136,10 @@ def scenario_from_dict(data: dict, base_dir=Path(".")) -> Scenario:
     if filter_kind not in FILTER_KINDS:
         raise ConfigError(f"filter must be one of {FILTER_KINDS}",
                           field="filter")
-    n_trials = int(data.get("trials", 1))
+    n_trials = _number(int, data.get("trials", 1), "trials")
     if n_trials < 1:
         raise ConfigError("trials must be >= 1", field="trials")
-    try:
-        seed = int(data.get("seed", 0))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e), field="seed") from e
+    seed = _number(int, data.get("seed", 0), "seed")
     check_seed(seed, "seed")
     return Scenario(surface, trajectory, suite, schedule, sampling, pseudo,
                     extrinsics, init, filter_kind, n_trials, seed)

@@ -150,11 +150,11 @@ def _baseline_filter(surface, truth, noise, pseudo, extrinsics,
     p0, q_true = s3d.predict_pose(
         surface, FilterState(truth.chart[0], truth.gamma[0], np.eye(3)),
         RobotExtrinsics.identity())
-    p0 = p0 + np.array([init.pos_std * noise[0], init.pos_std * noise[1],
-                        init.z_std * noise[3]])
-    dq = quat.from_rotvec(np.array([init.rp_std * noise[4],
-                                    init.rp_std * noise[5],
-                                    init.head_std * noise[2]]))
+    n = noise.tolist()
+    p0 = p0 + np.array([init.pos_std * n[0], init.pos_std * n[1],
+                        init.z_std * n[3]])
+    dq = quat.from_rotvec((init.rp_std * n[4], init.rp_std * n[5],
+                           init.head_std * n[2]))
     P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2, init.z_std ** 2,
                   init.rp_std ** 2, init.rp_std ** 2, init.head_std ** 2])
 

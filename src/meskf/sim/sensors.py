@@ -240,11 +240,12 @@ def synthesize_measurements(clean: NoiseFreeMeasurements, seed: int,
     P_m = np.diag([suite.pose_position_std ** 2] * 3
                   + [suite.pose_orientation_std ** 2] * 3)
     pose_events = {}
-    for i, k in enumerate(clean.pose_steps):
-        roll, pitch, yaw = noise[i, 3:6]
+    for k, z_p_k, q, (roll, pitch, yaw) in zip(
+            clean.pose_steps, z_p, clean.pose_q.tolist(),
+            noise[:, 3:6].tolist()):
         q_noise = quat.from_tait_bryan(roll, pitch, yaw)
-        z_q = quat.canonicalize(quat.multiply(clean.pose_q[i], q_noise))
-        pose_events[k] = PoseMeasurement(z_p[i], z_q, P_m)
+        z_q = quat.canonicalize(quat.multiply(q, q_noise))
+        pose_events[k] = PoseMeasurement(z_p_k, z_q, P_m)
 
     # range: one draw per slot
     noise = _rng(seed, trial, "range").normal(

@@ -6,9 +6,11 @@ from meskf import (DegenerateGeometryError, FullPoseState, OdometryInput,
                    PoseMeasurement, PseudoMeasurementConfig, RangeMeasurement,
                    RobotExtrinsics, wrap_angle)
 from meskf import quat
-from meskf.baseline import (_align_jacobian, _pseudo_residual_jacobian,
-                            chart_errors, pose_update_3d, propagate_3d,
-                            pseudo_update, range_update_3d)
+from meskf.baseline import (_align_jacobian, _pose_residual_jacobian_3d,
+                            _pseudo_residual_jacobian,
+                            _range_residual_jacobian_3d, chart_errors,
+                            pose_update_3d, propagate_3d, pseudo_update,
+                            range_update_3d)
 
 IDENT = RobotExtrinsics.identity()
 
@@ -61,7 +63,7 @@ def test_pseudo_update_pulls_to_surface(curved):
     assert abs(s.p[2] - curved.elevation(s.p[0:2])) < 1e-3
     # body z-axis aligned with the surface normal
     n = curved.normal(s.p[0:2])
-    R = quat.to_matrix(s.q)
+    R = np.array(quat.to_matrix(s.q))
     assert R[:, 2] @ n > 1 - 1e-4
 
 
@@ -129,8 +131,12 @@ def test_chart_errors_heading_consistent_with_manifold(curved):
 
 
 def test_pseudo_config_validation():
-    with pytest.raises(ValueError):
-        PseudoMeasurementConfig(sigma_z=0.0)
+    # NaN and inf used to pass the "<= 0" checks
+    for bad in ({"sigma_z": 0.0}, {"sigma_rp": -0.01}, {"rate": 0.0},
+                {"sigma_z": float("nan")}, {"sigma_rp": float("inf")},
+                {"rate": float("nan")}, {"rate": float("inf")}):
+        with pytest.raises(ValueError):
+            PseudoMeasurementConfig(**bad)
 
 
 def perturbed(s, dx):
@@ -156,7 +162,7 @@ def check_baseline_jacobians(surface, s):
         lambda x: _pseudo_residual_jacobian(x, surface)[0], s)
     np.testing.assert_allclose(H, H_fd, atol=1e-7)
     # the roll/pitch residual turns the body z-axis onto the normal
-    rp = quat.to_matrix(quat.from_rotvec([y0[1], y0[2], 0.0]))
+    rp = np.array(quat.to_matrix(quat.from_rotvec([y0[1], y0[2], 0.0])))
     np.testing.assert_allclose(quat.to_matrix(s.q) @ rp[:, 2],
                                surface.normal(s.p[0:2]), atol=1e-12)
 
@@ -195,7 +201,7 @@ def test_baseline_jacobians_near_level(curved, flat):
         q = quat.multiply(quat.multiply(frame, s.q),
                           quat.from_rotvec(np.r_[rng.normal(0, 1e-7, 2), 0]))
         s = FullPoseState(s.p, q, s.P)
-        a = quat.to_matrix(s.q).T @ curved.normal(s.p[0:2])
+        a = np.array(quat.to_matrix(s.q)).T @ curved.normal(s.p[0:2])
         assert np.hypot(a[0], a[1]) < 1e-4
         check_baseline_jacobians(curved, s)
     # exactly level: s = |(a0, a1)| = 0
@@ -234,3 +240,132 @@ def test_pseudo_update_upside_down_is_degenerate(flat):
                       np.eye(6) * 0.01)
     with pytest.raises(DegenerateGeometryError):
         pseudo_update(s, flat, PseudoMeasurementConfig())
+
+
+def state_error(s, ref):
+    """(dp, dtheta) of s relative to ref, attitude R = R_ref Exp(dtheta)."""
+    dtheta = quat.to_rotvec(quat.multiply(quat.conjugate(ref.q), s.q))
+    return np.concatenate([s.p - ref.p, dtheta])
+
+
+def dense_propagation(s, od, dt):
+    """F and G of the propagation, written densely from its model:
+    F = [[I, -R [v]_x dt], [0, R_z(-omega dt)]], noise through
+    G = [[-R[:, 0:2] dt, 0], [0, -dt e_3]]."""
+    R = np.array(quat.to_matrix(s.q))
+    v = np.array([od.v_m[0], od.v_m[1], 0.0])
+    skew = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]],
+                     [-v[1], v[0], 0.0]])
+    F = np.eye(6)
+    F[0:3, 3:6] = -R @ skew * dt
+    F[3:6, 3:6] = np.array(quat.to_matrix(
+        quat.z_rotation(-od.omega_m * dt)))
+    G = np.zeros((6, 3))
+    G[0:3, 0:2] = -R[:, 0:2] * dt
+    G[5, 2] = -dt
+    return F, G
+
+
+def test_propagate_3d_jacobians_match_central_differences(curved):
+    rng = np.random.default_rng(21)
+    dt = 0.05
+    for _ in range(10):
+        s = random_pose_state(rng, curved, 0.6)
+        od = OdometryInput(rng.normal(0, 1, 2), rng.normal(0, 0.5),
+                           np.eye(2), 1.0)
+        ref = propagate_3d(s, od, dt)
+        F, G = dense_propagation(s, od, dt)
+        F_fd = central_difference_jacobian(
+            lambda x: state_error(propagate_3d(x, od, dt), ref), s)
+        np.testing.assert_allclose(F, F_fd, atol=1e-8)
+        # noise enters as v = v_m - n_v, omega = omega_m - n_omega
+        cols = []
+        for k in range(3):
+            h = np.zeros(3)
+            h[k] = 1e-6
+
+            def moved(n):
+                o = OdometryInput(od.v_m - n[0:2], od.omega_m - n[2],
+                                  od.sigma_v, od.sigma_omega)
+                return state_error(propagate_3d(s, o, dt), ref)
+            cols.append((moved(h) - moved(-h)) / 2e-6)
+        np.testing.assert_allclose(G, np.column_stack(cols), atol=1e-8)
+
+
+def test_propagate_3d_covariance_matches_matrix_form(curved):
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        s = random_pose_state(rng, curved, 0.6)
+        A = rng.standard_normal((2, 2))
+        od = OdometryInput(rng.normal(0, 1, 2), rng.normal(0, 0.5),
+                           A @ A.T * 1e-2, rng.uniform(1e-4, 1e-2))
+        dt = rng.uniform(0.01, 0.2)
+        F, G = dense_propagation(s, od, dt)
+        Q = np.zeros((3, 3))
+        Q[0:2, 0:2] = od.sigma_v
+        Q[2, 2] = od.sigma_omega
+        P = propagate_3d(s, od, dt).P
+        np.testing.assert_array_equal(P, P.T)
+        np.testing.assert_allclose(P, F @ s.P @ F.T + G @ Q @ G.T,
+                                   rtol=1e-12, atol=1e-15)
+
+
+# lever arm plus a sensor rotation away from the identity
+EXT = RobotExtrinsics(np.array([0.2, -0.1, 0.05]),
+                      quat.from_rotvec(np.array([0.05, 0.02, -0.6])))
+
+
+def test_pose_update_3d_jacobian_matches_central_differences(curved):
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        s = random_pose_state(rng, curved, 0.6)
+        q_sensor = quat.canonicalize(quat.multiply(s.q, EXT.q_RS))
+        # a zero rotation residual, where H's rotation rows are exact;
+        # the position rows are exact anywhere
+        meas = PoseMeasurement(s.p + rng.normal(0, 0.3, 3), q_sensor,
+                               np.eye(6) * 1e-4)
+        _, H = _pose_residual_jacobian_3d(s, EXT, meas)
+        H_fd = -central_difference_jacobian(
+            lambda x: _pose_residual_jacobian_3d(x, EXT, meas)[0], s)
+        np.testing.assert_allclose(H, H_fd, atol=1e-8)
+
+
+def test_range_update_3d_jacobian_matches_central_differences(curved):
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        s = random_pose_state(rng, curved, 0.6)
+        meas = RangeMeasurement(s.p + rng.normal(0, 3.0, 3), 2.0, 1e-4)
+        innovation, H = _range_residual_jacobian_3d(s, EXT, meas)
+        H_fd = -central_difference_jacobian(
+            lambda x: _range_residual_jacobian_3d(x, EXT, meas)[0], s)
+        np.testing.assert_allclose(H, H_fd, atol=1e-8)
+        np.testing.assert_allclose(
+            meas.z_d - innovation[0],
+            np.linalg.norm(s.p + np.array(quat.to_matrix(s.q)) @ EXT.r_RS
+                           - meas.r_A), rtol=1e-14)
+
+
+def test_states_hand_out_independent_arrays(curved):
+    p, q = np.array([1.0, 2.0, 0.3]), np.array(quat.z_rotation(0.4))
+    P = np.eye(6) * 0.01
+    s = FullPoseState(p, q, P)
+    # the public constructor copies its inputs
+    assert not any(np.shares_memory(a, b)
+                   for a in (s.p, s.q, s.P) for b in (p, q, P))
+    states = [s]
+    states.append(propagate_3d(states[-1], odom(w=0.2), 0.05))
+    states.append(pseudo_update(states[-1], curved,
+                                PseudoMeasurementConfig()))
+    states.append(range_update_3d(states[-1], EXT, RangeMeasurement(
+        np.array([8.0, 0.0, 0.5]), 6.0, 1e-2)))
+    states.append(pose_update_3d(states[-1], EXT, PoseMeasurement(
+        states[-1].p, quat.multiply(states[-1].q, EXT.q_RS),
+        np.eye(6) * 1e-4)))
+    for a, b in zip(states, states[1:]):
+        for x, y in ((a.p, b.p), (a.q, b.q), (a.P, b.P)):
+            assert not np.shares_memory(x, y)
+    for state in states[1:]:
+        assert state.p.shape == (3,) and state.q.shape == (4,)
+        assert state.P.shape == (6, 6)
+        assert state.p.dtype == state.q.dtype == state.P.dtype == float
+        assert abs(np.linalg.norm(state.q) - 1.0) < 1e-15

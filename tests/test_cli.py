@@ -248,6 +248,14 @@ def test_negative_seed_in_scenario_is_config_error(scenario, tmp_path,
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [10 ** 400, 1.5, True, "five"])
+def test_non_integer_seed_in_scenario_is_config_error(scenario, tmp_path,
+                                                      capsys, seed):
+    # 1.5 used to run seed 1
+    assert _simulate_with(scenario, tmp_path, "seed", seed) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_seed_override_out_of_range_is_config_error(scenario, tmp_path,
                                                     capsys, seed):
@@ -263,6 +271,43 @@ def test_bad_initial_uncertainty_is_config_error(scenario, tmp_path, capsys,
     # a zero std made P0 singular, and the metrics raised LinAlgError
     assert _simulate_with(scenario, tmp_path, "init", init) == 2
     assert f"init.{next(iter(init))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["two", None, [3], float("inf"), 2.5,
+                                    True])
+def test_non_numeric_trials_is_config_error(scenario, tmp_path, capsys,
+                                            trials):
+    # "two" used to end in a ValueError traceback from int(), and 2.5
+    # ran 2 trials
+    assert _simulate_with(scenario, tmp_path, "trials", trials) == 2
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("start", "zero"), ("end", "five"),
+                                        ("end", None),
+                                        ("start", float("nan"))])
+def test_non_numeric_schedule_time_is_config_error(scenario, tmp_path,
+                                                   capsys, key, value):
+    # "zero" used to end in a ValueError traceback from float(); a NaN
+    # start passed the contiguity check
+    segment = {"start": 0.0, "end": 5.0, "sensors": ["range"]}
+    segment[key] = value
+    assert _simulate_with(scenario, tmp_path, "schedule", [segment]) == 2
+    assert f"schedule[0].{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pseudo", [{"rate": float("nan")},
+                                    {"sigma_z": float("nan")},
+                                    {"sigma_rp": float("inf")},
+                                    {"rate": float("inf")},
+                                    {"sigma_z": 0.0}])
+def test_bad_pseudo_config_is_config_error(scenario, tmp_path, capsys,
+                                           pseudo):
+    # a NaN rate used to end in a ValueError traceback when the C-ESEKF
+    # was built, and a NaN or infinite std in every trial diverging
+    assert _simulate_with(scenario, tmp_path, "pseudo", pseudo,
+                          "--filter", "C-ESEKF") == 2
+    assert "pseudo" in capsys.readouterr().err
 
 
 def _all_zero(data):
