@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quat
 from .core import OdometryInput, RobotExtrinsics, joseph_update
-from .errors import DegenerateGeometryError, SingularUpdateError
+from .errors import DegenerateGeometryError
 from .sensors3d import PoseMeasurement, RangeMeasurement, _cross
 from .surface import (BSplineSurface, frame_angle_derivatives,
                       frame_cos_sin, frame_matrix)
@@ -128,9 +128,7 @@ def _correct_3d(state: FullPoseState, innovation: np.ndarray,
     """Joseph-form correction of the 6-dof state on the innovation (m,),
     H (m, 6) and R (m, m), all float arrays; the attitude error is
     injected on the right, q ⊗ Exp(dtheta)."""
-    ok, dx, P_new = joseph_update(state.P, H, R, innovation)
-    if not ok:
-        raise SingularUpdateError("innovation covariance is singular")
+    dx, P_new = joseph_update(state.P, H, R, innovation)
     d = dx.tolist()
     q_new = quat.normalize(quat.multiply(state.q.tolist(),
                                          quat.from_rotvec(d[3:6])))

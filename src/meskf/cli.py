@@ -80,7 +80,7 @@ def _write_outputs(out_dir, metrics, errors=None, covs=None, diverged=None):
     write_summary_json(out_dir / "summary.json", metrics)
     if errors is not None:
         rows = metrics.timing_rows
-        np.savez_compressed(
+        np.savez(
             out_dir / "trials.npz",
             times=metrics.times, errors=errors, covariances=covs,
             diverged=diverged,

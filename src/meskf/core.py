@@ -181,9 +181,7 @@ def correct(state: FilterState, innovation: np.ndarray, H: np.ndarray,
     The error reset Jacobian is the identity for this vector-plus-angle
     parameterization, so resetting the error is implicit.
     """
-    ok, dx, P_new = joseph_update(state.P_x, H, R, innovation)
-    if not ok:
-        raise SingularUpdateError("innovation covariance is singular")
+    dx, P_new = joseph_update(state.P_x, H, R, innovation)
     u, v = state.t_R.tolist()
     du, dv, dg = dx.tolist()
     return FilterState._adopt(np.array([u + du, v + dv]),
@@ -194,8 +192,9 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
                   innovation: np.ndarray):
     """Shared gain/injection/Joseph-covariance core.
 
-    Returns (ok, dx, P_new); ok is False when the innovation covariance
-    S is singular or its condition number exceeds 1e12. P is symmetric.
+    Returns (dx, P_new). Raises SingularUpdateError when the innovation
+    covariance S is not positive definite or its condition number
+    exceeds 1e12. P is symmetric.
 
     A one-row update has a scalar S and needs no factorization. With
     a = P h, s = h^T a + r and k = a / s, the Joseph form
@@ -215,26 +214,25 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
         a = P.dot(H[0])
         s = float(H[0].dot(a) + R[0, 0])
         if not s > 0.0:
-            return False, np.zeros(P.shape[0]), P
+            raise SingularUpdateError("innovation variance is not positive")
         k = a / s
         ka = np.outer(k, a)
-        return (True, k * innovation[0],
-                P - (ka + ka.T) + s * np.outer(k, k))
+        return k * innovation[0], P - (ka + ka.T) + s * np.outer(k, k)
     # ndarray.dot: for these tiny operands its call overhead is well
     # below that of the matmul ufunc behind @
     PHt = P.dot(H.T)
     S = H.dot(PHt) + R
     w, _, info = lapack.dsyevd(S, compute_v=0)
     if info or not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
-        return False, np.zeros(P.shape[0]), P
+        raise SingularUpdateError("innovation covariance is singular")
     _, Kt, info = lapack.dposv(S, PHt.T)
     if info:
-        return False, np.zeros(P.shape[0]), P
+        raise SingularUpdateError("Cholesky factorization of S failed")
     K = Kt.T
     dx = K.dot(innovation)
     IKH = np.eye(P.shape[0]) - K.dot(H)
     P_new = IKH.dot(P).dot(IKH.T) + K.dot(R).dot(K.T)
-    return True, dx, 0.5 * (P_new + P_new.T)
+    return dx, 0.5 * (P_new + P_new.T)
 
 
 def _joseph_row3(P, H, R, innovation):
@@ -247,7 +245,7 @@ def _joseph_row3(P, H, R, innovation):
     a2 = p02 * h0 + p12 * h1 + p22 * h2
     s = h0 * a0 + h1 * a1 + h2 * a2 + float(R[0, 0])
     if not s > 0.0:
-        return False, np.zeros(3), P
+        raise SingularUpdateError("innovation variance is not positive")
     k0, k1, k2 = a0 / s, a1 / s, a2 / s
     y = float(innovation[0])
     n00 = p00 - 2.0 * k0 * a0 + s * k0 * k0
@@ -256,6 +254,6 @@ def _joseph_row3(P, H, R, innovation):
     n11 = p11 - 2.0 * k1 * a1 + s * k1 * k1
     n12 = p12 - (k1 * a2 + a1 * k2) + s * k1 * k2
     n22 = p22 - 2.0 * k2 * a2 + s * k2 * k2
-    return (True, np.array([k0 * y, k1 * y, k2 * y]),
+    return (np.array([k0 * y, k1 * y, k2 * y]),
             np.array([n00, n01, n02, n01, n11, n12,
                       n02, n12, n22]).reshape(3, 3))

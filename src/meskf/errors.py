@@ -21,7 +21,8 @@ class NumericalFailureError(MeskfError):
 
 
 class SingularUpdateError(MeskfError):
-    """Innovation covariance is numerically singular; update skipped."""
+    """Innovation covariance is not positive definite or is numerically
+    singular; the trial loop ends the trial as diverged."""
 
 
 class DegenerateGeometryError(MeskfError):

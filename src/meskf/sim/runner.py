@@ -68,12 +68,8 @@ class TrialMetrics:
     times: np.ndarray
     rmse_pos: np.ndarray
     rmse_head: np.ndarray
-    anees: np.ndarray         # combined, m = 3
-    anees_pos: np.ndarray     # position only, m = 2
-    anees_head: np.ndarray    # heading only, m = 1
-    anees_bounds: tuple       # (lo, hi) for the combined ANEES
-    anees_bounds_pos: tuple
-    anees_bounds_head: tuple
+    anees: np.ndarray         # chart position and heading, m = 3
+    anees_bounds: tuple       # (lo, hi) for the ANEES
     n_trials: int
     n_excluded: int
     timing_rows: list         # (trial, correction_type, mean_us, p99_us)
@@ -213,10 +209,13 @@ def run_trial(surface: BSplineSurface, truth: GroundTruth,
         return out
 
     def record(k, st):
+        """Store step k's errors; return the chart position error."""
         t, gamma, P_eval = f.to_eval(st)
-        errors[k, 0:2] = t - truth.chart[k]
+        e = t - truth.chart[k]
+        errors[k, 0:2] = e
         errors[k, 2] = wrap_angle(gamma - truth.gamma[k])
         covs[k] = P_eval
+        return math.hypot(*e.tolist())
 
     state = f.state
     record(0, state)
@@ -230,10 +229,10 @@ def run_trial(surface: BSplineSurface, truth: GroundTruth,
                               streams.pose_events[step])
             for meas in streams.range_events.get(step, ()):
                 state = timed(range_key, rng, state, meas)
-            record(step, state)
+            chart_error = record(step, state)
         except MeskfError:
             return TrialResult(errors, covs, timings, True, step)
-        if np.linalg.norm(errors[step, 0:2]) > DIVERGENCE_LIMIT_M:
+        if chart_error > DIVERGENCE_LIMIT_M:
             return TrialResult(errors, covs, timings, True, step)
     return TrialResult(errors, covs, timings, False)
 
@@ -256,23 +255,15 @@ def metrics_from_arrays(times: np.ndarray, errors: np.ndarray,
         Pinv = np.linalg.inv(P)
         nees = np.einsum("nki,nkij,nkj->nk", e, Pinv, e)
         anees = np.mean(nees, axis=0) / 3.0
-        Pp = P[:, :, 0:2, 0:2]
-        nees_p = np.einsum("nki,nkij,nkj->nk", e[:, :, 0:2],
-                           np.linalg.inv(Pp), e[:, :, 0:2])
-        anees_pos = np.mean(nees_p, axis=0) / 2.0
-        anees_head = np.mean(e[:, :, 2] ** 2 / P[:, :, 2, 2], axis=0)
     else:
         rmse_pos = rmse_head = np.full(n_steps, np.nan)
-        anees = anees_pos = anees_head = np.full(n_steps, np.nan)
+        anees = np.full(n_steps, np.nan)
 
     n_kept = max(int(np.sum(keep)), 1)
     return TrialMetrics(
         times=times,
         rmse_pos=rmse_pos, rmse_head=rmse_head,
-        anees=anees, anees_pos=anees_pos, anees_head=anees_head,
-        anees_bounds=anees_bounds(n_kept, 3),
-        anees_bounds_pos=anees_bounds(n_kept, 2),
-        anees_bounds_head=anees_bounds(n_kept, 1),
+        anees=anees, anees_bounds=anees_bounds(n_kept, 3),
         n_trials=len(diverged), n_excluded=int(np.sum(~keep)),
         timing_rows=timing_rows)
 

@@ -5,6 +5,8 @@ traversed with a trapezoidal speed profile and sampled at the odometry
 step. Body velocities are recovered by inverting the discrete
 displacement model exactly, so re-integrating the propagation model
 with zero noise reproduces the chart path to floating-point accuracy.
+The speed ramps up over the first ``RAMP_FRACTION`` of the duration and
+down over the last.
 """
 
 from dataclasses import dataclass
@@ -12,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ..core import heading_rotation_2d, wrap_angle
+from ..core import wrap_angle
 from ..errors import ConfigError, OutOfChartError
-from ..surface import BSplineSurface
+from ..surface import BSplineSurface, frame_cos_sin
+
+RAMP_FRACTION = 0.15
 
 
 @dataclass
@@ -29,7 +33,6 @@ class TrajectorySpec:
     speed: float             # cruise speed, m/s (chart-space)
     duration: float          # s
     dt: float                # odometry step, s
-    ramp_fraction: float = 0.15
 
     def __post_init__(self):
         if self.speed < 0:
@@ -99,7 +102,7 @@ def _path_function(path: dict):
 def _arc_profile(spec: TrajectorySpec, n_steps: int):
     """Trapezoidal arc-length profile s(t_k), k = 0..n_steps."""
     t = np.arange(n_steps + 1) * spec.dt
-    ramp = spec.ramp_fraction * spec.duration
+    ramp = RAMP_FRACTION * spec.duration
     v = np.full_like(t, spec.speed)
     if ramp > 0:
         v = np.minimum(v, spec.speed * t / ramp)
@@ -123,25 +126,28 @@ def generate_ground_truth(surface: BSplineSurface,
     if not np.all(surface.contains(chart)):
         raise OutOfChartError("trajectory leaves the chart domain")
 
-    # path tangent direction in the tangent plane -> heading
+    # heading: the direction of the path tangent (du, dv, dS), with
+    # dS = S_u du + S_v dv, along the frame's first two axes, the first
+    # two entries of R^T (du, dv, dS) for R = R_x(a) R_y(b)
     ds = 1e-4 * max(length, 1.0)
     ahead = pos_fn(np.mod(s + ds, length) if closed
                    else np.clip(s + ds, 0.0, length))
-    d_chart = ahead - chart
-    grads = surface.gradient_many(chart)
-    frames = surface.tangent_frame_many(chart)
-    d_world = np.column_stack(
-        [d_chart, np.einsum("ij,ij->i", grads, d_chart)])
-    w = np.einsum("nji,nj->ni", frames, d_world)   # frame^T d_world
-    gamma = np.arctan2(w[:, 1], w[:, 0])
+    du, dv = (ahead - chart).T
+    s_u, s_v = surface.gradient_many(chart).T
+    ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
+    dz = s_u * du + s_v * dv
+    gamma = np.arctan2(ca * dv + sa * dz,
+                       cb * du + sa * sb * dv - ca * sb * dz)
 
     # exact inversion of the discrete displacement model
-    frames2 = frames[:-1, 0:2, 0:2]
-    d_step = np.diff(chart, axis=0) / spec.dt
-    tangent_v = np.linalg.solve(frames2, d_step[:, :, None])[:, :, 0]
-    v_m = np.empty_like(tangent_v)
-    for k in range(n_steps):
-        v_m[k] = heading_rotation_2d(gamma[k]).T @ tangent_v[k]
+    # d_chart / dt = T R_z(gamma) v_m, on the lower-triangular chart
+    # block T = [[cos b, 0], [sin a sin b, cos a]] of R
+    d_u, d_v = np.diff(chart, axis=0).T / spec.dt
+    ca, sa, cb, sb = ca[:-1], sa[:-1], cb[:-1], sb[:-1]
+    x_u = d_u / cb
+    x_v = (d_v - sa * sb * x_u) / ca
+    cg, sg = np.cos(gamma[:-1]), np.sin(gamma[:-1])
+    v_m = np.column_stack([cg * x_u + sg * x_v, cg * x_v - sg * x_u])
     omega = wrap_angle(np.diff(gamma)) / spec.dt
     return GroundTruth(times=np.arange(n_steps + 1) * spec.dt,
                        chart=chart, gamma=gamma, v_m=v_m, omega=omega,

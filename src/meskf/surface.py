@@ -12,9 +12,11 @@ On each knot-span patch [u_i, u_i+1) x [v_j, v_j+1) the spline is one
 polynomial of degree (p, q) (the pp-form: de Boor, *A Practical Guide to
 Splines*; Piegl & Tiller, *The NURBS Book*, ch. 2). The surface converts
 every patch to power-basis coefficients once, at construction, and
-evaluates all queries from that table by Horner's rule: ``eval_point``
-in plain floats for single points (S, its gradient and its Hessian),
-the ``_many`` variants vectorised over a point cloud.
+evaluates every query from that table by Horner's rule, in two passes,
+one per access pattern: ``eval_point`` in plain floats for one point
+(S, its gradient and its Hessian), and ``elevation_many`` vectorised
+over a point cloud (S only). Every derivative comes from ``eval_point``;
+the batched derivative queries call it point by point.
 """
 
 import bisect
@@ -169,50 +171,23 @@ class BSplineSurface:
 
     # -- elevation / gradient ------------------------------------------------
 
-    def _patch_coefficients(self, t: np.ndarray):
-        """Each point's patch from the table, and its local coordinates.
-
-        Returns (c, x, y): c of shape (N, p+1, q+1), x = u - u_i of shape
-        (N,) and y = v - v_j of shape (N, 1). Assumes t is already a
-        validated (N, 2) float array.
-        """
+    def elevation_many(self, t: np.ndarray) -> np.ndarray:
+        """(N,) elevations by Horner's rule over all points at once, in
+        y = v - v_j along each row of the point's patch, then in
+        x = u - u_i."""
+        t = np.atleast_2d(np.asarray(t, dtype=float))
+        self._check_domain(t)
         pu, pv = self.degree_u, self.degree_v
         u, v = t[:, 0], t[:, 1]
         su = bspline.find_spans(self.knots_u, pu, u)
         sv = bspline.find_spans(self.knots_v, pv, v)
-        return (self._table[su - pu, sv - pv], u - self.knots_u[su],
-                (v - self.knots_v[sv])[:, None])
-
-    def _eval_fused(self, t: np.ndarray):
-        """Elevation and exact analytic gradient in one Horner pass.
-
-        Horner's rule over all points at once, in y along each patch row
-        and then in x, carrying the first derivatives along. Returns
-        (z, grad) with z of shape (N,) and grad of shape (N, 2); the path
-        behind every batched gradient query. Assumes t is already a
-        validated (N, 2) float array.
-        """
-        c, x, y = self._patch_coefficients(t)
-        w, w_y = c[:, :, -1], 0.0
-        for b in range(self.degree_v - 1, -1, -1):
-            w_y = w_y * y + w
-            w = w * y + c[:, :, b]
-        z, z_u, z_v = w[:, -1], 0.0, w_y[:, -1]
-        for a in range(self.degree_u - 1, -1, -1):
-            z_u = z_u * x + z
-            z = z * x + w[:, a]
-            z_v = z_v * x + w_y[:, a]
-        return z, np.column_stack([z_u, z_v])
-
-    def elevation_many(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        self._check_domain(t)
-        c, x, y = self._patch_coefficients(t)
+        c = self._table[su - pu, sv - pv]
+        x, y = u - self.knots_u[su], (v - self.knots_v[sv])[:, None]
         w = c[:, :, -1]
-        for b in range(self.degree_v - 1, -1, -1):
+        for b in range(pv - 1, -1, -1):
             w = w * y + c[:, :, b]
         z = w[:, -1]
-        for a in range(self.degree_u - 1, -1, -1):
+        for a in range(pu - 1, -1, -1):
             z = z * x + w[:, a]
         return z
 
@@ -221,18 +196,18 @@ class BSplineSurface:
 
     def gradient_many(self, t: np.ndarray) -> np.ndarray:
         """(N, 2) array of (dS/du, dS/dv), exact analytic derivatives."""
-        t = np.atleast_2d(np.asarray(t, dtype=float))
-        self._check_domain(t)
-        return self._eval_fused(t)[1]
+        return self.elevation_gradient_many(t)[1]
 
     def gradient(self, t: np.ndarray) -> np.ndarray:
         return np.array(self.eval_point(float(t[0]), float(t[1]))[1:3])
 
     def elevation_gradient_many(self, t: np.ndarray):
-        """(z, grad) in one call; cheaper than two separate queries."""
+        """(z, grad) of shapes (N,) and (N, 2): ``eval_point``'s at each
+        point, which raises OutOfChartError at the first one outside the
+        chart."""
         t = np.atleast_2d(np.asarray(t, dtype=float))
-        self._check_domain(t)
-        return self._eval_fused(t)
+        zg = np.array([self.eval_point(u, v)[:3] for u, v in t.tolist()])
+        return zg[:, 0], zg[:, 1:3]
 
     # -- chart maps ----------------------------------------------------------
 
@@ -252,10 +227,12 @@ class BSplineSurface:
 
         Composed as R_x(alpha) R_y(beta) with alpha = arctan(dS/dv) and
         beta = -arctan(dS/du * cos(alpha)), which makes the third column
-        the exact unit upward normal of z = S(u, v).
+        the exact unit upward normal of z = S(u, v). Each frame is
+        ``tangent_frame``'s, built on floats.
         """
-        g = self.gradient_many(t)
-        return _frames_from_gradient(g)
+        g = self.gradient_many(t).tolist()
+        return np.array([frame_matrix(*frame_cos_sin(s_u, s_v))
+                         for s_u, s_v in g])
 
     def tangent_frame(self, t: np.ndarray) -> np.ndarray:
         _, s_u, s_v = self.eval_point(float(t[0]), float(t[1]))[:3]
@@ -404,15 +381,6 @@ def frame_matrix(ca, sa, cb, sb):
     return ((cb, 0.0, sb),
             (sa * sb, ca, -sa * cb),
             (-ca * sb, sa, ca * cb))
-
-
-def _frames_from_gradient(g: np.ndarray):
-    """(N, 3, 3) frames R_x(alpha) R_y(beta) from surface gradients."""
-    r = np.empty((len(g), 3, 3))
-    for i, row in enumerate(frame_matrix(*frame_cos_sin(g[:, 0], g[:, 1]))):
-        for j, entry in enumerate(row):
-            r[:, i, j] = entry
-    return r
 
 
 def world_to_chart(p: np.ndarray) -> np.ndarray:

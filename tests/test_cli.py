@@ -310,6 +310,14 @@ def test_bad_pseudo_config_is_config_error(scenario, tmp_path, capsys,
     assert "pseudo" in capsys.readouterr().err
 
 
+def test_ramp_fraction_is_config_error(scenario, tmp_path, capsys):
+    # the speed ramp is a constant, not a trajectory option
+    traj = json.loads(scenario.read_text())["trajectory"]
+    assert _simulate_with(scenario, tmp_path, "trajectory",
+                          {**traj, "ramp_fraction": 0.3}) == 2
+    assert "ramp_fraction" in capsys.readouterr().err
+
+
 def _all_zero(data):
     data["knots_u"] = [0.0] * len(data["knots_u"])
 

@@ -1,4 +1,6 @@
 """Error-state propagation and correction machinery."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from meskf import (FilterState, OdometryInput, OutOfChartError,
                    RobotExtrinsics, SingularUpdateError, correct,
                    error_jacobians, propagate, wrap_angle)
+from meskf import core
 from meskf.core import _motion_model, heading_rotation_2d, joseph_update
 
 from conftest import random_spd
@@ -174,8 +177,7 @@ def test_joseph_update_never_increases_diagonals():
         m = rng.integers(1, 4)
         H = rng.standard_normal((m, 3))
         R = random_spd(rng, m, 0.01)
-        ok, dx, P2 = joseph_update(P, H, R, np.zeros(m))
-        assert ok
+        dx, P2 = joseph_update(P, H, R, np.zeros(m))
         assert np.all(np.diag(P2) <= np.diag(P) + 1e-12)
 
 
@@ -194,9 +196,8 @@ def test_one_row_update_matches_textbook_joseph(n):
         H = rng.standard_normal((1, n))
         R = np.array([[rng.uniform(1e-4, 1.0)]])
         y = rng.standard_normal(1)
-        ok, dx, P2 = joseph_update(P, H, R, y)
+        dx, P2 = joseph_update(P, H, R, y)
         dx_ref, P_ref = textbook_joseph(P, H, R, y)
-        assert ok
         scale = np.abs(P_ref).max()
         np.testing.assert_allclose(dx, dx_ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(dx_ref).max())
@@ -211,10 +212,30 @@ def test_one_row_update_refuses_nonpositive_s(n, r):
     P = np.eye(n) * 0.1
     H = np.zeros((1, n))
     H[0, 0] = 1.0
-    ok, dx, P2 = joseph_update(P, H, np.array([[r]]), np.array([0.5]))
-    assert not ok
-    np.testing.assert_array_equal(dx, np.zeros(n))
-    assert P2 is P
+    with pytest.raises(SingularUpdateError, match="not positive"):
+        joseph_update(P, H, np.array([[r]]), np.array([0.5]))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("r, match", [
+    (-1.0, "singular"),           # S not positive definite
+    (1e-14, "singular"),          # condition number about 2e13 > 1e12
+    (np.nan, "singular"),
+    (1e-2, "Cholesky"),           # S passes, its factorization fails
+], ids=["indefinite", "ill-conditioned", "nan", "cholesky"])
+def test_multi_row_update_refusals(n, r, match, monkeypatch):
+    # two rows observing the same state: S = [[p + r, p], [p, p + r]]
+    # with p = 0.1 has the eigenvalues r and 2p + r
+    P = np.eye(n) * 0.1
+    H = np.zeros((2, n))
+    H[:, 0] = 1.0
+    if match == "Cholesky":
+        # with the eigenvalue check passed, LAPACK's Cholesky solve
+        # reports a non-positive pivot (info > 0)
+        monkeypatch.setattr(core, "lapack", SimpleNamespace(
+            dsyevd=core.lapack.dsyevd, dposv=lambda a, b: (a, b, 1)))
+    with pytest.raises(SingularUpdateError, match=match):
+        joseph_update(P, H, np.eye(2) * r, np.array([0.5, 0.5]))
 
 
 def test_states_hand_out_independent_arrays():

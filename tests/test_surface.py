@@ -13,7 +13,6 @@ from meskf import (BSplineSurface, ConfigError, NumericalFailureError,
                    world_to_chart)
 from meskf.bspline import (basis_and_derivatives, find_spans,
                            point_basis_ders2, tensor_eval)
-from meskf.surface import _frames_from_gradient
 
 from conftest import make_random_surface
 
@@ -53,6 +52,7 @@ def test_fused_eval_matches_separate_calls(curved):
 @given(st.integers(1, 4), st.integers(0, 10 ** 6),
        st.floats(-9.5, 9.5), st.floats(-9.5, 9.5))
 def test_property_eval_point_matches_numpy_path(degree, seed, u, v):
+    # the numpy path is the Cox-de Boor oracle de_boor_many
     surface = make_random_surface(seed, size=degree + 5, degree=degree,
                                   amplitude=1.2)
     h = 1e-6
@@ -61,11 +61,11 @@ def test_property_eval_point_matches_numpy_path(degree, seed, u, v):
     assume(np.min(np.abs(knots - u)) > 10 * h)
     assume(np.min(np.abs(knots - v)) > 10 * h)
     s, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
-    z, g = surface._eval_fused(np.array([[u, v]]))
+    z, g = de_boor_many(surface, np.array([[u, v]]))
     np.testing.assert_allclose([s, s_u, s_v], [z[0], g[0, 0], g[0, 1]],
                                rtol=1e-12, atol=1e-12)
     pts = np.array([[u + h, v], [u - h, v], [u, v + h], [u, v - h]])
-    gp = surface._eval_fused(pts)[1]
+    gp = de_boor_many(surface, pts)[1]
     hess_fd = np.array([(gp[0] - gp[1]) / (2 * h), (gp[2] - gp[3]) / (2 * h)])
     np.testing.assert_allclose([[s_uu, s_uv], [s_uv, s_vv]], hess_fd,
                                rtol=1e-6, atol=1e-6)
@@ -146,11 +146,9 @@ def test_property_patch_table_matches_de_boor(degree_u, degree_v, seed):
     np.testing.assert_array_less(np.abs(got - ref), 1e-12 * np.abs(ref)
                                  + atol)
     np.testing.assert_allclose(got[:, 0], ref_z, rtol=1e-12, atol=1e-12)
-    z, grad = surface._eval_fused(t)
     z_ref, grad_ref = de_boor_many(surface, t)
-    np.testing.assert_allclose(z, ref_z, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(z, z_ref, rtol=1e-12, atol=1e-12)
-    np.testing.assert_array_less(np.abs(grad - grad_ref),
+    np.testing.assert_allclose(got[:, 0], z_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_less(np.abs(got[:, 1:3] - grad_ref),
                                  1e-12 * np.abs(grad_ref) + atol)
     np.testing.assert_allclose(surface.elevation_many(t), ref_z,
                                rtol=1e-12, atol=1e-12)
@@ -170,7 +168,7 @@ def test_property_table_hessian_matches_finite_differences(
     assume(np.min(np.abs(surface.knots_v - v)) > 10 * h)
     _, _, _, s_uu, s_uv, s_vv = surface.eval_point(u, v)
     pts = np.array([[u + h, v], [u - h, v], [u, v + h], [u, v - h]])
-    gp = surface._eval_fused(pts)[1]
+    gp = de_boor_many(surface, pts)[1]
     hess_fd = np.array([(gp[0] - gp[1]) / (2 * h), (gp[2] - gp[3]) / (2 * h)])
     np.testing.assert_allclose([[s_uu, s_uv], [s_uv, s_vv]], hess_fd,
                                rtol=1e-6, atol=1e-6)
@@ -216,7 +214,7 @@ def test_eval_point_domain_checks(curved):
         with pytest.raises(OutOfChartError, match="not finite"):
             curved.eval_point(bad, 0.0)
     # the domain's corners are inside
-    z, g = curved._eval_fused(np.array([[uhi, vhi]]))
+    z, g = de_boor_many(curved, np.array([[uhi, vhi]]))
     np.testing.assert_allclose(curved.eval_point(uhi, vhi)[0:3],
                                [z[0], g[0, 0], g[0, 1]], atol=1e-12)
 
@@ -250,10 +248,39 @@ def test_frame_quaternion_matches_matrix(curved):
         assert abs(pos[2] - z[k]) < 1e-13
 
 
-def test_frames_from_gradient_flat_is_identity():
-    r = _frames_from_gradient(np.zeros((3, 2)))
+def test_tangent_frame_many_flat_is_identity(flat):
+    r = flat.tangent_frame_many(sample_points(flat, 3, seed=11))
     np.testing.assert_allclose(r, np.broadcast_to(np.eye(3), (3, 3, 3)),
                                atol=1e-15)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_surface(REFERENCE_SURFACE),
+    lambda: nonuniform_surface(3, 2, 4),
+    lambda: nonuniform_surface(4, 1, 3),
+], ids=["reference", "degree-2x4", "degree-1x3"])
+def test_batched_derivatives_are_eval_point(make):
+    # every batched derivative query is eval_point's, bit for bit, on
+    # knot lines and corners too
+    surface = make()
+    t = table_test_points(surface, 12)
+    rows = [surface.eval_point(u, v) for u, v in t.tolist()]
+    z, grad = surface.elevation_gradient_many(t)
+    np.testing.assert_array_equal(z, [r[0] for r in rows])
+    np.testing.assert_array_equal(grad, [r[1:3] for r in rows])
+    np.testing.assert_array_equal(surface.gradient_many(t), grad)
+    np.testing.assert_array_equal(surface.tangent_frame_many(t),
+                                  [surface.tangent_frame(p) for p in t])
+    (u0, u1), (v0, v1) = surface.domain
+    queries = ("gradient_many", "elevation_gradient_many",
+               "tangent_frame_many")
+    for bad, match in (([u0, np.nan], "not finite"),
+                       ([np.inf, v0], "not finite"),
+                       ([u1 + 1e-9, v1], "outside domain"),
+                       ([u0, v0 - 1e-9], "outside domain")):
+        for name in queries:
+            with pytest.raises(OutOfChartError, match=match):
+                getattr(surface, name)(np.array([t[0], bad]))
 
 
 def test_chart_roundtrip_identity(curved):
