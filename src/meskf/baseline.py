@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quat
 from .core import OdometryInput, RobotExtrinsics, joseph_update
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, number_fields
 from .sensors3d import PoseMeasurement, RangeMeasurement, _cross
 from .surface import (BSplineSurface, frame_angle_derivatives,
                       frame_cos_sin, frame_matrix)
@@ -54,10 +54,8 @@ class PseudoMeasurementConfig:
     rate: float = 20.0       # application frequency, Hz
 
     def __post_init__(self):
-        for value in (self.sigma_z, self.sigma_rp, self.rate):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    "pseudo-measurement parameters must be finite and > 0")
+        number_fields(self, "pseudo", float, ("sigma_z", "sigma_rp", "rate"),
+                      gt=0)
 
 
 def propagate_3d(state: FullPoseState, odom: OdometryInput,

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .sim.config import check_seed, load_scenario
-from .sim.runner import FILTER_KINDS, metrics_from_arrays, run_campaign
+from .sim.config import campaign_setting, load_scenario
+from .sim.runner import metrics_from_arrays, run_campaign
 
 METRICS_HEADER = "step,time_s,rmse_pos_m,rmse_head_rad,anees,anees_lo,anees_hi"
 TIMINGS_HEADER = "trial,correction_type,mean_us,p99_us"
@@ -92,18 +92,12 @@ def _write_outputs(out_dir, metrics, errors=None, covs=None, diverged=None):
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
-    if args.filter:
-        if args.filter not in FILTER_KINDS:
-            raise ConfigError(f"must be one of {FILTER_KINDS}",
-                              field="--filter")
-        scenario.filter_kind = args.filter
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("must be >= 1", field="--trials")
-        scenario.n_trials = args.trials
-    if args.seed is not None:
-        check_seed(args.seed, "--seed")
-        scenario.seed = args.seed
+    for name, attr in (("filter", "filter_kind"), ("trials", "n_trials"),
+                       ("seed", "seed")):
+        value = getattr(args, name)
+        if value is not None:
+            setattr(scenario, attr,
+                    campaign_setting(name, value, f"--{name}"))
 
     metrics, errors, covs, diverged = run_campaign(scenario)
     _write_outputs(args.out, metrics, errors, covs, diverged)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import SingularUpdateError
+from .errors import ConfigError, SingularUpdateError, finite_array
 from .surface import BSplineSurface, frame_angle_derivatives, frame_cos_sin
 
 
@@ -69,15 +69,14 @@ class RobotExtrinsics:
     q_RS: np.ndarray         # sensor orientation in robot frame, wxyz
 
     def __post_init__(self):
-        self.r_RS = np.asarray(self.r_RS, dtype=float)
-        self.q_RS = np.asarray(self.q_RS, dtype=float)
-        if self.r_RS.shape != (3,) or not np.all(np.isfinite(self.r_RS)):
-            raise ValueError("r_RS must be a finite 3-vector")
-        if self.q_RS.shape != (4,) or not np.all(np.isfinite(self.q_RS)):
-            raise ValueError("q_RS must be a finite 4-vector")
+        self.r_RS = finite_array(self.r_RS, "extrinsics.r_RS")
+        self.q_RS = finite_array(self.q_RS, "extrinsics.q_RS")
+        if self.r_RS.shape != (3,):
+            raise ConfigError("must be a 3-vector", field="extrinsics.r_RS")
         n = np.linalg.norm(self.q_RS)
-        if n == 0.0:
-            raise ValueError("q_RS must have non-zero norm")
+        if self.q_RS.shape != (4,) or n == 0.0:
+            raise ConfigError("must be a non-zero 4-vector",
+                              field="extrinsics.q_RS")
         if abs(n - 1.0) > 1e-12:
             self.q_RS = self.q_RS / n
 

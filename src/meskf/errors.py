@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy, and the checks that make a bad scenario entry a
+``ConfigError`` naming its field."""
+
+import json
+import math
+import reprlib
+from numbers import Integral, Real
+from operator import ge, gt, lt
+
+import numpy as np
 
 
 class MeskfError(Exception):
@@ -41,12 +50,88 @@ class NoIntersectionError(MeskfError):
     """Range-sphere shell does not intersect the sampled surface region."""
 
 
-class ConfigError(MeskfError):
-    """A configuration file failed schema validation.
+class ConfigError(MeskfError, ValueError):
+    """A configuration entry failed validation.
 
-    ``field`` names the offending entry (dotted path).
+    ``field`` names the offending entry (dotted path). As a bad
+    argument to a config class, it is a ValueError too.
     """
 
     def __init__(self, message, field=None):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
+
+
+def number(kind, value, field: str, **bounds):
+    """``kind(value)`` for kind int or float. An int field takes an
+    integer, a float field an integer or a float; a boolean, a string or
+    any other type, a float that is not finite, or a value outside
+    ``bounds`` (``gt``, ``ge``, ``lt``) is a ConfigError naming ``field``.
+    """
+    if isinstance(value, bool) or not isinstance(
+            value, Integral if kind is int else Real):
+        raise ConfigError(f"must be {kind.__name__}, not {value!r}",
+                          field=field)
+    try:
+        x = kind(value)
+    except OverflowError as e:
+        raise ConfigError(str(e), field=field) from e
+    if kind is float and not math.isfinite(x):
+        raise ConfigError(f"must be finite, not {value!r}", field=field)
+    for holds, sign in ((gt, ">"), (ge, ">="), (lt, "<")):
+        bound = bounds.get(holds.__name__)
+        if bound is not None and not holds(x, bound):
+            raise ConfigError(f"must be {sign} {bound}, not {value!r}",
+                              field=field)
+    return x
+
+
+def number_fields(obj, block: str, kind, names, **bounds):
+    """Replace each attribute ``name`` of ``obj`` by its ``number``,
+    checked as the field ``block.name``."""
+    for name in names:
+        setattr(obj, name, number(kind, getattr(obj, name),
+                                  f"{block}.{name}", **bounds))
+
+
+def finite_array(value, field: str) -> np.ndarray:
+    """``value``, a number or nested lists of them, as a float array. A
+    boolean, a string, a ragged list or an entry that is not finite is a
+    ConfigError naming ``field``, as in ``number(float, ...)``."""
+    try:
+        a = np.asarray(value)
+    except ValueError as e:
+        raise ConfigError(str(e), field=field) from e
+    if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)) or any(
+            isinstance(x, bool) for x in np.asarray(value, object).flat):
+        raise ConfigError(f"must be finite numbers, not {reprlib.repr(value)}",
+                          field=field)
+    return np.array(a, dtype=float)
+
+
+def require(data: dict, key: str, block: str):
+    if key not in data:
+        raise ConfigError("missing required field", field=f"{block}.{key}")
+    return data[key]
+
+
+def read_json(path):
+    """The JSON file ``path``; one that cannot be read, decoded or parsed
+    is a ConfigError naming the file."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:    # JSONDecodeError is a ValueError
+        raise ConfigError(str(e), field=str(path)) from e
+
+
+def build(cls, data: dict, field: str, **defaults):
+    """``cls(**defaults, **data)``. A ConfigError passes unchanged; any
+    other TypeError or ValueError (an unknown key, say) becomes a
+    ConfigError naming the block ``field``."""
+    try:
+        return cls(**{**defaults, **data})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e), field=field) from e

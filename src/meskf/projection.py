@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FilterState, RobotExtrinsics, correct
-from .errors import (DegenerateCovarianceError, DegenerateGeometryError,
-                     DegenerateSamplingError, NoIntersectionError)
+from .errors import (ConfigError, DegenerateCovarianceError,
+                     DegenerateGeometryError, DegenerateSamplingError,
+                     NoIntersectionError, number_fields)
 from .sensors3d import _sensor_model
 from .surface import (BSplineSurface, frame_cos_sin, frame_matrix,
                       world_to_chart)
@@ -58,12 +59,13 @@ class SamplingConfig:
     shell_tolerance: float | None = None
 
     def __post_init__(self):
-        if self.grid_half_width <= 0:
-            raise ValueError("grid_half_width must be positive")
-        if self.grid_resolution < 3 or self.grid_resolution % 2 == 0:
-            raise ValueError("grid_resolution must be odd and >= 3")
-        if self.shell_tolerance is not None and self.shell_tolerance <= 0:
-            raise ValueError("shell_tolerance must be positive")
+        number_fields(self, "sampling", float, ("grid_half_width",), gt=0)
+        number_fields(self, "sampling", int, ("grid_resolution",), ge=3)
+        if self.grid_resolution % 2 == 0:
+            raise ConfigError(f"must be odd, not {self.grid_resolution}",
+                              field="sampling.grid_resolution")
+        if self.shell_tolerance is not None:
+            number_fields(self, "sampling", float, ("shell_tolerance",), gt=0)
 
 
 def _lever_arm(surface, state, extrinsics):

@@ -23,9 +23,8 @@ from .. import projection as prj
 from .. import quat
 from .. import sensors3d as s3d
 from ..core import FilterState, RobotExtrinsics, propagate, wrap_angle
-from ..errors import (ConfigError, DegenerateGeometryError,
-                      DegenerateSamplingError, MeskfError,
-                      NoIntersectionError)
+from ..errors import (DegenerateGeometryError, DegenerateSamplingError,
+                      MeskfError, NoIntersectionError, number_fields)
 from ..surface import BSplineSurface
 from .sensors import (MeasurementStreams, noise_free_measurements,
                       synthesize_measurements)
@@ -45,12 +44,9 @@ class InitialUncertainty:
     rp_std: float = 0.02      # baseline roll/pitch, rad
 
     def __post_init__(self):
-        for name in ("pos_std", "head_std", "z_std", "rp_std"):
-            std = getattr(self, name)
-            if not (math.isfinite(std) and std > 0):
-                # a zero std makes P0 singular, and with it every NEES
-                raise ConfigError("must be finite and positive",
-                                  field=f"init.{name}")
+        # a zero std makes P0 singular, and with it every NEES
+        number_fields(self, "init", float,
+                      ("pos_std", "head_std", "z_std", "rp_std"), gt=0)
 
 
 @dataclass
@@ -252,8 +248,7 @@ def metrics_from_arrays(times: np.ndarray, errors: np.ndarray,
         P = covariances[keep]                           # (N, K+1, 3, 3)
         rmse_pos = np.sqrt(np.mean(np.sum(e[:, :, 0:2] ** 2, axis=2), axis=0))
         rmse_head = np.sqrt(np.mean(e[:, :, 2] ** 2, axis=0))
-        Pinv = np.linalg.inv(P)
-        nees = np.einsum("nki,nkij,nkj->nk", e, Pinv, e)
+        nees = np.sum(e * np.linalg.solve(P, e[..., None])[..., 0], axis=-1)
         anees = np.mean(nees, axis=0) / 3.0
     else:
         rmse_pos = rmse_head = np.full(n_steps, np.nan)

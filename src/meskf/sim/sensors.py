@@ -13,14 +13,13 @@ Orientation noise is generated as Tait-Bryan angles and converted to
 quaternions.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import quat
 from ..core import FilterState, OdometryInput, RobotExtrinsics
-from ..errors import ConfigError
+from ..errors import ConfigError, finite_array, number_fields
 from ..sensors3d import PoseMeasurement, RangeMeasurement, predict_pose
 from ..surface import BSplineSurface
 from .trajectory import GroundTruth
@@ -43,25 +42,18 @@ class SensorSuite:
         default_factory=lambda: np.zeros((0, 3)))
 
     def __post_init__(self):
-        for name in ("odometry_rate", "pose_rate", "range_rate"):
-            rate = getattr(self, name)
-            if not (math.isfinite(rate) and rate > 0):
-                raise ConfigError("sensor rates must be finite and positive",
-                                  field=f"sensors.{name}")
-        for name in ("odometry_linear_std", "odometry_angular_std",
-                     "pose_position_std", "pose_orientation_std",
-                     "range_distance_std"):
-            std = getattr(self, name)
-            if not (math.isfinite(std) and std >= 0):
-                raise ConfigError("noise std must be finite and >= 0",
-                                  field=f"sensors.{name}")
+        number_fields(self, "sensors", float,
+                      ("odometry_rate", "pose_rate", "range_rate"), gt=0)
+        number_fields(self, "sensors", float,
+                      ("odometry_linear_std", "odometry_angular_std",
+                       "pose_position_std", "pose_orientation_std",
+                       "range_distance_std"), ge=0)
         # one anchor may be given as a bare 3-vector, none as []
-        anchors = np.asarray(self.anchors, dtype=float)
+        anchors = finite_array(self.anchors, "sensors.anchors")
         anchors = (anchors.reshape(0, 3) if anchors.size == 0
                    else np.atleast_2d(anchors))
-        if anchors.ndim != 2 or anchors.shape[1] != 3 \
-                or not np.all(np.isfinite(anchors)):
-            raise ConfigError("anchors must be finite (N, 3) positions",
+        if anchors.ndim != 2 or anchors.shape[1] != 3:
+            raise ConfigError("anchors must be (N, 3) positions",
                               field="sensors.anchors")
         self.anchors = anchors
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ..core import wrap_angle
-from ..errors import ConfigError, OutOfChartError
+from ..errors import ConfigError, finite_array, number, number_fields
 from ..surface import BSplineSurface, frame_cos_sin
 
 RAMP_FRACTION = 0.15
@@ -35,11 +35,8 @@ class TrajectorySpec:
     dt: float                # odometry step, s
 
     def __post_init__(self):
-        if self.speed < 0:
-            raise ConfigError("speed must be >= 0", field="trajectory.speed")
-        if self.duration <= 0 or self.dt <= 0:
-            raise ConfigError("duration and dt must be positive",
-                              field="trajectory")
+        number_fields(self, "trajectory", float, ("speed",), ge=0)
+        number_fields(self, "trajectory", float, ("duration", "dt"), gt=0)
 
 
 @dataclass
@@ -59,10 +56,15 @@ class GroundTruth:
 
 def _path_function(path: dict):
     """Return (position(s), total_length, closed) for a chart path."""
+    if not isinstance(path, dict):
+        raise ConfigError("must be an object", field="trajectory.path")
     kind = path.get("type")
     if kind == "circle":
-        center = np.asarray(path["center"], dtype=float)
-        radius = float(path["radius"])
+        center = finite_array(path.get("center"), "trajectory.path.center")
+        if center.shape != (2,):
+            raise ConfigError("must be [u, v]", field="trajectory.path.center")
+        radius = number(float, path.get("radius"), "trajectory.path.radius",
+                        gt=0)
         length = 2.0 * np.pi * radius
 
         def pos(s):
@@ -72,13 +74,12 @@ def _path_function(path: dict):
 
         return pos, length, True
     if kind == "waypoints":
-        pts = np.asarray(path["points"], dtype=float)
+        pts = finite_array(path.get("points"), "trajectory.path.points")
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
             raise ConfigError("waypoints must be an (n, 2) list, n >= 2",
                               field="trajectory.path.points")
         closed = bool(np.allclose(pts[0], pts[-1]))
         if closed:
-            pts = pts.copy()
             pts[-1] = pts[0]   # periodic splines need exact closure
         chord = np.concatenate(
             [[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
@@ -124,7 +125,7 @@ def generate_ground_truth(surface: BSplineSurface,
         s = np.clip(s, 0.0, length)
     chart = pos_fn(s)
     if not np.all(surface.contains(chart)):
-        raise OutOfChartError("trajectory leaves the chart domain")
+        raise ConfigError("leaves the chart domain", field="trajectory.path")
 
     # heading: the direction of the path tangent (du, dv, dS), with
     # dS = S_u du + S_v dv, along the frame's first two axes, the first

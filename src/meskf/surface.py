@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bspline
-from .errors import ConfigError, NumericalFailureError, OutOfChartError
+from .errors import (NumericalFailureError, OutOfChartError, build, number,
+                     read_json, require)
 
 CHART_JACOBIAN = np.array([[1.0, 0.0, 0.0],
                            [0.0, 1.0, 0.0]])
@@ -69,8 +70,7 @@ class BSplineSurface:
         cp = np.ascontiguousarray(self.control_points, dtype=float)
         for name, k, deg in (("knots_u", ku, self.degree_u),
                              ("knots_v", kv, self.degree_v)):
-            if deg < 1:
-                raise ValueError(f"degree for {name} must be >= 1")
+            deg = number(int, deg, f"surface.degree_{name[-1]}", ge=1)
             if k.ndim != 1 or not np.all(np.isfinite(k)):
                 raise ValueError(f"{name} must be a finite 1-D sequence")
             if np.any(np.diff(k) < 0):
@@ -425,30 +425,14 @@ def load_surface(path) -> BSplineSurface:
     "knots_v": [...], "control_points": [[...]]} with the control grid
     row-major in u.
     """
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except OSError as e:
-        raise ConfigError(str(e), field=str(path)) from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"invalid JSON: {e}", field=str(path)) from e
-    return surface_from_dict(data)
+    return surface_from_dict(read_json(path))
 
 
 def surface_from_dict(data: dict) -> BSplineSurface:
-    for key in ("degree_u", "degree_v", "knots_u", "knots_v",
-                "control_points"):
-        if key not in data:
-            raise ConfigError("missing required field", field=f"surface.{key}")
-    try:
-        return BSplineSurface(
-            degree_u=int(data["degree_u"]),
-            degree_v=int(data["degree_v"]),
-            knots_u=np.asarray(data["knots_u"], dtype=float),
-            knots_v=np.asarray(data["knots_v"], dtype=float),
-            control_points=np.asarray(data["control_points"], dtype=float))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e), field="surface") from e
+    return build(BSplineSurface, {
+        key: require(data, key, "surface") for key in (
+            "degree_u", "degree_v", "knots_u", "knots_v", "control_points")},
+        "surface")
 
 
 def save_surface(surface: BSplineSurface, path):

@@ -318,6 +318,77 @@ def test_ramp_fraction_is_config_error(scenario, tmp_path, capsys):
     assert "ramp_fraction" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+_SEGMENT = {"start": 0.0, "end": 5.0, "sensors": ["range"]}
+
+# (block, key, value, field named on stderr); a block of None sets the
+# top-level key. Rule: an int field takes an integer, a float field an
+# integer or a float, each finite and in range; booleans and strings
+# are refused everywhere.
+BAD_NUMBERS = [
+    ("sensors", "pose_position_std", -0.1, "sensors.pose_position_std"),
+    ("sensors", "range_distance_std", NAN, "sensors.range_distance_std"),
+    ("sensors", "odometry_linear_std", INF, "sensors.odometry_linear_std"),
+    ("init", "pos_std", 0, "init.pos_std"),
+    ("init", "head_std", -0.02, "init.head_std"),
+    ("init", "rp_std", INF, "init.rp_std"),
+    ("pseudo", "rate", NAN, "pseudo"),
+    ("pseudo", "sigma_z", NAN, "pseudo"),
+    ("pseudo", "sigma_rp", INF, "pseudo"),
+    ("pseudo", "rate", INF, "pseudo"),
+    ("pseudo", "sigma_z", 0.0, "pseudo"),
+    *[(None, "trials", v, "trials")
+      for v in ("two", None, [3], INF, 2.5, True)],
+    *[(None, "seed", v, "seed") for v in (10 ** 400, 1.5, True, "five", -1)],
+    *[(None, "schedule", [{**_SEGMENT, key: v}], f"schedule[0].{key}")
+      for key, v in (("start", "zero"), ("end", "five"), ("end", None),
+                     ("start", NAN))],
+    *[(None, "extrinsics", v, "extrinsics") for v in (
+        {"r_RS": [0.1, 0.0, 0.2], "q_RS": [0, 0, 0, 0]},
+        {"r_RS": [0.1, 0.0, 0.2], "q_RS": [1, 0, 0, NAN]},
+        {"r_RS": [INF, 0.0, 0.2]})],
+    ("trajectory", "duration", NAN, "trajectory.duration"),
+    ("trajectory", "dt", NAN, "trajectory.dt"),
+    ("trajectory", "speed", NAN, "trajectory.speed"),
+    ("trajectory", "speed", INF, "trajectory.speed"),
+    ("trajectory", "speed", "1", "trajectory.speed"),
+    ("trajectory", "path", "circle", "trajectory.path"),
+    ("trajectory", "path", {"type": "circle", "radius": 2.0},
+     "trajectory.path.center"),
+    ("trajectory", "path", {"type": "circle", "center": [0, 0],
+                            "radius": -2.0}, "trajectory.path.radius"),
+    ("trajectory", "path", {"type": "waypoints",
+                            "points": [[4, 0], [NAN, 4], [-4, 0]]},
+     "trajectory.path.points"),
+    # leaves the chart [-10, 10]^2
+    ("trajectory", "path", {"type": "circle", "center": [0, 0],
+                            "radius": 50.0}, "trajectory.path"),
+    ("sampling", "grid_half_width", NAN, "sampling.grid_half_width"),
+    ("sampling", "shell_tolerance", NAN, "sampling.shell_tolerance"),
+    ("sampling", "grid_resolution", 21.0, "sampling.grid_resolution"),
+    ("sensors", "pose_rate", True, "sensors.pose_rate"),
+    ("sensors", "pose_rate", "5", "sensors.pose_rate"),
+    ("extrinsics", "r_RS", "abc", "extrinsics.r_RS"),
+    ("surface", "degree_u", 3.7, "surface.degree_u"),
+    (None, "trials", "2", "trials"),
+]
+
+
+@pytest.mark.parametrize("block, key, value, field", BAD_NUMBERS, ids=[
+    f"{b + '.' if b else ''}{k}={v!r:.60}" for b, k, v, _ in BAD_NUMBERS])
+def test_bad_scenario_number_is_config_error(scenario, tmp_path, capsys,
+                                             block, key, value, field):
+    cfg = json.loads(scenario.read_text())
+    if block is not None:
+        # a surface given as a file name is inlined
+        given = cfg.get(block, {})
+        if isinstance(given, str):
+            given = json.loads((scenario.parent / given).read_text())
+        key, value = block, {**given, key: value}
+    assert _simulate_with(scenario, tmp_path, key, value) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+
+
 def _all_zero(data):
     data["knots_u"] = [0.0] * len(data["knots_u"])
 

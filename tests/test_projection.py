@@ -218,6 +218,12 @@ class TestSampling:
             SamplingConfig(grid_resolution=4)
         with pytest.raises(ValueError):
             SamplingConfig(grid_half_width=-1.0)
+        # refused however the grid cache was warmed
+        projection._whitened_grid(3.0, 21)
+        for bad in ({"grid_resolution": 21.0}, {"grid_half_width": np.nan},
+                    {"shell_tolerance": np.nan}):
+            with pytest.raises(ValueError):
+                SamplingConfig(**bad)
 
 
 class TestProjectRangeVariance:

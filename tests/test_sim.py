@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from meskf import (FilterState, OdometryInput, RobotExtrinsics, propagate,
-                   quat)
+from meskf import (ConfigError, FilterState, OdometryInput, RobotExtrinsics,
+                   propagate, quat)
 from meskf.sim.config import load_scenario, scenario_from_dict
 from meskf.sim.runner import (DIVERGENCE_LIMIT_M, InitialUncertainty,
                               anees_bounds, metrics_from_arrays,
@@ -85,8 +85,10 @@ class TestGroundTruth:
         assert np.all(np.abs(truth.chart) < 3.5)
 
     def test_out_of_domain_path_rejected(self, curved):
-        with pytest.raises(Exception):
+        # a scenario error, not an OutOfChartError from deep inside
+        with pytest.raises(ConfigError) as e:
             generate_ground_truth(curved, circle_spec(radius=50.0))
+        assert e.value.field == "trajectory.path"
 
 
 class TestSensorSynthesis:
