@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+# the gufuncs behind np.linalg.eigvalsh and np.linalg.solve, without the
+# public wrappers' argument handling (private, present since numpy 1.8)
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigError, SingularUpdateError, finite_array
 from .surface import BSplineSurface, frame_angle_derivatives, frame_cos_sin
@@ -202,10 +204,12 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     Discrete Sequential Estimation", 1977), which is written out on
     floats for the 3-state filter.
 
-    Otherwise S is checked by its eigenvalues and the gain solved by
-    Cholesky, both through the LAPACK wrappers directly: for these
-    few-row systems the numpy wrappers cost more than the arithmetic.
-    Both read the upper triangle of S.
+    Otherwise S is checked by its eigenvalues (read from its lower
+    triangle) and the gain solved by LU, both through numpy's linalg
+    gufuncs directly: for these few-row systems the public wrappers cost
+    more than the arithmetic. The gufuncs report no error code, so a
+    non-finite S is refused before them and a failed solve by the NaN
+    it writes.
     """
     if H.shape[0] == 1:
         if P.shape[0] == 3:
@@ -221,13 +225,15 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     # below that of the matmul ufunc behind @
     PHt = P.dot(H.T)
     S = H.dot(PHt) + R
-    w, _, info = lapack.dsyevd(S, compute_v=0)
-    if info or not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
+    if not np.isfinite(S).all():
+        raise SingularUpdateError("innovation covariance is singular: "
+                                  "not finite")
+    w = _umath_linalg.eigvalsh_lo(S)
+    if not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
         raise SingularUpdateError("innovation covariance is singular")
-    _, Kt, info = lapack.dposv(S, PHt.T)
-    if info:
-        raise SingularUpdateError("Cholesky factorization of S failed")
-    K = Kt.T
+    K = _umath_linalg.solve(S, PHt.T).T
+    if math.isnan(K[0, 0]):     # a failed solve fills its output with NaN
+        raise SingularUpdateError("solving S for the gain failed")
     dx = K.dot(innovation)
     IKH = np.eye(P.shape[0]) - K.dot(H)
     P_new = IKH.dot(P).dot(IKH.T) + K.dot(R).dot(K.T)

@@ -110,6 +110,10 @@ def finite_array(value, field: str) -> np.ndarray:
 
 
 def require(data: dict, key: str, block: str):
+    """``data[key]``. A ``data`` that is not an object is a ConfigError
+    naming ``block``, a missing key one naming ``block.key``."""
+    if not isinstance(data, dict):
+        raise ConfigError("must be an object", field=block)
     if key not in data:
         raise ConfigError("missing required field", field=f"{block}.{key}")
     return data[key]

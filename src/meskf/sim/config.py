@@ -69,13 +69,20 @@ def scenario_from_dict(data: dict, base_dir=Path(".")) -> Scenario:
     if sched_raw is None:
         schedule = SensorSchedule.always_on(trajectory.duration)
     else:
+        if not isinstance(sched_raw, list):
+            raise ConfigError("must be a list", field="schedule")
         segments = []
         for i, seg in enumerate(sched_raw):
             path = f"schedule[{i}]"
+            sensors = require(seg, "sensors", path)
+            if not (isinstance(sensors, list)
+                    and all(isinstance(name, str) for name in sensors)):
+                raise ConfigError("must be a list of sensor names",
+                                  field=f"{path}.sensors")
             segments.append(ScheduleSegment(
                 number(float, require(seg, "start", path), f"{path}.start"),
                 number(float, require(seg, "end", path), f"{path}.end"),
-                frozenset(require(seg, "sensors", path))))
+                frozenset(sensors)))
         schedule = SensorSchedule(segments)
     schedule.validate(trajectory.duration)
 

@@ -12,7 +12,6 @@ down over the last.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ..core import wrap_angle
 from ..errors import ConfigError, finite_array, number, number_fields
@@ -81,10 +80,12 @@ def _path_function(path: dict):
         closed = bool(np.allclose(pts[0], pts[-1]))
         if closed:
             pts[-1] = pts[0]   # periodic splines need exact closure
-        chord = np.concatenate(
-            [[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
-        bc = "periodic" if closed else "natural"
-        spline = CubicSpline(chord, pts, bc_type=bc)
+        h = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        if not np.all(h > 0.0):
+            raise ConfigError("consecutive waypoints must differ",
+                              field="trajectory.path.points")
+        chord = np.concatenate([[0.0], np.cumsum(h)])
+        spline = _cubic_spline(chord, pts, closed)
         # arc-length table on a fine grid
         sfine = np.linspace(0.0, chord[-1], 64 * len(pts))
         seg = np.linalg.norm(np.diff(spline(sfine), axis=0), axis=1)
@@ -98,6 +99,51 @@ def _path_function(path: dict):
         return pos, length, closed
     raise ConfigError(f"unknown path type {kind!r}",
                       field="trajectory.path.type")
+
+
+def _cubic_spline(x, y, periodic: bool):
+    """Interpolating cubic spline through (x[i], y[i]) for strictly
+    increasing x and rows y[i]: natural (zero second derivative at both
+    ends) or, when ``periodic``, with y[-1] == y[0] and the first two
+    derivatives matching across the end.
+
+    The knots' second derivatives M solve the spline's continuity
+    equations h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] =
+    6 (d[i] - d[i-1]), d the chord slopes (Numerical Recipes, 3rd ed.,
+    section 3.3), in one dense solve: cyclic in i when periodic. Returns
+    a function of the parameter that picks the span by searchsorted and
+    evaluates its cubic by Horner's rule; beyond the ends it continues
+    the end spans' cubics.
+    """
+    h = np.diff(x)
+    d = np.diff(y, axis=0) / h[:, None]
+    n = len(h)                        # spans
+    M = np.zeros_like(y)
+    if periodic:
+        # unknowns M[0..n-1], M[n] = M[0]; equation 0 wraps to span n-1
+        A = (np.diag(2.0 * (np.roll(h, 1) + h)) + np.diag(h[:-1], 1)
+             + np.diag(h[:-1], -1))
+        A[0, -1] += h[-1]
+        A[-1, 0] += h[-1]
+        M[:n] = np.linalg.solve(A, 6.0 * (d - np.roll(d, 1, axis=0)))
+        M[n] = M[0]
+    elif n > 1:
+        # natural: M[0] = M[n] = 0, interior unknowns M[1..n-1]
+        A = (np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1)
+             + np.diag(h[1:-1], -1))
+        M[1:n] = np.linalg.solve(A, 6.0 * (d[1:] - d[:-1]))
+    # power-basis coefficients of span i about x[i]
+    c1 = d - h[:, None] * (2.0 * M[:-1] + M[1:]) / 6.0
+    c2 = 0.5 * M[:-1]
+    c3 = (M[1:] - M[:-1]) / (6.0 * h[:, None])
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 1)
+        dt = (t - x[i])[..., None]
+        return y[i] + dt * (c1[i] + dt * (c2[i] + dt * c3[i]))
+
+    return evaluate
 
 
 def _arc_profile(spec: TrajectorySpec, n_steps: int):

@@ -1,6 +1,7 @@
 """Command-line interface: output contract and exit codes."""
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import meskf
 from meskf import flat_surface, save_surface
 from meskf.cli import main
 
@@ -125,6 +127,34 @@ def test_reference_campaign_script_refuses_zero_trials(tmp_path):
     assert proc.returncode == 2
     assert "--trials" in proc.stderr
     assert not out.exists()
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None       # any scipy import now fails
+from meskf.cli import main
+for kind in ("M-ESEKF", "MP-ESEKF", "C-ESEKF"):
+    code = main(["simulate", "--config", sys.argv[1], "--filter", kind,
+                 "--trials", "1", "--out", sys.argv[2] + "/" + kind])
+    assert code == 0, (kind, code)
+loaded = [m for m, v in sys.modules.items()
+          if m.split(".")[0] == "scipy" and v is not None]
+assert not loaded, loaded
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test-only dependency: the CLI imports and runs every
+    # filter with scipy blocked
+    config = Path(__file__).resolve().parents[1] / "scenarios" / \
+        "flat_selftest.json"
+    src = str(Path(meskf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(config),
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_metrics_refuses_pickled_arrays(scenario, tmp_path, capsys):
@@ -343,6 +373,10 @@ BAD_NUMBERS = [
     *[(None, "schedule", [{**_SEGMENT, key: v}], f"schedule[0].{key}")
       for key, v in (("start", "zero"), ("end", "five"), ("end", None),
                      ("start", NAN))],
+    (None, "schedule", [5], "schedule[0]"),
+    (None, "schedule", 5, "schedule"),
+    *[(None, "schedule", [{**_SEGMENT, "sensors": v}], "schedule[0].sensors")
+      for v in (5, "range", [["range"]])],
     *[(None, "extrinsics", v, "extrinsics") for v in (
         {"r_RS": [0.1, 0.0, 0.2], "q_RS": [0, 0, 0, 0]},
         {"r_RS": [0.1, 0.0, 0.2], "q_RS": [1, 0, 0, NAN]},
@@ -360,6 +394,9 @@ BAD_NUMBERS = [
     ("trajectory", "path", {"type": "waypoints",
                             "points": [[4, 0], [NAN, 4], [-4, 0]]},
      "trajectory.path.points"),
+    *[("trajectory", "path", {"type": "waypoints", "points": v},
+       "trajectory.path.points") for v in (
+        [[4, 0], [0, 4], [0, 4], [-4, 0]], [[0, 0], [0, 0]])],
     # leaves the chart [-10, 10]^2
     ("trajectory", "path", {"type": "circle", "center": [0, 0],
                             "radius": 50.0}, "trajectory.path"),

@@ -221,21 +221,28 @@ def test_one_row_update_refuses_nonpositive_s(n, r):
     (-1.0, "singular"),           # S not positive definite
     (1e-14, "singular"),          # condition number about 2e13 > 1e12
     (np.nan, "singular"),
-    (1e-2, "Cholesky"),           # S passes, its factorization fails
-], ids=["indefinite", "ill-conditioned", "nan", "cholesky"])
+    ("nan-off-diagonal", "not finite"),
+    (1e-2, "gain"),               # S passes, the solve for the gain fails
+], ids=["indefinite", "ill-conditioned", "nan", "nan-off-diagonal", "solve"])
 def test_multi_row_update_refusals(n, r, match, monkeypatch):
     # two rows observing the same state: S = [[p + r, p], [p, p + r]]
     # with p = 0.1 has the eigenvalues r and 2p + r
     P = np.eye(n) * 0.1
     H = np.zeros((2, n))
     H[:, 0] = 1.0
-    if match == "Cholesky":
-        # with the eigenvalue check passed, LAPACK's Cholesky solve
-        # reports a non-positive pivot (info > 0)
-        monkeypatch.setattr(core, "lapack", SimpleNamespace(
-            dsyevd=core.lapack.dsyevd, dposv=lambda a, b: (a, b, 1)))
+    R = np.eye(2) * (0.01 if r == "nan-off-diagonal" else r)
+    if r == "nan-off-diagonal":
+        # NaN off the diagonal and above it only: the eigenvalue check
+        # reads the lower triangle and does not see it
+        R[0, 1] = np.nan
+    if match == "gain":
+        # with the eigenvalue check passed, the solve gufunc fails as it
+        # does on an exactly singular matrix: NaN in every entry
+        monkeypatch.setattr(core, "_umath_linalg", SimpleNamespace(
+            eigvalsh_lo=core._umath_linalg.eigvalsh_lo,
+            solve=lambda a, b: np.full_like(b, np.nan)))
     with pytest.raises(SingularUpdateError, match=match):
-        joseph_update(P, H, np.eye(2) * r, np.array([0.5, 0.5]))
+        joseph_update(P, H, R, np.array([0.5, 0.5]))
 
 
 def test_states_hand_out_independent_arrays():

@@ -3,21 +3,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.stats import chi2
 
 from meskf import (ConfigError, FilterState, OdometryInput, RobotExtrinsics,
                    propagate, quat)
 from meskf.sim.config import load_scenario, scenario_from_dict
 from meskf.sim.runner import (DIVERGENCE_LIMIT_M, InitialUncertainty,
-                              anees_bounds, metrics_from_arrays,
-                              run_campaign, run_trial)
+                              _percentile99, anees_bounds,
+                              metrics_from_arrays, run_campaign, run_trial)
 from meskf.sim.sensors import (MeasurementStreams, ScheduleSegment,
                                SensorSchedule, SensorSuite,
                                _rng, noise_free_measurements,
                                synthesize_measurements)
 from meskf.sensors3d import predict_pose
 from meskf.sim.trajectory import (GroundTruth, TrajectorySpec,
-                                  generate_ground_truth)
+                                  _cubic_spline, generate_ground_truth)
 
 IDENT = RobotExtrinsics.identity()
 REFERENCE_SCENARIO = (Path(__file__).resolve().parents[1] / "scenarios"
@@ -83,6 +84,27 @@ class TestGroundTruth:
         truth = generate_ground_truth(flat, spec)
         assert truth.n_steps == 200
         assert np.all(np.abs(truth.chart) < 3.5)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_waypoint_spline_matches_scipy(self, periodic):
+        # oracle: scipy's CubicSpline on the same chord parameter, over
+        # the reference scenario's waypoints and random ones
+        reference = load_scenario(REFERENCE_SCENARIO).trajectory
+        rng = np.random.default_rng(3)
+        sets = [np.array(reference.path["points"], dtype=float)]
+        sets += [rng.uniform(-8.0, 8.0, (n, 2)) for n in (2, 3, 4, 7, 20)]
+        for pts in sets:
+            if periodic:
+                if len(pts) < 3:
+                    continue
+                pts[-1] = pts[0]
+            x = np.concatenate([[0.0], np.cumsum(
+                np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+            t = np.linspace(0.0, x[-1], 4001)
+            oracle = CubicSpline(x, pts, bc_type="periodic" if periodic
+                                 else "natural")
+            np.testing.assert_allclose(_cubic_spline(x, pts, periodic)(t),
+                                       oracle(t), rtol=0, atol=1e-12)
 
     def test_out_of_domain_path_rejected(self, curved):
         # a scenario error, not an OutOfChartError from deep inside
@@ -274,14 +296,22 @@ class TestMetrics:
         np.testing.assert_allclose(m.exclusion_rate, 1 / 3)
 
     def test_anees_bounds_match_scipy(self):
-        # oracle: scipy.stats.chi2.ppf, exact down to a single trial
-        for n in (1, 2, 3, 100):
-            for m in (1, 2, 3):
-                dof = n * m
-                lo, hi = anees_bounds(n, m)
-                np.testing.assert_allclose(
-                    [lo, hi], [chi2.ppf(0.005, dof) / dof,
-                               chi2.ppf(0.995, dof) / dof], rtol=1e-9)
+        # oracle: scipy.stats.chi2.ppf, exact down to a single trial and
+        # up to 3000 degrees of freedom
+        cases = [(n, m) for n in (1, 2, 3, 100, 1000) for m in (1, 2, 3)]
+        cases += [(dof, 1) for dof in range(1, 3001)]
+        got = np.array([anees_bounds(n, m) for n, m in cases])
+        dof = np.array([n * m for n, m in cases])
+        np.testing.assert_allclose(
+            got, np.column_stack([chi2.ppf(0.005, dof) / dof,
+                                  chi2.ppf(0.995, dof) / dof]), rtol=1e-12)
+
+    def test_percentile99_matches_numpy(self):
+        # the timing rows' p99 is numpy's default (linear) percentile
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 99, 100, 101, 401, 1200):
+            x = rng.lognormal(3.0, 1.0, n)
+            assert _percentile99(x) == float(np.percentile(x, 99))
 
     def test_anees_bounds_frozen_values(self):
         # N=100 trials, m=3 dof, 99% confidence (oracle: chi2.ppf)
