@@ -21,9 +21,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from meskf import FILTER_KINDS  # noqa: E402
 from meskf.cli import main as cli_main  # noqa: E402
 
-FILTERS = ("M-ESEKF", "MP-ESEKF", "C-ESEKF")
 PHASES = ((10.0, 20.0), (30.0, 40.0), (50.0, 60.0))
 
 
@@ -57,13 +57,13 @@ def main():
     out_root = Path(args.out)
 
     runs = [(k, ROOT / "scenarios" / "reference_curved.json")
-            for k in FILTERS]
+            for k in FILTER_KINDS]
     runs.append(("flat-selftest", ROOT / "scenarios" / "flat_selftest.json"))
 
     for name, scenario in runs:
         out = out_root / name
         argv = ["simulate", "--config", str(scenario), "--out", str(out)]
-        if name in FILTERS:
+        if name in FILTER_KINDS:
             argv += ["--filter", name]
         if args.trials is not None:
             argv += ["--trials", str(args.trials)]
@@ -79,7 +79,7 @@ def main():
               f"{'head RMSE max [rad]':<26} {'mean ANEES':>10} "
               f"{'in bounds':>10}")
     print(header)
-    for name in FILTERS:
+    for name in FILTER_KINDS:
         cols, timings = load_metrics(out_root / name)
         pos = "/".join(f"{phase_max(cols, 'rmse_pos_m', a, b):.4f}"
                        for a, b in PHASES)

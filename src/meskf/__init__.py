@@ -10,6 +10,8 @@ from .errors import (ConfigError, DegenerateCovarianceError,
                      DegenerateGeometryError, DegenerateSamplingError,
                      MeskfError, NoIntersectionError, NumericalFailureError,
                      OutOfChartError, SingularUpdateError)
+from .filters import (CESEKF, FILTER_KINDS, FILTERS, MESEKF, MPESEKF,
+                      InitialUncertainty, make_filter)
 from .projection import (ProjectedPosition, ProjectedRange, SamplingConfig,
                          associate_to_surface, ellipsoid_tangent_intersection,
                          project_position, project_range,

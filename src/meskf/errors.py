@@ -94,6 +94,16 @@ def number_fields(obj, block: str, kind, names, **bounds):
                                   f"{block}.{name}", **bounds))
 
 
+def divisor(rate: float, base_rate: float, field: str) -> int:
+    """The whole number of ``base_rate`` ticks per tick at ``rate``; a
+    rate that does not divide ``base_rate``, the odometry rate, is a
+    ConfigError naming ``field``."""
+    every = int(round(base_rate / rate))
+    if abs(every * rate - base_rate) > 1e-9:
+        raise ConfigError("must divide the odometry rate", field=field)
+    return every
+
+
 def finite_array(value, field: str) -> np.ndarray:
     """``value``, a number or nested lists of them, as a float array. A
     boolean, a string, a ragged list or an entry that is not finite is a

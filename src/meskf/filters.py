@@ -1,0 +1,141 @@
+"""The three filters, one object each, and their registry ``FILTERS``.
+
+A filter holds only its configuration, so one object serves every trial
+of a campaign. ``start`` offsets the true chart pose by the stds of
+``InitialUncertainty`` times a trial's six standard-normal draws;
+``correct_periodic`` is due every ``every`` steps (0: never);
+``to_eval`` maps a state to the scoring space (chart position, heading,
+their covariance); ``*_label`` names each correction in timings.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import baseline as bl
+from . import projection as prj
+from . import quat
+from . import sensors3d as s3d
+from .core import FilterState, RobotExtrinsics, propagate
+from .errors import (DegenerateGeometryError, DegenerateSamplingError,
+                     NoIntersectionError, divisor, number_fields)
+from .surface import BSplineSurface
+
+
+@dataclass
+class InitialUncertainty:
+    """Standard deviations used to seed the initial estimate and P0."""
+    pos_std: float = 0.05     # chart position, m
+    head_std: float = 0.02    # heading, rad
+    z_std: float = 0.05       # baseline elevation, m
+    rp_std: float = 0.02      # baseline roll/pitch, rad
+
+    def __post_init__(self):
+        # a zero std makes P0 singular, and with it every NEES
+        number_fields(self, "init", float,
+                      ("pos_std", "head_std", "z_std", "rp_std"), gt=0)
+
+
+@dataclass
+class MESEKF:
+    """Chart-space ESEKF with the analytic 3-D pose and range updates."""
+    surface: BSplineSurface
+    dt: float
+    extrinsics: RobotExtrinsics
+    pose_label, range_label, every = "pose", "range", 0
+
+    def start(self, t, gamma, init: InitialUncertainty, noise):
+        P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2,
+                      init.head_std ** 2])
+        return FilterState(t + init.pos_std * noise[0:2],
+                           gamma + init.head_std * noise[2], P0)
+
+    def propagate(self, state, odom):
+        return propagate(self.surface, state, odom, self.dt)
+
+    def correct_pose(self, state, meas):
+        return s3d.pose_update(state, self.surface, self.extrinsics, meas)
+
+    def correct_range(self, state, meas):
+        return s3d.range_update(state, self.surface, self.extrinsics, meas)
+
+    def to_eval(self, state):
+        return state.t_R, state.gamma_R, state.P_x
+
+
+@dataclass
+class MPESEKF(MESEKF):
+    """The M-ESEKF with chart-projected corrections. A range with no
+    projection (no shell points, degenerate samples or geometry) falls
+    back to the M-ESEKF's 3-D range update, under the same label."""
+    sampling: prj.SamplingConfig
+    pose_label, range_label = "projected_position", "projected_range"
+
+    def correct_pose(self, state, meas):
+        p = prj.project_position(self.surface, meas.z_p, meas.P_m[0:3, 0:3],
+                                 self.extrinsics, state)
+        state = prj.projected_position_update(state, self.surface, p)
+        return s3d.orientation_update(state, self.surface, self.extrinsics,
+                                      meas)
+
+    def correct_range(self, state, meas):
+        try:
+            pr = prj.project_range(self.surface, meas.z_d, meas.R_d,
+                                   meas.r_A, self.extrinsics, state,
+                                   self.sampling)
+            return prj.projected_range_update(state, self.surface, pr)
+        except (NoIntersectionError, DegenerateSamplingError,
+                DegenerateGeometryError):
+            return super().correct_range(state, meas)
+
+
+class CESEKF:
+    """Constrained 6-dof ESEKF: 3-D position and attitude, held to the
+    surface by a pseudo-measurement every ``every`` steps."""
+    pose_label, range_label, periodic_label = "pose", "range", "pseudo"
+
+    def __init__(self, surface, dt, extrinsics, pseudo):
+        self.surface, self.dt, self.extrinsics = surface, dt, extrinsics
+        self.pseudo = pseudo
+        self.every = divisor(pseudo.rate, 1.0 / dt, "pseudo.rate")
+
+    def start(self, t, gamma, init: InitialUncertainty, noise):
+        p0, q_true = s3d.predict_pose(
+            self.surface, FilterState(t, gamma, np.eye(3)),
+            RobotExtrinsics.identity())
+        n = noise.tolist()
+        p0 = p0 + np.array([init.pos_std * n[0], init.pos_std * n[1],
+                            init.z_std * n[3]])
+        dq = quat.from_rotvec((init.rp_std * n[4], init.rp_std * n[5],
+                               init.head_std * n[2]))
+        P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2, init.z_std ** 2,
+                      init.rp_std ** 2, init.rp_std ** 2,
+                      init.head_std ** 2])
+        return bl.FullPoseState(p0, quat.multiply(q_true, dq), P0)
+
+    def propagate(self, state, odom):
+        return bl.propagate_3d(state, odom, self.dt)
+
+    def correct_pose(self, state, meas):
+        return bl.pose_update_3d(state, self.extrinsics, meas)
+
+    def correct_range(self, state, meas):
+        return bl.range_update_3d(state, self.extrinsics, meas)
+
+    def correct_periodic(self, state):
+        return bl.pseudo_update(state, self.surface, self.pseudo)
+
+    def to_eval(self, state):
+        x, P_eval = bl.chart_errors(state, self.surface)
+        return x[0:2], x[2], P_eval
+
+
+FILTERS = {"M-ESEKF": MESEKF, "MP-ESEKF": MPESEKF, "C-ESEKF": CESEKF}
+FILTER_KINDS = tuple(FILTERS)
+
+
+def make_filter(kind: str, surface, dt, extrinsics, sampling, pseudo):
+    """The filter ``kind`` of ``FILTERS``, given the tuning it takes:
+    ``sampling`` for the MP-ESEKF, ``pseudo`` for the C-ESEKF."""
+    tuning = {"MP-ESEKF": (sampling,), "C-ESEKF": (pseudo,)}.get(kind, ())
+    return FILTERS[kind](surface, dt, extrinsics, *tuning)

@@ -11,9 +11,9 @@ from pathlib import Path
 from ..baseline import PseudoMeasurementConfig
 from ..core import RobotExtrinsics
 from ..errors import ConfigError, build, number, read_json, require
+from ..filters import FILTER_KINDS, InitialUncertainty
 from ..projection import SamplingConfig
 from ..surface import BSplineSurface, load_surface, surface_from_dict
-from .runner import FILTER_KINDS, InitialUncertainty
 from .sensors import ScheduleSegment, SensorSchedule, SensorSuite
 from .trajectory import TrajectorySpec
 

@@ -1,51 +1,28 @@
 """Trial execution, Monte-Carlo campaigns and metric aggregation.
 
-``run_trial`` is one event loop for all three filters; each filter
-family enters it only through a ``_Filter``. ``run_campaign`` runs the
-trials of a scenario and scores them.
+``run_trial`` is one event loop for all three filters of
+``meskf.filters``. ``run_campaign`` builds the scenario's filter once,
+runs the trials of the scenario with it and scores them.
 
-Every filter variant is scored in the same evaluation space: chart
-position error (m) and heading error (rad). The constrained 3-D
-baseline is mapped into that space through the chart and the tangent
-frame decomposition so the comparison is over shared observables.
+Every filter is scored in the same evaluation space, chart position
+error (m) and heading error (rad), which its ``to_eval`` maps it to.
 """
 
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .. import baseline as bl
-from .. import projection as prj
-from .. import quat
-from .. import sensors3d as s3d
-from ..core import FilterState, RobotExtrinsics, propagate, wrap_angle
-from ..errors import (DegenerateGeometryError, DegenerateSamplingError,
-                      MeskfError, NoIntersectionError, number_fields)
-from ..surface import BSplineSurface
+from ..core import wrap_angle
+from ..errors import MeskfError
+from ..filters import InitialUncertainty, make_filter
 from .sensors import (MeasurementStreams, noise_free_measurements,
                       synthesize_measurements)
 from .trajectory import GroundTruth, generate_ground_truth
 
-FILTER_KINDS = ("M-ESEKF", "MP-ESEKF", "C-ESEKF")
 DIVERGENCE_LIMIT_M = 10.0
 ANEES_CONFIDENCE = 0.99
-
-
-@dataclass
-class InitialUncertainty:
-    """Standard deviations used to seed the initial estimate and P0."""
-    pos_std: float = 0.05     # chart position, m
-    head_std: float = 0.02    # heading, rad
-    z_std: float = 0.05       # baseline elevation, m
-    rp_std: float = 0.02      # baseline roll/pitch, rad
-
-    def __post_init__(self):
-        # a zero std makes P0 singular, and with it every NEES
-        number_fields(self, "init", float,
-                      ("pos_std", "head_std", "z_std", "rp_std"), gt=0)
 
 
 @dataclass
@@ -156,115 +133,16 @@ def anees_bounds(n_trials: int, m: int):
     return _chi2_isf(1.0 - alpha, dof) / dof, _chi2_isf(alpha, dof) / dof
 
 
-class _Filter(NamedTuple):
-    """What one filter family gives the shared trial loop.
-
-    Each correction is a (timing label, function) pair; ``pose`` and
-    ``range`` take (state, measurement), ``periodic`` takes the state
-    and runs every ``every`` steps. ``to_eval`` maps a state to the
-    evaluation space (t, gamma, P_eval).
-    """
-    state: object
-    propagate: Callable           # (state, odometry) -> state
-    pose: tuple
-    range: tuple
-    to_eval: Callable
-    periodic: tuple = (None, 0, None)   # (label, every, fn), C-ESEKF
-
-
-def _manifold_filter(surface, truth, noise, projected, sampling,
-                     extrinsics, init) -> _Filter:
-    P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2, init.head_std ** 2])
-    t0 = truth.chart[0] + init.pos_std * noise[0:2]
-    g0 = truth.gamma[0] + init.head_std * noise[2]
-
-    if projected:
-        def pose(st, meas):
-            p = prj.project_position(surface, meas.z_p, meas.P_m[0:3, 0:3],
-                                     extrinsics, st)
-            st = prj.projected_position_update(st, surface, p)
-            return s3d.orientation_update(st, surface, extrinsics, meas)
-
-        def rng(st, meas):
-            try:
-                pr = prj.project_range(surface, meas.z_d, meas.R_d,
-                                       meas.r_A, extrinsics, st, sampling)
-                return prj.projected_range_update(st, surface, pr)
-            except (NoIntersectionError, DegenerateSamplingError,
-                    DegenerateGeometryError):
-                return s3d.range_update(st, surface, extrinsics, meas)
-        labels = ("projected_position", "projected_range")
-    else:
-        def pose(st, meas):
-            return s3d.pose_update(st, surface, extrinsics, meas)
-
-        def rng(st, meas):
-            return s3d.range_update(st, surface, extrinsics, meas)
-        labels = ("pose", "range")
-
-    return _Filter(
-        FilterState(t0, g0, P0),
-        lambda st, odo: propagate(surface, st, odo, truth.dt),
-        (labels[0], pose), (labels[1], rng),
-        lambda st: (st.t_R, st.gamma_R, st.P_x))
-
-
-def _baseline_filter(surface, truth, noise, pseudo, extrinsics,
-                     init) -> _Filter:
-    p0, q_true = s3d.predict_pose(
-        surface, FilterState(truth.chart[0], truth.gamma[0], np.eye(3)),
-        RobotExtrinsics.identity())
-    n = noise.tolist()
-    p0 = p0 + np.array([init.pos_std * n[0], init.pos_std * n[1],
-                        init.z_std * n[3]])
-    dq = quat.from_rotvec((init.rp_std * n[4], init.rp_std * n[5],
-                           init.head_std * n[2]))
-    P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2, init.z_std ** 2,
-                  init.rp_std ** 2, init.rp_std ** 2, init.head_std ** 2])
-
-    def to_eval(st):
-        x, P_eval = bl.chart_errors(st, surface)
-        return x[0:2], x[2], P_eval
-
-    return _Filter(
-        bl.FullPoseState(p0, quat.multiply(q_true, dq), P0),
-        lambda st, odo: bl.propagate_3d(st, odo, truth.dt),
-        ("pose", lambda st, meas: bl.pose_update_3d(st, extrinsics, meas)),
-        ("range", lambda st, meas: bl.range_update_3d(st, extrinsics,
-                                                      meas)),
-        to_eval,
-        ("pseudo", max(int(round(1.0 / (pseudo.rate * truth.dt))), 1),
-         lambda st: bl.pseudo_update(st, surface, pseudo)))
-
-
-def run_trial(surface: BSplineSurface, truth: GroundTruth,
-              streams: MeasurementStreams, filter_kind: str,
-              sampling=None, pseudo=None, extrinsics=None,
-              init=None) -> TrialResult:
-    """Event-driven execution of one trial with the selected filter.
+def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
+              init: InitialUncertainty) -> TrialResult:
+    """Event-driven execution of one trial with the filter ``filt``
+    (``meskf.filters``), started from ``init`` and the trial's draws.
 
     Each step propagates on the odometry, then applies the periodic
     correction when due, the pose event, and the range events of the
     step, timing each correction. A package error or a chart position
     error above ``DIVERGENCE_LIMIT_M`` ends the trial as diverged.
     """
-    if filter_kind not in FILTER_KINDS:
-        raise ValueError(f"unknown filter kind {filter_kind!r}")
-    extrinsics = extrinsics or RobotExtrinsics.identity()
-    init = init or InitialUncertainty()
-    noise = streams.initial_state_noise
-    if filter_kind == "C-ESEKF":
-        f = _baseline_filter(surface, truth, noise,
-                             pseudo or bl.PseudoMeasurementConfig(),
-                             extrinsics, init)
-    else:
-        f = _manifold_filter(surface, truth, noise,
-                             filter_kind == "MP-ESEKF",
-                             sampling or prj.SamplingConfig(),
-                             extrinsics, init)
-    (pose_key, pose), (range_key, rng) = f.pose, f.range
-    periodic_key, every, periodic = f.periodic
-
     n = truth.n_steps
     errors = np.zeros((n + 1, 3))
     covs = np.zeros((n + 1, 3, 3))
@@ -278,29 +156,31 @@ def run_trial(surface: BSplineSurface, truth: GroundTruth,
 
     def record(k, st):
         """Store step k's errors; return the chart position error."""
-        t, gamma, P_eval = f.to_eval(st)
+        t, gamma, P_eval = filt.to_eval(st)
         e = t - truth.chart[k]
         errors[k, 0:2] = e
         errors[k, 2] = wrap_angle(gamma - truth.gamma[k])
         covs[k] = P_eval
         return math.hypot(*e.tolist())
 
-    state = f.state
+    state = filt.start(truth.chart[0], truth.gamma[0], init,
+                       streams.initial_state_noise)
     record(0, state)
     for step in range(1, n + 1):
         try:
-            state = f.propagate(state, streams.odometry[step - 1])
-            if every and step % every == 0:
-                state = timed(periodic_key, periodic, state)
+            state = filt.propagate(state, streams.odometry[step - 1])
+            if filt.every and step % filt.every == 0:
+                state = timed(filt.periodic_label, filt.correct_periodic,
+                              state)
             if step in streams.pose_events:
-                state = timed(pose_key, pose, state,
+                state = timed(filt.pose_label, filt.correct_pose, state,
                               streams.pose_events[step])
             for meas in streams.range_events.get(step, ()):
-                state = timed(range_key, rng, state, meas)
-            chart_error = record(step, state)
+                state = timed(filt.range_label, filt.correct_range, state,
+                              meas)
+            if record(step, state) > DIVERGENCE_LIMIT_M:
+                return TrialResult(errors, covs, timings, True, step)
         except MeskfError:
-            return TrialResult(errors, covs, timings, True, step)
-        if chart_error > DIVERGENCE_LIMIT_M:
             return TrialResult(errors, covs, timings, True, step)
     return TrialResult(errors, covs, timings, False)
 
@@ -376,12 +256,12 @@ def run_campaign(scenario):
     truth = generate_ground_truth(sc.surface, sc.trajectory)
     clean = noise_free_measurements(sc.surface, truth, sc.suite,
                                     sc.schedule, sc.extrinsics)
+    filt = make_filter(sc.filter_kind, sc.surface, truth.dt, sc.extrinsics,
+                       sc.sampling, sc.pseudo)
     results = []
     for trial in range(sc.n_trials):
         streams = synthesize_measurements(clean, sc.seed, trial)
-        results.append(run_trial(sc.surface, truth, streams,
-                                 sc.filter_kind, sc.sampling, sc.pseudo,
-                                 sc.extrinsics, sc.init))
+        results.append(run_trial(filt, truth, streams, sc.init))
     errors, covs, diverged, timing_rows = stack_results(results)
     metrics = metrics_from_arrays(truth.times, errors, covs, diverged,
                                   timing_rows)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import quat
 from ..core import FilterState, OdometryInput, RobotExtrinsics
-from ..errors import ConfigError, finite_array, number_fields
+from ..errors import ConfigError, divisor, finite_array, number_fields
 from ..sensors3d import PoseMeasurement, RangeMeasurement, predict_pose
 from ..surface import BSplineSurface
 from .trajectory import GroundTruth
@@ -146,15 +146,6 @@ class NoiseFreeMeasurements:
     range_d: np.ndarray           # (m,) true distance to it
 
 
-def _slot_every(suite: SensorSuite, sensor: str) -> int:
-    rate = getattr(suite, f"{sensor}_rate")
-    every = int(round(suite.odometry_rate / rate))
-    if abs(every * rate - suite.odometry_rate) > 1e-9:
-        raise ConfigError(f"{sensor} rate must divide the odometry rate",
-                          field=f"sensors.{sensor}_rate")
-    return every
-
-
 def noise_free_measurements(surface: BSplineSurface, truth: GroundTruth,
                             suite: SensorSuite, schedule: SensorSchedule,
                             extrinsics: RobotExtrinsics
@@ -170,7 +161,8 @@ def noise_free_measurements(surface: BSplineSurface, truth: GroundTruth,
     n = truth.n_steps
 
     def enabled(sensor):
-        every = _slot_every(suite, sensor)
+        every = divisor(getattr(suite, f"{sensor}_rate"),
+                        suite.odometry_rate, f"sensors.{sensor}_rate")
         steps = range(every, n + 1, every)
         slots = [i for i, k in enumerate(steps)
                  if schedule.enabled(sensor, truth.times[k])]

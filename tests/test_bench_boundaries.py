@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from meskf import FILTER_KINDS
 from meskf.sim.config import load_scenario
-from meskf.sim.runner import FILTER_KINDS, run_campaign
+from meskf.sim.runner import run_campaign
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_SCENARIO = ROOT / "scenarios" / "reference_curved.json"

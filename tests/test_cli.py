@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import meskf
-from meskf import flat_surface, save_surface
+from meskf import FILTER_KINDS, flat_surface, save_surface
 from meskf.cli import main
 
 METRICS_HEADER = ["step", "time_s", "rmse_pos_m", "rmse_head_rad",
@@ -106,6 +106,22 @@ def test_unknown_filter_override_is_config_error(scenario, tmp_path,
     assert not out.exists()
 
 
+def test_unknown_filter_in_scenario_is_config_error(scenario, tmp_path,
+                                                    capsys):
+    assert _simulate_with(scenario, tmp_path, "filter", "UKF") == 2
+    assert "config error: filter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", [7.0, 15.0, 30.0, 40.0])
+def test_pseudo_rate_must_divide_odometry_rate(scenario, tmp_path, capsys,
+                                               rate):
+    # at 20 Hz odometry, 15 and 30 Hz used to run at 20 Hz, 7 Hz at
+    # 6.67 Hz, with no word
+    assert _simulate_with(scenario, tmp_path, "pseudo", {"rate": rate},
+                          "--filter", "C-ESEKF") == 2
+    assert "config error: pseudo.rate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_trials_override_below_one_is_config_error(scenario, tmp_path,
                                                    capsys, trials):
@@ -132,8 +148,9 @@ def test_reference_campaign_script_refuses_zero_trials(tmp_path):
 _NO_SCIPY = """
 import sys
 sys.modules["scipy"] = None       # any scipy import now fails
+from meskf import FILTER_KINDS
 from meskf.cli import main
-for kind in ("M-ESEKF", "MP-ESEKF", "C-ESEKF"):
+for kind in FILTER_KINDS:
     code = main(["simulate", "--config", sys.argv[1], "--filter", kind,
                  "--trials", "1", "--out", sys.argv[2] + "/" + kind])
     assert code == 0, (kind, code)
@@ -458,7 +475,7 @@ def test_bad_surface_is_config_error(scenario, tmp_path, spoil, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["M-ESEKF", "MP-ESEKF", "C-ESEKF"])
+@pytest.mark.parametrize("kind", FILTER_KINDS)
 def test_exit_code_divergence(tmp_path, kind):
     # dead-reckoning near the chart boundary with a large seeded initial
     # offset walks out of the domain: the trial is flagged diverged

@@ -6,12 +6,14 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.stats import chi2
 
-from meskf import (ConfigError, FilterState, OdometryInput, RobotExtrinsics,
-                   propagate, quat)
+from meskf import (FILTER_KINDS, ConfigError, FilterState,
+                   InitialUncertainty, OdometryInput, PseudoMeasurementConfig,
+                   RobotExtrinsics, SamplingConfig, make_filter, propagate,
+                   quat)
 from meskf.sim.config import load_scenario, scenario_from_dict
-from meskf.sim.runner import (DIVERGENCE_LIMIT_M, InitialUncertainty,
-                              _percentile99, anees_bounds,
-                              metrics_from_arrays, run_campaign, run_trial)
+from meskf.sim.runner import (DIVERGENCE_LIMIT_M, _percentile99,
+                              anees_bounds, metrics_from_arrays,
+                              run_campaign, run_trial)
 from meskf.sim.sensors import (MeasurementStreams, ScheduleSegment,
                                SensorSchedule, SensorSuite,
                                _rng, noise_free_measurements,
@@ -37,6 +39,14 @@ def suite(anchors=((8.0, 0.0, 0.0),)):
 def synthesize(surface, truth, su, sched, seed, trial, extrinsics=IDENT):
     clean = noise_free_measurements(surface, truth, su, sched, extrinsics)
     return synthesize_measurements(clean, seed, trial)
+
+
+def default_trial(surface, truth, streams, kind):
+    """One trial of the filter ``kind`` with its default tuning, the
+    C-ESEKF's pseudo-measurement at every odometry step."""
+    filt = make_filter(kind, surface, truth.dt, IDENT, SamplingConfig(),
+                       PseudoMeasurementConfig(rate=1.0 / truth.dt))
+    return run_trial(filt, truth, streams, InitialUncertainty())
 
 
 class TestGroundTruth:
@@ -329,17 +339,17 @@ class TestEndToEnd:
         results = []
         for _ in range(2):
             st = synthesize(curved, truth, suite(), sched, 5, 0)
-            results.append(run_trial(curved, truth, st, "M-ESEKF"))
+            results.append(default_trial(curved, truth, st, "M-ESEKF"))
         np.testing.assert_array_equal(results[0].errors, results[1].errors)
         np.testing.assert_array_equal(results[0].covariances,
                                       results[1].covariances)
 
-    @pytest.mark.parametrize("kind", ["M-ESEKF", "MP-ESEKF", "C-ESEKF"])
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_each_filter_tracks(self, curved, kind):
         truth = generate_ground_truth(curved, circle_spec(duration=8.0))
         sched = SensorSchedule.always_on(8.0)
         st = synthesize(curved, truth, suite(), sched, 9, 0)
-        res = run_trial(curved, truth, st, kind)
+        res = default_trial(curved, truth, st, kind)
         assert not res.diverged
         assert np.linalg.norm(res.errors[-1, 0:2]) < 0.3
         assert res.timings
@@ -366,7 +376,7 @@ class TestEndToEnd:
         kinds = {row[1] for row in m.timing_rows}
         assert "pose" in kinds and "range" in kinds
 
-    @pytest.mark.parametrize("kind", ["M-ESEKF", "MP-ESEKF", "C-ESEKF"])
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_drift_past_limit_diverges(self, flat, kind):
         # stationary truth, odometry biased by 0.3 m/s, no pose or range
         # events: the estimate walks off without any MeskfError, so only
@@ -378,16 +388,9 @@ class TestEndToEnd:
         odo = OdometryInput(np.array([0.3, 0.0]), 0.0, np.eye(2) * 1e-4,
                             1e-6)
         streams = MeasurementStreams([odo] * n, {}, {}, np.zeros(6))
-        res = run_trial(flat, truth, streams, kind)
+        res = default_trial(flat, truth, streams, kind)
         dist = np.linalg.norm(res.errors[:, 0:2], axis=1)
         first = int(np.argmax(dist > DIVERGENCE_LIMIT_M))
         assert res.diverged
         assert 0 < first < n
         assert res.diverged_step == first
-
-    def test_unknown_filter_rejected(self, flat):
-        truth = generate_ground_truth(flat, circle_spec(duration=1.0))
-        st = synthesize(flat, truth, suite(), SensorSchedule.always_on(1.0),
-                        0, 0)
-        with pytest.raises(ValueError):
-            run_trial(flat, truth, st, "EKF")
