@@ -19,8 +19,8 @@ from .projection import (ProjectedPosition, ProjectedRange, SamplingConfig,
                          projected_range_update, sample_sigma_region)
 from .sensors3d import (PoseMeasurement, RangeMeasurement, pose_update,
                         predict_pose, predict_range, range_update)
-from .surface import (BSplineSurface, chart_jacobian, flat_surface,
-                      load_surface, save_surface, surface_from_dict,
-                      surface_from_grid, world_to_chart)
+from .surface import (BSplineSurface, flat_surface, load_surface,
+                      save_surface, surface_from_dict, surface_from_grid,
+                      world_to_chart)
 
 __version__ = "0.1.0"

@@ -4,8 +4,12 @@ Tracks position and attitude on SE(3) with a 6-dof error state
 (dp, dtheta) and keeps the estimate near the surface with
 pseudo-measurements fixing elevation, roll, and pitch at tuned noise
 levels. The planar odometry input is lifted to 3-D body velocity
-(v, 0) and body rate (0, 0, omega). Every Jacobian is analytic, with
-body-frame attitude errors R = R_hat Exp(dtheta) (Sola, arXiv:1711.02508).
+(v, 0) and body rate (0, 0, omega). Pose and range corrections use the
+models of ``sensors3d``, which serve both state types; this module
+supplies only the 6-dof sensor kinematics that feed them, the
+propagation, the pseudo-measurement and the chart map that scores the
+estimate. Every Jacobian is analytic, with body-frame attitude errors
+R = R_hat Exp(dtheta) (Sola, arXiv:1711.02508).
 """
 
 import math
@@ -16,7 +20,8 @@ import numpy as np
 from . import quat
 from .core import OdometryInput, RobotExtrinsics, joseph_update
 from .errors import DegenerateGeometryError, number_fields
-from .sensors3d import PoseMeasurement, RangeMeasurement, _cross
+from .sensors3d import (PoseMeasurement, RangeMeasurement, _cross,
+                        pose_residual, range_residual)
 from .surface import (BSplineSurface, frame_angle_derivatives,
                       frame_cos_sin, frame_matrix)
 
@@ -208,68 +213,37 @@ def pseudo_update(state: FullPoseState, surface: BSplineSurface,
     return _correct_3d(state, y0, H, R)
 
 
-def _sensor_position(state: FullPoseState, ext: RobotExtrinsics):
-    """Sensor position p + R r_RS, with R (rows) and r_RS, as floats."""
+def _sensor_model_3d(state: FullPoseState, ext: RobotExtrinsics):
+    """Sensor kinematics of the 6-dof state for ``sensors3d``'s models.
+
+    Returns (p, J, q, W) as plain floats: the sensor position
+    p + R r_RS, its Jacobian [I, -R [r_RS]_x] in (dp, dtheta) as rows,
+    where a row w of R gives the row -w [r_RS]_x = r_RS x w, the sensor
+    orientation q ⊗ q_RS, and the six sensor-frame rates: none from the
+    position, R_RS^T e_k from the attitude error dtheta_k.
+    """
     R = quat.to_matrix(state.q)
     r = ext.r_RS.tolist()
-    return ([p + _dot(row, r) for p, row in zip(state.p.tolist(), R)],
-            R, r)
-
-
-def _pose_residual_jacobian_3d(state: FullPoseState,
-                               extrinsics: RobotExtrinsics,
-                               meas: PoseMeasurement):
-    """(y0, H) of the six-row pose model.
-
-    y0 = [z_p - p - R r_RS; 2 vec(q_e)] with q_e = (q ⊗ q_RS)* ⊗ z_q and
-    H = [[I, -R [r_RS]_x], [0, R_RS^T]], where a row w of R gives the
-    row -w [r_RS]_x = r_RS x w. The rotation rows are -dy0/dx at a zero
-    rotation residual, as in the classical loosely-coupled update.
-    """
-    pos, R, r = _sensor_position(state, extrinsics)
-    q_pred = quat.canonicalize(quat.multiply(state.q, extrinsics.q_RS))
-    rot_res = quat.small_angle(
-        quat.multiply(quat.conjugate(q_pred), meas.z_q))
-    y0 = [z - p for z, p in zip(meas.z_p.tolist(), pos)] + list(rot_res)
-    rows = []
-    for e, row in zip(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-                      R):
-        rows += [*e, *_cross(r, row)]
-    for col in zip(*quat.to_matrix(extrinsics.q_RS)):
-        rows += [0.0, 0.0, 0.0, *col]
-    return np.array(y0), np.array(rows).reshape(6, 6)
+    p = [x + _dot(row, r) for x, row in zip(state.p.tolist(), R)]
+    J = [[*e, *_cross(r, row)]
+         for e, row in zip(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                            (0.0, 0.0, 1.0)), R)]
+    rates = [(0.0, 0.0, 0.0)] * 3 + list(quat.to_matrix(ext.q_RS))
+    return p, J, quat.multiply(state.q, ext.q_RS), rates
 
 
 def pose_update_3d(state: FullPoseState, extrinsics: RobotExtrinsics,
                    meas: PoseMeasurement) -> FullPoseState:
-    """Standard loosely-coupled pose update with analytic Jacobian."""
-    y0, H = _pose_residual_jacobian_3d(state, extrinsics, meas)
+    """Loosely-coupled pose update on ``sensors3d.pose_residual``."""
+    y0, H = pose_residual(*_sensor_model_3d(state, extrinsics), meas)
     return _correct_3d(state, y0, H, meas.P_m)
-
-
-def _range_residual_jacobian_3d(state: FullPoseState,
-                                extrinsics: RobotExtrinsics,
-                                meas: RangeMeasurement):
-    """(innovation, H) of the range model d = |p + R r_RS - r_A|.
-
-    H = [u^T, -u^T R [r_RS]_x] with u the unit vector from the anchor
-    to the sensor; the attitude part is r_RS x R^T u.
-    """
-    pos, R, r = _sensor_position(state, extrinsics)
-    anchor = meas.r_A.tolist()
-    dist = math.dist(pos, anchor)
-    if dist < 1e-6:
-        raise DegenerateGeometryError("anchor coincides with sensor")
-    u = [(p - a) / dist for p, a in zip(pos, anchor)]
-    Rt_u = [_dot(u, col) for col in zip(*R)]
-    return (np.array([meas.z_d - dist]),
-            np.array([u + list(_cross(r, Rt_u))]))
 
 
 def range_update_3d(state: FullPoseState, extrinsics: RobotExtrinsics,
                     meas: RangeMeasurement) -> FullPoseState:
-    """Standard tightly-coupled range update with analytic Jacobian."""
-    innovation, H = _range_residual_jacobian_3d(state, extrinsics, meas)
+    """Tightly-coupled range update on ``sensors3d.range_residual``."""
+    p, J, _, _ = _sensor_model_3d(state, extrinsics)
+    innovation, H = range_residual(p, J, meas)
     return _correct_3d(state, innovation, H, np.array([[meas.R_d]]))
 
 

@@ -1,13 +1,17 @@
 """Pose and range measurement models in world coordinates.
 
-Loosely-coupled pose (position + quaternion) and tightly-coupled range
-corrections evaluated in R^3. Both models are closed-form functions of
-one single-point surface evaluation (S, its gradient and its Hessian),
-and so are their Jacobians in the error state (dt_R, dgamma_R): the
+The one loosely-coupled pose (position + quaternion) model and the one
+tightly-coupled range model of every filter. ``pose_residual`` and
+``range_residual`` take the sensor kinematics: the world position p,
+its Jacobian J in the n error-state columns, the world-from-sensor
+orientation q and the n body-frame rates of the sensor, d q / d x_k =
+q ⊗ (0, w_k) / 2 (Sola, "Quaternion kinematics for the error-state
+Kalman filter", arXiv:1711.02508). ``_sensor_model`` gives them for the
+chart state (dt_R, dgamma_R), n = 3, in closed form from one
+single-point surface evaluation (S, its gradient and its Hessian): the
 frame angles alpha = arctan(S_v) and beta = -arctan(S_u cos alpha) are
-differentiated through the Hessian, and rotations enter through their
-body-frame rates, d q / d x_k = q ⊗ (0, w_k) / 2 (Sola, "Quaternion
-kinematics for the error-state Kalman filter", arXiv:1711.02508).
+differentiated through the Hessian. ``baseline._sensor_model_3d`` gives
+them for the 6-dof state, n = 6.
 """
 
 import math
@@ -126,30 +130,28 @@ def predict_pose(surface: BSplineSurface, state: FilterState,
     return np.array(p), np.array(quat.canonicalize(q))
 
 
-def _pose_residual_jacobian(state: FilterState, surface: BSplineSurface,
-                            extrinsics: RobotExtrinsics,
-                            meas: PoseMeasurement):
-    """(y0, H) for the six-row pose model.
+def pose_residual(p, J, q, rates, meas: PoseMeasurement):
+    """(y0, H) of the six-row pose model from the sensor kinematics.
 
-    y0 = [z_p - p; 2 vec(q_e)] with the error quaternion
+    p, J, q and rates are those of ``_sensor_model``, or of any state
+    with n error-state columns: J as three rows of n and n body-frame
+    rates. y0 = [z_p - p; 2 vec(q_e)] with the error quaternion
     q_e = q* ⊗ z_q sign-flipped to a non-negative scalar part, and
     H = -dy0/dx. A body-frame rate w_k moves the residual by
     d vec(q_e) = -(0, w_k) ⊗ q_e / 2, so the rotation rows of column k
     are w_e w_k + w_k x vec(q_e).
     """
-    p, J, q, rates = _sensor_model(surface, state, extrinsics)
     ew, ex, ey, ez = quat.canonicalize(
         quat.multiply(quat.conjugate(q), meas.z_q))
     zp = meas.z_p.tolist()
     y0 = np.array([zp[0] - p[0], zp[1] - p[1], zp[2] - p[2],
                    2.0 * ex, 2.0 * ey, 2.0 * ez])
     # column k of the rotation rows, for the rate w_k
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = [
-        (ew * w0 + (w1 * ez - w2 * ey), ew * w1 + (w2 * ex - w0 * ez),
-         ew * w2 + (w0 * ey - w1 * ex)) for w0, w1, w2 in rates]
+    cols = [(ew * w0 + (w1 * ez - w2 * ey), ew * w1 + (w2 * ex - w0 * ez),
+             ew * w2 + (w0 * ey - w1 * ex)) for w0, w1, w2 in rates]
     # built flat: np.array on nested lists costs twice as much
-    H = np.array(J[0] + J[1] + J[2] + [c00, c10, c20, c01, c11, c21,
-                                       c02, c12, c22]).reshape(6, 3)
+    H = np.array(J[0] + J[1] + J[2]
+                 + [c[i] for i in range(3) for c in cols]).reshape(6, -1)
     return y0, H
 
 
@@ -157,7 +159,7 @@ def pose_update(state: FilterState, surface: BSplineSurface,
                 extrinsics: RobotExtrinsics,
                 meas: PoseMeasurement) -> FilterState:
     """Six-row pose correction with analytic Jacobian."""
-    y0, H = _pose_residual_jacobian(state, surface, extrinsics, meas)
+    y0, H = pose_residual(*_sensor_model(surface, state, extrinsics), meas)
     return correct(state, y0, H, meas.P_m)
 
 
@@ -168,22 +170,20 @@ def predict_range(surface: BSplineSurface, state: FilterState,
     return math.dist(p, a)
 
 
-def _range_residual_jacobian(state: FilterState, surface: BSplineSurface,
-                             extrinsics: RobotExtrinsics,
-                             meas: RangeMeasurement):
-    """(innovation, H) for the range model.
+def range_residual(p, J, meas: RangeMeasurement):
+    """(innovation, H) of the range model from the sensor position p and
+    its Jacobian J, three rows of n error-state columns.
 
-    d = ||p - r_A|| and H = (p - r_A)^T dp/dx / d. Raises
+    d = ||p - r_A|| and H = (p - r_A)^T J / d. Raises
     DegenerateGeometryError when the anchor sits at the sensor.
     """
-    p, J, _, _ = _sensor_model(surface, state, extrinsics, rotation=False)
     a = meas.r_A.tolist()
     diff = (p[0] - a[0], p[1] - a[1], p[2] - a[2])
     d0 = math.dist(p, a)
     if d0 < 1e-6:
         raise DegenerateGeometryError("anchor coincides with sensor")
-    H = np.array([[(diff[0] * J[0][k] + diff[1] * J[1][k]
-                    + diff[2] * J[2][k]) / d0 for k in range(3)]])
+    H = np.array([[(diff[0] * j0 + diff[1] * j1 + diff[2] * j2) / d0
+                   for j0, j1, j2 in zip(*J)]])
     return np.array([meas.z_d - d0]), H
 
 
@@ -191,7 +191,8 @@ def range_update(state: FilterState, surface: BSplineSurface,
                  extrinsics: RobotExtrinsics,
                  meas: RangeMeasurement) -> FilterState:
     """Scalar range correction with analytic Jacobian."""
-    innovation, H = _range_residual_jacobian(state, surface, extrinsics, meas)
+    p, J, _, _ = _sensor_model(surface, state, extrinsics, rotation=False)
+    innovation, H = range_residual(p, J, meas)
     return correct(state, innovation, H, np.array([[meas.R_d]]))
 
 
@@ -204,5 +205,5 @@ def orientation_update(state: FilterState, surface: BSplineSurface,
     position rows with projected chart measurements but still needs the
     orientation rows to keep the heading observable.
     """
-    y0, H = _pose_residual_jacobian(state, surface, extrinsics, meas)
+    y0, H = pose_residual(*_sensor_model(surface, state, extrinsics), meas)
     return correct(state, y0[3:], H[3:], meas.P_m[3:6, 3:6])

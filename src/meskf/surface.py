@@ -30,8 +30,6 @@ from . import bspline
 from .errors import (NumericalFailureError, OutOfChartError, build, number,
                      read_json, require)
 
-CHART_JACOBIAN = np.array([[1.0, 0.0, 0.0],
-                           [0.0, 1.0, 0.0]])
 CLOSEST_POINT_MAX_ITER = 50
 CLOSEST_POINT_TOL = 1e-10     # chart step, m
 
@@ -387,11 +385,6 @@ def world_to_chart(p: np.ndarray) -> np.ndarray:
     """Chart map sigma: drop the elevation coordinate."""
     p = np.asarray(p, dtype=float)
     return p[..., :2].copy()
-
-
-def chart_jacobian() -> np.ndarray:
-    """d sigma / d p for the explicit chart: constant [[1,0,0],[0,1,0]]."""
-    return CHART_JACOBIAN.copy()
 
 
 def flat_surface(extent: float = 10.0, size: int = 4,

@@ -2,15 +2,15 @@
 import numpy as np
 import pytest
 
-from meskf import (DegenerateGeometryError, FullPoseState, OdometryInput,
-                   PoseMeasurement, PseudoMeasurementConfig, RangeMeasurement,
-                   RobotExtrinsics, wrap_angle)
+from meskf import (DegenerateGeometryError, FilterState, FullPoseState,
+                   OdometryInput, PoseMeasurement, PseudoMeasurementConfig,
+                   RangeMeasurement, RobotExtrinsics, predict_pose,
+                   wrap_angle)
 from meskf import quat
-from meskf.baseline import (_align_jacobian, _pose_residual_jacobian_3d,
-                            _pseudo_residual_jacobian,
-                            _range_residual_jacobian_3d, chart_errors,
-                            pose_update_3d, propagate_3d, pseudo_update,
-                            range_update_3d)
+from meskf.baseline import (_align_jacobian, _pseudo_residual_jacobian,
+                            _sensor_model_3d, chart_errors, pose_update_3d,
+                            propagate_3d, pseudo_update, range_update_3d)
+from meskf.sensors3d import _sensor_model, pose_residual, range_residual
 
 IDENT = RobotExtrinsics.identity()
 
@@ -315,18 +315,25 @@ EXT = RobotExtrinsics(np.array([0.2, -0.1, 0.05]),
                       quat.from_rotvec(np.array([0.05, 0.02, -0.6])))
 
 
+def pose_3d(s, meas):
+    return pose_residual(*_sensor_model_3d(s, EXT), meas)
+
+
+def range_3d(s, meas):
+    return range_residual(*_sensor_model_3d(s, EXT)[0:2], meas)
+
+
 def test_pose_update_3d_jacobian_matches_central_differences(curved):
     rng = np.random.default_rng(23)
     for _ in range(10):
         s = random_pose_state(rng, curved, 0.6)
-        q_sensor = quat.canonicalize(quat.multiply(s.q, EXT.q_RS))
-        # a zero rotation residual, where H's rotation rows are exact;
-        # the position rows are exact anywhere
+        q_sensor = quat.multiply(
+            quat.multiply(s.q, EXT.q_RS),
+            quat.from_rotvec(rng.normal(0, 0.05, 3)))
         meas = PoseMeasurement(s.p + rng.normal(0, 0.3, 3), q_sensor,
                                np.eye(6) * 1e-4)
-        _, H = _pose_residual_jacobian_3d(s, EXT, meas)
-        H_fd = -central_difference_jacobian(
-            lambda x: _pose_residual_jacobian_3d(x, EXT, meas)[0], s)
+        _, H = pose_3d(s, meas)
+        H_fd = -central_difference_jacobian(lambda x: pose_3d(x, meas)[0], s)
         np.testing.assert_allclose(H, H_fd, atol=1e-8)
 
 
@@ -335,14 +342,43 @@ def test_range_update_3d_jacobian_matches_central_differences(curved):
     for _ in range(10):
         s = random_pose_state(rng, curved, 0.6)
         meas = RangeMeasurement(s.p + rng.normal(0, 3.0, 3), 2.0, 1e-4)
-        innovation, H = _range_residual_jacobian_3d(s, EXT, meas)
-        H_fd = -central_difference_jacobian(
-            lambda x: _range_residual_jacobian_3d(x, EXT, meas)[0], s)
+        innovation, H = range_3d(s, meas)
+        H_fd = -central_difference_jacobian(lambda x: range_3d(x, meas)[0], s)
         np.testing.assert_allclose(H, H_fd, atol=1e-8)
         np.testing.assert_allclose(
             meas.z_d - innovation[0],
             np.linalg.norm(s.p + np.array(quat.to_matrix(s.q)) @ EXT.r_RS
                            - meas.r_A), rtol=1e-14)
+
+
+def test_pose_and_range_models_agree_across_manifolds(curved):
+    # the 6-dof state at a chart state's lifted robot pose sees the same
+    # residuals, and its Jacobian chained through the lift's kinematics
+    # L = dx_3d / dx_chart is the chart Jacobian
+    rng = np.random.default_rng(25)
+    ident = RobotExtrinsics.identity()
+    for _ in range(10):
+        chart = FilterState(rng.uniform(-8, 8, size=2),
+                            rng.uniform(-np.pi, np.pi), np.eye(3) * 0.01)
+        p, q = predict_pose(curved, chart, ident)
+        full = FullPoseState(p, q, np.eye(6) * 0.01)
+        _, J, _, rates = _sensor_model(curved, chart, ident)
+        L = np.vstack([np.array(J), np.array(rates).T])
+        pos, q_sensor = predict_pose(curved, chart, EXT)
+        pose = PoseMeasurement(
+            pos + rng.normal(0, 0.3, 3),
+            quat.multiply(q_sensor, quat.from_rotvec(rng.normal(0, 0.05, 3))),
+            np.eye(6) * 1e-4)
+        range_meas = RangeMeasurement(pos + rng.normal(0, 3.0, 3), 2.0, 1e-4)
+        for y_chart, y_3d in (
+                (pose_residual(*_sensor_model(curved, chart, EXT), pose),
+                 pose_3d(full, pose)),
+                (range_residual(*_sensor_model(curved, chart, EXT)[0:2],
+                                range_meas), range_3d(full, range_meas))):
+            np.testing.assert_allclose(y_chart[0], y_3d[0], rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(y_chart[1], y_3d[1] @ L, rtol=0,
+                                       atol=1e-12)
 
 
 def test_states_hand_out_independent_arrays(curved):

@@ -234,23 +234,6 @@ def test_exit_code_config_error(tmp_path):
                  "--out", str(tmp_path / "o2")]) == 2
 
 
-@pytest.mark.parametrize("extrinsics", [
-    {"r_RS": [0.1, 0.0, 0.2], "q_RS": [0, 0, 0, 0]},
-    {"r_RS": [0.1, 0.0, 0.2], "q_RS": [1, 0, 0, float("nan")]},
-    {"r_RS": [float("inf"), 0.0, 0.2]},
-])
-def test_bad_extrinsics_is_config_error(scenario, tmp_path, extrinsics,
-                                        capsys):
-    cfg = json.loads(scenario.read_text())
-    cfg["extrinsics"] = extrinsics
-    scenario.write_text(json.dumps(cfg))
-    out = tmp_path / "o"
-    assert main(["simulate", "--config", str(scenario),
-                 "--out", str(out)]) == 2
-    assert "extrinsics" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def _simulate_with(scenario, tmp_path, key, value, *extra):
     cfg = json.loads(scenario.read_text())
     cfg[key] = value
@@ -260,19 +243,6 @@ def _simulate_with(scenario, tmp_path, key, value, *extra):
                  *extra])
     assert not out.exists()
     return code
-
-
-@pytest.mark.parametrize("name, value", [
-    ("pose_position_std", -0.1),
-    ("range_distance_std", float("nan")),
-    ("odometry_linear_std", float("inf")),
-])
-def test_bad_sensor_noise_is_config_error(scenario, tmp_path, capsys, name,
-                                          value):
-    # a negative std used to end in "ValueError: scale < 0"
-    sensors = {"anchors": [[8.0, 0.0, 0.0]], name: value}
-    assert _simulate_with(scenario, tmp_path, "sensors", sensors) == 2
-    assert f"sensors.{name}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("anchors", [
@@ -288,73 +258,12 @@ def test_bad_anchors_is_config_error(scenario, tmp_path, capsys, anchors):
     assert "sensors" in capsys.readouterr().err
 
 
-def test_negative_seed_in_scenario_is_config_error(scenario, tmp_path,
-                                                   capsys):
-    # used to end in an OverflowError from np.uint64
-    assert _simulate_with(scenario, tmp_path, "seed", -1) == 2
-    assert "seed" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("seed", [10 ** 400, 1.5, True, "five"])
-def test_non_integer_seed_in_scenario_is_config_error(scenario, tmp_path,
-                                                      capsys, seed):
-    # 1.5 used to run seed 1
-    assert _simulate_with(scenario, tmp_path, "seed", seed) == 2
-    assert "seed" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_seed_override_out_of_range_is_config_error(scenario, tmp_path,
                                                     capsys, seed):
     assert _simulate_with(scenario, tmp_path, "seed", 5,
                           "--seed", seed) == 2
     assert "--seed" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("init", [{"pos_std": 0}, {"head_std": -0.02},
-                                  {"rp_std": float("inf")}])
-def test_bad_initial_uncertainty_is_config_error(scenario, tmp_path, capsys,
-                                                 init):
-    # a zero std made P0 singular, and the metrics raised LinAlgError
-    assert _simulate_with(scenario, tmp_path, "init", init) == 2
-    assert f"init.{next(iter(init))}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("trials", ["two", None, [3], float("inf"), 2.5,
-                                    True])
-def test_non_numeric_trials_is_config_error(scenario, tmp_path, capsys,
-                                            trials):
-    # "two" used to end in a ValueError traceback from int(), and 2.5
-    # ran 2 trials
-    assert _simulate_with(scenario, tmp_path, "trials", trials) == 2
-    assert "trials" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key, value", [("start", "zero"), ("end", "five"),
-                                        ("end", None),
-                                        ("start", float("nan"))])
-def test_non_numeric_schedule_time_is_config_error(scenario, tmp_path,
-                                                   capsys, key, value):
-    # "zero" used to end in a ValueError traceback from float(); a NaN
-    # start passed the contiguity check
-    segment = {"start": 0.0, "end": 5.0, "sensors": ["range"]}
-    segment[key] = value
-    assert _simulate_with(scenario, tmp_path, "schedule", [segment]) == 2
-    assert f"schedule[0].{key}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("pseudo", [{"rate": float("nan")},
-                                    {"sigma_z": float("nan")},
-                                    {"sigma_rp": float("inf")},
-                                    {"rate": float("inf")},
-                                    {"sigma_z": 0.0}])
-def test_bad_pseudo_config_is_config_error(scenario, tmp_path, capsys,
-                                           pseudo):
-    # a NaN rate used to end in a ValueError traceback when the C-ESEKF
-    # was built, and a NaN or infinite std in every trial diverging
-    assert _simulate_with(scenario, tmp_path, "pseudo", pseudo,
-                          "--filter", "C-ESEKF") == 2
-    assert "pseudo" in capsys.readouterr().err
 
 
 def test_ramp_fraction_is_config_error(scenario, tmp_path, capsys):

@@ -6,8 +6,8 @@ from meskf import (DegenerateGeometryError, FilterState, PoseMeasurement,
                    RangeMeasurement, RobotExtrinsics, pose_update,
                    predict_pose, predict_range, range_update)
 from meskf import quat
-from meskf.sensors3d import (_pose_residual_jacobian, _range_residual_jacobian,
-                             orientation_update)
+from meskf.sensors3d import (_sensor_model, orientation_update,
+                             pose_residual, range_residual)
 
 from conftest import make_random_surface
 
@@ -15,6 +15,14 @@ IDENT = RobotExtrinsics.identity()
 # lever arm plus a sensor rotation away from the identity
 EXT = RobotExtrinsics(np.array([0.2, -0.1, 0.05]),
                       quat.from_rotvec(np.array([0.05, 0.02, -0.6])))
+
+
+def pose_y0_H(s, surface, ext, meas):
+    return pose_residual(*_sensor_model(surface, s, ext), meas)
+
+
+def range_y0_H(s, surface, ext, meas):
+    return range_residual(*_sensor_model(surface, s, ext)[0:2], meas)
 
 
 def pose_meas(pos, q, std_p=0.05, std_r=0.01):
@@ -55,7 +63,7 @@ def test_pose_jacobian_flat_analytic(flat):
     s = FilterState(np.array([0.5, 0.5]), 0.3, np.eye(3) * 0.01)
     pos, q = predict_pose(flat, s, IDENT)
     meas = pose_meas(pos, q)
-    y0, H = _pose_residual_jacobian(s, flat, IDENT, meas)
+    y0, H = pose_y0_H(s, flat, IDENT, meas)
     np.testing.assert_allclose(y0, np.zeros(6), atol=1e-9)
     np.testing.assert_allclose(H[0:2, 0:2], np.eye(2), atol=1e-5)
     np.testing.assert_allclose(H[0:3, 2], np.zeros(3), atol=1e-5)
@@ -76,12 +84,12 @@ def test_pose_jacobian_matches_residual_differences(curved):
         meas = pose_meas(pos + rng.normal(0, 0.02, 3),
                          quat.canonicalize(quat.multiply(
                              q, quat.from_rotvec(rng.normal(0, 0.01, 3)))))
-        y0, H = _pose_residual_jacobian(s, curved, ext, meas)
+        y0, H = pose_y0_H(s, curved, ext, meas)
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
         h = 1e-5
         sp = FilterState(t + h * d[0:2], g + h * d[2], s.P_x)
-        yp, _ = _pose_residual_jacobian(sp, curved, ext, meas)
+        yp, _ = pose_y0_H(sp, curved, ext, meas)
         np.testing.assert_allclose((y0 - yp) / h, H @ d, atol=5e-4)
 
 
@@ -109,9 +117,9 @@ def test_pose_jacobian_matches_central_differences(degree):
         meas = pose_meas(pos + rng.normal(0, 0.02, 3),
                          quat.multiply(
                              q, quat.from_rotvec(rng.normal(0, 0.05, 3))))
-        _, H = _pose_residual_jacobian(s, surface, EXT, meas)
+        _, H = pose_y0_H(s, surface, EXT, meas)
         H_fd = central_difference_jacobian(
-            lambda x: _pose_residual_jacobian(x, surface, EXT, meas)[0], s)
+            lambda x: pose_y0_H(x, surface, EXT, meas)[0], s)
         np.testing.assert_allclose(H, H_fd, atol=1e-7)
 
 
@@ -124,9 +132,9 @@ def test_range_jacobian_matches_central_differences(degree):
         s = FilterState(rng.uniform(-8, 8, size=2),
                         rng.uniform(-np.pi, np.pi), np.eye(3) * 0.01)
         meas = RangeMeasurement(rng.uniform(-9, 9, size=3), 4.0, 1e-4)
-        _, H = _range_residual_jacobian(s, surface, EXT, meas)
+        _, H = range_y0_H(s, surface, EXT, meas)
         H_fd = central_difference_jacobian(
-            lambda x: _range_residual_jacobian(x, surface, EXT, meas)[0], s)
+            lambda x: range_y0_H(x, surface, EXT, meas)[0], s)
         np.testing.assert_allclose(H, H_fd, atol=1e-7)
 
 

@@ -8,9 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meskf import (BSplineSurface, ConfigError, NumericalFailureError,
-                   OutOfChartError, chart_jacobian, flat_surface,
-                   load_surface, save_surface, surface_from_dict,
-                   world_to_chart)
+                   OutOfChartError, load_surface, save_surface,
+                   surface_from_dict, world_to_chart)
 from meskf.bspline import (basis_and_derivatives, find_spans,
                            point_basis_ders2, tensor_eval)
 
@@ -293,12 +292,6 @@ def test_chart_roundtrip_identity(curved):
                                pts, atol=1e-13)
     np.testing.assert_allclose(world[:, 2], curved.elevation_many(pts),
                                atol=1e-13)
-
-
-def test_chart_jacobian_drops_z():
-    J = chart_jacobian()
-    assert J.shape == (2, 3)
-    np.testing.assert_allclose(J, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
 
 
 def test_flat_surface_is_zero(flat):
