@@ -5,14 +5,15 @@ non-vanishing basis values together with the knot span indices so that
 tensor-product surfaces can gather their control points with fancy
 indexing.
 
-``surface.BSplineSurface`` calls ``find_spans`` on every batched query
-and ``basis_values`` once, when it builds its power-basis patch table;
-every surface query is then evaluated from that table. The other three
-routines have no caller in the package. ``basis_and_derivatives`` (array
-values and first derivatives), ``tensor_eval`` (the tensor-product sum)
-and ``point_basis_ders2`` (the plain-float recurrence for one parameter
-value, with second derivatives) remain as the tests' independent oracle
-for the table and as layer boundaries that the benchmark's tracer names.
+``surface.BSplineSurface`` calls ``basis_values`` once, when it builds
+its power-basis patch table; every surface query is then evaluated from
+that table, and finds its knot span with ``bisect``. The other routines
+have no caller in the package. ``find_spans`` (the array span search),
+``basis_and_derivatives`` (array values and first derivatives),
+``tensor_eval`` (the tensor-product sum) and ``point_basis_ders2`` (the
+plain-float recurrence for one parameter value, with second derivatives)
+remain as the tests' independent oracle for the table and as layer
+boundaries that the benchmark's tracer names.
 """
 
 import bisect
@@ -24,7 +25,8 @@ def find_spans(knots: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
     """Knot span index i such that knots[i] <= x < knots[i+1].
 
     The last valid span is returned for x at the right end of the domain,
-    matching the clamped-spline convention.
+    matching the clamped-spline convention. No caller in the package:
+    a test oracle and a layer boundary that the benchmark's tracer names.
     """
     lo = degree
     hi = len(knots) - degree - 2

@@ -152,7 +152,7 @@ def propagate(surface: BSplineSurface, state: FilterState,
         _motion_model(surface, state, odom, dt)
     u, v = state.t_R.tolist()
     u, v = u + du, v + dv
-    surface._check_point(u, v)
+    surface._check_box(u, u, v, v)
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P_x.tolist()
     (q00, q01), (_, q11) = odom.sigma_v.tolist()
     # rows of F P, then of G_v Q_v; noise covariances are per-sample and

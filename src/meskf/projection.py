@@ -163,7 +163,11 @@ def sample_sigma_region(state: FilterState, surface: BSplineSurface,
         raise DegenerateSamplingError("position covariance not SPD") from e
     g = _whitened_grid(config.grid_half_width, config.grid_resolution)
     pts = state.t_R + g @ L.T
-    pts = pts[surface.contains(pts)]
+    u, v = pts[:, 0], pts[:, 1]
+    (u0, u1), (v0, v1) = surface.domain
+    if not (u0 <= u.min() and u.max() <= u1
+            and v0 <= v.min() and v.max() <= v1):
+        pts = pts[surface.contains(pts)]
     if len(pts) == 0:
         raise DegenerateSamplingError("no sigma-region samples in domain")
     return pts
@@ -204,8 +208,12 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
     lever, J = _lever_arm(surface, state, extrinsics)
     A_prime = np.asarray(anchor, dtype=float) - lever
     samples = sample_sigma_region(state, surface, config)
-    p_R = surface.chart_to_world_many(samples)
-    dists = np.linalg.norm(p_R - A_prime, axis=1)
+    a_u, a_v, a_z = A_prime.tolist()
+    du = samples[:, 0] - a_u
+    dv = samples[:, 1] - a_v
+    dz = surface.elevation_many(samples) - a_z
+    # summed in the order of np.linalg.norm's row sum
+    dists = np.sqrt(du * du + dv * dv + dz * dz)
     tol = config.shell_tolerance
     if tol is None:
         tol = np.sqrt(R_d)
@@ -213,7 +221,7 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
     if not np.any(keep):
         raise NoIntersectionError("range shell misses the sigma region")
     t_m = samples[keep]
-    t_A = world_to_chart(surface.closest_point(A_prime))
+    t_A = surface.closest_chart_point(A_prime)
     z_dU = float(np.mean(np.linalg.norm(t_A - t_m, axis=1)))
     R_dU = project_range_variance(surface, R_d, J, state, A_prime)
     return ProjectedRange(z_dU, R_dU, t_A)

@@ -15,8 +15,9 @@ every patch to power-basis coefficients once, at construction, and
 evaluates every query from that table by Horner's rule, in two passes,
 one per access pattern: ``eval_point`` in plain floats for one point
 (S, its gradient and its Hessian), and ``elevation_many`` vectorised
-over a point cloud (S only). Every derivative comes from ``eval_point``;
-the batched derivative queries call it point by point.
+over a point cloud (S only), once for each patch the cloud covers.
+Every derivative comes from ``eval_point``; the batched derivative
+queries call it point by point.
 """
 
 import bisect
@@ -32,6 +33,7 @@ from .errors import (NumericalFailureError, OutOfChartError, build, number,
 
 CLOSEST_POINT_MAX_ITER = 50
 CLOSEST_POINT_TOL = 1e-10     # chart step, m
+CLOSEST_CHART_MEMO = 32       # entries kept by closest_chart_point
 
 
 @dataclass(frozen=True)
@@ -49,18 +51,18 @@ class BSplineSurface:
     knots_u: np.ndarray
     knots_v: np.ndarray
     control_points: np.ndarray
-    # power-basis coefficients c_kl of patch (i, j) as _table[i - p, j - q],
-    # in x = u - u_i and y = v - v_j
-    _table: np.ndarray = field(init=False, repr=False, compare=False)
-    # plain-float copies for eval_point: knot lists, the table with both
-    # power axes reversed for Horner's rule as _patches[i - p][j - q],
-    # the span search ranges (lo_u, hi_u, lo_v, hi_v) for bisect, and
-    # the domain (u_min, u_max, v_min, v_max)
+    # plain floats for the queries: knot lists, the power-basis
+    # coefficients c_kl of patch (i, j), in x = u - u_i and y = v - v_j,
+    # with both power axes reversed for Horner's rule as
+    # _patches[i - p][j - q], the span search ranges (lo_u, hi_u, lo_v,
+    # hi_v) for bisect, and the domain (u_min, u_max, v_min, v_max)
     _ku: list = field(init=False, repr=False, compare=False)
     _kv: list = field(init=False, repr=False, compare=False)
     _patches: list = field(init=False, repr=False, compare=False)
     _search: tuple = field(init=False, repr=False, compare=False)
     _bounds: tuple = field(init=False, repr=False, compare=False)
+    # closest_chart_point's results by query bytes, oldest first
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ku = np.ascontiguousarray(self.knots_u, dtype=float)
@@ -91,7 +93,6 @@ class BSplineSurface:
         object.__setattr__(self, "knots_v", kv)
         object.__setattr__(self, "control_points", cp)
         table = _patch_table(cp, ku, self.degree_u, kv, self.degree_v)
-        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_patches",
                            table[:, :, ::-1, ::-1].tolist())
         object.__setattr__(self, "_ku", ku.tolist())
@@ -102,6 +103,7 @@ class BSplineSurface:
         (u0, u1), (v0, v1) = self.domain
         object.__setattr__(self, "_bounds",
                            (float(u0), float(u1), float(v0), float(v1)))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def domain(self):
@@ -117,20 +119,13 @@ class BSplineSurface:
         return ((t[:, 0] >= u0) & (t[:, 0] <= u1)
                 & (t[:, 1] >= v0) & (t[:, 1] <= v1))
 
-    def _check_domain(self, t2: np.ndarray):
-        if not np.all(np.isfinite(t2)):
-            raise OutOfChartError("chart query is not finite")
-        (u0, u1), (v0, v1) = self.domain
-        if (t2[:, 0].min() < u0 or t2[:, 0].max() > u1
-                or t2[:, 1].min() < v0 or t2[:, 1].max() > v1):
-            raise OutOfChartError(
-                f"chart point outside domain u:[{u0},{u1}] v:[{v0},{v1}]")
-
-    def _check_point(self, u: float, v: float):
-        """Scalar form of ``_check_domain``, same errors."""
+    def _check_box(self, u_lo: float, u_hi: float, v_lo: float,
+                   v_hi: float):
+        """Raise OutOfChartError unless the box [u_lo, u_hi] x [v_lo, v_hi]
+        lies in the domain; "not finite" comes first when a bound is."""
         u0, u1, v0, v1 = self._bounds
-        if not (u0 <= u <= u1 and v0 <= v <= v1):
-            if not (math.isfinite(u) and math.isfinite(v)):
+        if not (u0 <= u_lo and u_hi <= u1 and v0 <= v_lo and v_hi <= v1):
+            if not all(map(math.isfinite, (u_lo, u_hi, v_lo, v_hi))):
                 raise OutOfChartError("chart query is not finite")
             raise OutOfChartError(
                 f"chart point outside domain u:[{u0},{u1}] v:[{v0},{v1}]")
@@ -144,7 +139,7 @@ class BSplineSurface:
         numpy call for a single point. Raises OutOfChartError like the
         batched queries.
         """
-        self._check_point(u, v)
+        self._check_box(u, u, v, v)
         lo_u, hi_u, lo_v, hi_v = self._search
         ku, kv = self._ku, self._kv
         # bisect within the interior knots: the clamped span index, with
@@ -170,23 +165,53 @@ class BSplineSurface:
     # -- elevation / gradient ------------------------------------------------
 
     def elevation_many(self, t: np.ndarray) -> np.ndarray:
-        """(N,) elevations by Horner's rule over all points at once, in
-        y = v - v_j along each row of the point's patch, then in
-        x = u - u_i."""
+        """(N,) elevations, ``eval_point``'s bit for bit.
+
+        The cloud's bounding box gives the patches it covers, by bisect
+        on the knots; a sigma-region cloud mostly lies in one. Each
+        covered patch is evaluated by Horner's rule over all of its
+        points at once, in y = v - v_j along each row and then in
+        x = u - u_i.
+        """
         t = np.atleast_2d(np.asarray(t, dtype=float))
-        self._check_domain(t)
-        pu, pv = self.degree_u, self.degree_v
         u, v = t[:, 0], t[:, 1]
-        su = bspline.find_spans(self.knots_u, pu, u)
-        sv = bspline.find_spans(self.knots_v, pv, v)
-        c = self._table[su - pu, sv - pv]
-        x, y = u - self.knots_u[su], (v - self.knots_v[sv])[:, None]
-        w = c[:, :, -1]
-        for b in range(pv - 1, -1, -1):
-            w = w * y + c[:, :, b]
-        z = w[:, -1]
-        for a in range(pu - 1, -1, -1):
-            z = z * x + w[:, a]
+        u_lo, u_hi = float(u.min()), float(u.max())
+        v_lo, v_hi = float(v.min()), float(v.max())
+        self._check_box(u_lo, u_hi, v_lo, v_hi)
+        lo_u, hi_u, lo_v, hi_v = self._search
+        ku, kv = self._ku, self._kv
+        i0 = bisect.bisect_right(ku, u_lo, lo_u, hi_u)
+        i1 = bisect.bisect_right(ku, u_hi, lo_u, hi_u)
+        j0 = bisect.bisect_right(kv, v_lo, lo_v, hi_v)
+        j1 = bisect.bisect_right(kv, v_hi, lo_v, hi_v)
+        if i0 == i1 and j0 == j1:
+            return self._patch_elevation(i0, j0, u, v)
+        z = np.empty(len(t))
+        strips_v = _strips(v, kv, j0, j1)
+        for i, in_i in enumerate(_strips(u, ku, i0, i1), i0):
+            for j, in_j in enumerate(strips_v, j0):
+                k = np.flatnonzero(in_i & in_j)
+                if len(k):
+                    z[k] = self._patch_elevation(i, j, u[k], v[k])
+        return z
+
+    def _patch_elevation(self, i: int, j: int, u: np.ndarray,
+                         v: np.ndarray) -> np.ndarray:
+        """Elevations at points of patch (i, j), with i and j the span
+        indices that ``eval_point``'s bisect gives."""
+        x, y = u - self._ku[i - 1], v - self._kv[j - 1]
+        z = None
+        for row in self._patches[i - self._search[0]][j - self._search[2]]:
+            w = row[0] * y
+            w += row[1]
+            for c in row[2:]:
+                w *= y
+                w += c
+            if z is None:
+                z = w
+            else:
+                z *= x
+                z += w
         return z
 
     def elevation(self, t: np.ndarray) -> float:
@@ -210,6 +235,8 @@ class BSplineSurface:
     # -- chart maps ----------------------------------------------------------
 
     def chart_to_world_many(self, t: np.ndarray) -> np.ndarray:
+        """(N, 3) world points. No caller in the package: it stays as a
+        layer boundary that the benchmark's tracer names."""
         t = np.atleast_2d(np.asarray(t, dtype=float))
         z = self.elevation_many(t)
         return np.column_stack([t, z])
@@ -296,6 +323,36 @@ class BSplineSurface:
             "closest-point iteration did not converge",
             best=np.array([u, v, z]))
 
+    def closest_chart_point(self, r: np.ndarray) -> np.ndarray:
+        """``world_to_chart(closest_point(r))``, as a read-only array.
+
+        Memoised on the exact bits of r, so a fixed query point, such as
+        a range anchor with no lever arm, is solved once per surface.
+        The memo keeps the CLOSEST_CHART_MEMO latest queries. A query
+        that raises is not stored.
+        """
+        r = np.asarray(r, dtype=float)
+        key = r.tobytes()
+        uv = self._memo.get(key)
+        if uv is None:
+            # plain floats: long-lived 16-byte numpy buffers, renewed on
+            # every query of a moving point, kept the heap from shrinking
+            uv = tuple(world_to_chart(self.closest_point(r)).tolist())
+            if len(self._memo) >= CLOSEST_CHART_MEMO:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = uv
+        t = np.array(uv)
+        t.flags.writeable = False
+        return t
+
+
+def _strips(x: np.ndarray, knots: list, first: int, last: int) -> list:
+    """Masks of the points x in each span first..last of a box, as
+    bisect assigns them: knots[i-1] <= x < knots[i], the box's first
+    and last span unbounded below and above."""
+    edges = [-math.inf] + knots[first:last] + [math.inf]
+    return [(x >= a) & (x < b) for a, b in zip(edges, edges[1:])]
+
 
 def _power_basis(knots: np.ndarray, degree: int) -> np.ndarray:
     """Power-basis form of the basis functions on every knot span.
@@ -343,10 +400,7 @@ def _patch_table(control: np.ndarray, knots_u: np.ndarray, degree_u: int,
     iu = np.arange(len(A_u))[:, None] + np.arange(degree_u + 1)
     iv = np.arange(len(A_v))[:, None] + np.arange(degree_v + 1)
     P = control[iu[:, None, :, None], iv[None, :, None, :]]
-    # the optimised contraction returns strided output; the batched
-    # queries gather whole patches, which wants them contiguous
-    return np.ascontiguousarray(
-        np.einsum("iak,ijab,jbl->ijkl", A_u, P, A_v, optimize=True))
+    return np.einsum("iak,ijab,jbl->ijkl", A_u, P, A_v, optimize=True)
 
 
 def frame_cos_sin(s_u, s_v):

@@ -71,6 +71,42 @@ def test_simulate_deterministic(scenario, tmp_path):
         (b / "summary.json").read_bytes()
 
 
+def test_compare_outputs_script(scenario, tmp_path):
+    # scripts/compare_outputs.py: same results apart from the measured
+    # timings exit 0; any other array or file that differs exits 1
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "compare_outputs.py"
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["simulate", "--config", str(scenario),
+                     "--out", str(out)]) == 0
+
+    def compare():
+        done = subprocess.run([sys.executable, str(script), str(a), str(b)],
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout
+
+    with np.load(b / "trials.npz") as f:
+        arrays = dict(f)
+    arrays["timing_mean_us"] = arrays["timing_mean_us"] + 1.0
+    np.savez(b / "trials.npz", **arrays)
+    assert compare()[0] == 0
+    errors = arrays["errors"]
+    arrays["errors"] = errors.copy()
+    arrays["errors"][1, 3, 1] = np.nextafter(errors[1, 3, 1], np.inf)
+    np.savez(b / "trials.npz", **arrays)
+    code, out = compare()
+    assert code == 1
+    assert out.splitlines() == [
+        f"trials.npz[errors]: largest difference "
+        f"{abs(arrays['errors'][1, 3, 1] - errors[1, 3, 1]):.6g}"]
+    arrays["errors"] = errors
+    np.savez(b / "trials.npz", **arrays)
+    (b / "summary.json").write_text(
+        (a / "summary.json").read_text() + " ")
+    assert compare() == (1, "summary.json: contents differ\n")
+
+
 def test_metrics_recompute_idempotent(scenario, tmp_path, capsys):
     out = tmp_path / "out"
     main(["simulate", "--config", str(scenario), "--out", str(out)])

@@ -14,10 +14,15 @@ from meskf import (DegenerateCovarianceError, DegenerateSamplingError,
 from meskf import projection, quat
 from meskf.projection import ProjectedRange, _lever_arm
 from meskf.sim.config import load_scenario
+from meskf.sim.runner import run_campaign
+from meskf.surface import BSplineSurface, world_to_chart
 
 from conftest import make_random_surface, random_spd
 
 IDENT = RobotExtrinsics.identity()
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_SCENARIO = ROOT / "scenarios" / "reference_curved.json"
+LEVER_SCENARIO = ROOT / "bench" / "lever_curved.json"
 ZERO_J = np.zeros((3, 3))   # lever-arm Jacobian of IDENT
 
 
@@ -184,16 +189,19 @@ class TestSampling:
                             np.array([[0.02, 0.005, 0.0],
                                       [0.005, 0.01, 0.0],
                                       [0.0, 0.0, 0.01]]))
-        for w, n in ((3.0, 41), (2.5, 21), (3.0, 41)):
+        # and a state whose cloud crosses the domain's corner (9, 9)
+        edge = FilterState(np.array([9.8, 9.9]), 0.2, state.P_x)
+        for st, w, n in ((state, 3.0, 41), (state, 2.5, 21),
+                         (state, 3.0, 41), (edge, 3.0, 41)):
             cfg = SamplingConfig(grid_half_width=w, grid_resolution=n)
             axis = np.linspace(-w, w, n)
             gu, gv = np.meshgrid(axis, axis, indexing="ij")
             g = np.column_stack([gu.ravel(), gv.ravel()])
             g = g[np.einsum("ij,ij->i", g, g) <= w * w + 1e-12]
-            L = np.linalg.cholesky(state.P_x[0:2, 0:2])
-            ref = state.t_R + g @ L.T
+            L = np.linalg.cholesky(st.P_x[0:2, 0:2])
+            ref = st.t_R + g @ L.T
             ref = ref[curved.contains(ref)]
-            pts = sample_sigma_region(state, curved, cfg)
+            pts = sample_sigma_region(st, curved, cfg)
             np.testing.assert_array_equal(pts, ref)
         # one grid is shared by every call, so no caller may write to it
         grid = projection._whitened_grid(3.0, 41)
@@ -298,6 +306,78 @@ class TestProjectRange:
         assert a.z_dU == b.z_dU and a.R_dU == b.R_dU
         np.testing.assert_array_equal(a.t_A_prime, b.t_A_prime)
 
+    def test_shell_matches_world_point_reference(self, curved):
+        # the shell written with world points, eval_point elevations and
+        # np.linalg.norm gives the same z_dU, bit for bit; a shell 1e-300
+        # wide around one sample's distance keeps that sample only if
+        # the distance is reproduced to the last bit
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            state = FilterState(rng.uniform(-8.5, 8.5, size=2), 0.0,
+                                random_spd(rng, 3, 0.01))
+            anchor = np.concatenate([rng.uniform(-9, 9, size=2), [0.5]])
+            samples = sample_sigma_region(state, curved,
+                                          SamplingConfig(3.0, 41))
+            z = [curved.eval_point(u, v)[0] for u, v in samples.tolist()]
+            d = np.linalg.norm(np.column_stack([samples, z]) - anchor, axis=1)
+            t_A = world_to_chart(curved.closest_point(anchor))
+            z_d = float(d[rng.integers(len(d))])
+            for tol in (0.05, 1e-300):
+                t_m = samples[np.abs(d - z_d) <= tol]
+                proj = project_range(curved, z_d, 0.0025, anchor, IDENT,
+                                     state, SamplingConfig(3.0, 41, tol))
+                assert proj.z_dU == float(np.mean(np.linalg.norm(
+                    t_A - t_m, axis=1)))
+
+    def test_anchor_is_solved_once_and_handed_out_read_only(self,
+                                                            monkeypatch):
+        # zero lever arm: A' is the anchor, so a reference-scenario trial
+        # solves one closest point per anchor, however many projections
+        scenario = load_scenario(REFERENCE_SCENARIO)
+        scenario.filter_kind, scenario.n_trials = "MP-ESEKF", 1
+        assert not np.any(scenario.extrinsics.r_RS)
+        solved, projected = [], []
+        solve = BSplineSurface.closest_point
+        project = projection.project_range
+
+        def counted_solve(self, r):
+            solved.append(np.asarray(r, dtype=float).tobytes())
+            return solve(self, r)
+
+        def counted_project(*args):
+            projected.append(project(*args))
+            return projected[-1]
+
+        monkeypatch.setattr(BSplineSurface, "closest_point", counted_solve)
+        monkeypatch.setattr(projection, "project_range", counted_project)
+        run_campaign(scenario)
+        anchors = [np.asarray(a, dtype=float).tobytes()
+                   for a in scenario.suite.anchors]
+        assert len(projected) > 100
+        assert [solved.count(a) for a in anchors] == [1, 1]
+        with pytest.raises(ValueError):
+            projected[0].t_A_prime[0] = 0.0
+
+    def test_moving_anchor_equals_a_fresh_solve(self, monkeypatch):
+        # with a lever arm A' moves with the state: every projection's
+        # anchor is the closest point solved anew on another surface
+        scenario = load_scenario(LEVER_SCENARIO)
+        scenario.filter_kind, scenario.n_trials = "MP-ESEKF", 1
+        fresh = load_scenario(LEVER_SCENARIO).surface
+        queries = []
+        lookup = BSplineSurface.closest_chart_point
+
+        def recorded(self, r):
+            queries.append((np.array(r), lookup(self, r)))
+            return queries[-1][1]
+
+        monkeypatch.setattr(BSplineSurface, "closest_chart_point", recorded)
+        run_campaign(scenario)
+        assert len(queries) > 100
+        for r, t in queries:
+            np.testing.assert_array_equal(
+                t, world_to_chart(fresh.closest_point(r)))
+
 
 class TestProjectedRangeUpdate:
     def test_consistent_measurement_keeps_mean(self, flat):
@@ -323,8 +403,7 @@ class TestProjectedRangeUpdate:
 
 def test_lever_arm_computed_once_per_measurement(monkeypatch):
     # with a lever arm, each projection takes p and J from one call
-    lever = load_scenario(Path(__file__).resolve().parents[1] / "bench"
-                          / "lever_curved.json")
+    lever = load_scenario(LEVER_SCENARIO)
     surface, ext = lever.surface, lever.extrinsics
     assert np.any(ext.r_RS)
     calls = []

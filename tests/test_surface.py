@@ -266,20 +266,131 @@ def test_batched_derivatives_are_eval_point(make):
     rows = [surface.eval_point(u, v) for u, v in t.tolist()]
     z, grad = surface.elevation_gradient_many(t)
     np.testing.assert_array_equal(z, [r[0] for r in rows])
+    np.testing.assert_array_equal(surface.elevation_many(t), z)
     np.testing.assert_array_equal(grad, [r[1:3] for r in rows])
     np.testing.assert_array_equal(surface.gradient_many(t), grad)
     np.testing.assert_array_equal(surface.tangent_frame_many(t),
                                   [surface.tangent_frame(p) for p in t])
     (u0, u1), (v0, v1) = surface.domain
     queries = ("gradient_many", "elevation_gradient_many",
-               "tangent_frame_many")
+               "tangent_frame_many", "elevation_many", "chart_to_world_many")
     for bad, match in (([u0, np.nan], "not finite"),
                        ([np.inf, v0], "not finite"),
+                       ([u0, -np.inf], "not finite"),
                        ([u1 + 1e-9, v1], "outside domain"),
                        ([u0, v0 - 1e-9], "outside domain")):
         for name in queries:
             with pytest.raises(OutOfChartError, match=match):
                 getattr(surface, name)(np.array([t[0], bad]))
+
+
+def knot_cloud(surface, where, a, b, rng):
+    """Random points, the corners of a box and points on its knot lines
+    u = k_u[a] and v = k_v[b]. The box lies inside patch (a, b), across
+    one of the knot lines or both, or in the last patch up to its far
+    corner (u_max, v_max)."""
+    ku, kv = np.unique(surface.knots_u), np.unique(surface.knots_v)
+    if where == "max-corner":
+        a, b = len(ku) - 2, len(kv) - 2
+
+    def side(k, i, across):
+        lo = 0.5 * (k[i - 1] + k[i]) if across else k[i]
+        hi = k[i + 1] if where == "max-corner" else 0.5 * (k[i] + k[i + 1])
+        return lo, hi
+
+    lo_u, hi_u = side(ku, a, where in ("u-line", "corner"))
+    lo_v, hi_v = side(kv, b, where in ("v-line", "corner"))
+    pts = rng.uniform([lo_u, lo_v], [hi_u, hi_v], size=(40, 2))
+    corners = [[lo_u, lo_v], [lo_u, hi_v], [hi_u, lo_v], [hi_u, hi_v]]
+    on_knots = [[ku[a], lo_v], [ku[a], hi_v], [lo_u, kv[b]], [hi_u, kv[b]],
+                [ku[a], kv[b]]]
+    return np.vstack([pts, corners, on_knots])
+
+
+@pytest.mark.parametrize("where", ["one-patch", "u-line", "v-line",
+                                   "corner", "max-corner"])
+@pytest.mark.parametrize("make", [
+    lambda: make_random_surface(42, amplitude=0.8),
+    lambda: nonuniform_surface(3, 2, 4),
+    lambda: nonuniform_surface(4, 1, 3),
+], ids=["curved", "degree-2x4", "degree-1x3"])
+def test_elevation_many_is_eval_point_on_patch_clouds(make, where):
+    # a cloud is evaluated patch by patch from its bounding box; each
+    # placement against every interior knot pair, zero-length spans
+    # (repeated knots of the nonuniform surfaces) included
+    surface = make()
+    rng = np.random.default_rng(5)
+    n_u, n_v = len(np.unique(surface.knots_u)), len(np.unique(surface.knots_v))
+    for a in range(1, n_u - 1):
+        for b in range(1, n_v - 1):
+            t = knot_cloud(surface, where, a, b, rng)
+            ref = [surface.eval_point(u, v)[0] for u, v in t.tolist()]
+            np.testing.assert_array_equal(surface.elevation_many(t), ref)
+
+
+def test_elevation_many_reports_non_finite_first(curved):
+    # the cloud's box is checked as a whole: a non-finite point is
+    # reported before a finite one outside the domain, wherever each lies
+    (u0, _), (_, v1) = curved.domain
+    for cloud in ([[u0 - 1.0, 0.0], [0.0, 0.0], [np.inf, 0.0]],
+                  [[0.0, -np.inf], [0.0, v1 + 1.0]],
+                  [[0.0, np.nan], [u0 - 1.0, 0.0]]):
+        with pytest.raises(OutOfChartError, match="not finite"):
+            curved.elevation_many(np.array(cloud))
+
+
+class TestClosestChartPoint:
+    def test_equals_a_fresh_solve_and_is_read_only(self, curved):
+        surface = make_random_surface(42, amplitude=0.8)
+        r = np.array([2.0, -1.5, 1.0])
+        t = surface.closest_chart_point(r)
+        np.testing.assert_array_equal(t, world_to_chart(
+            curved.closest_point(r)))
+        with pytest.raises(ValueError):
+            t[0] = 0.0
+        np.testing.assert_array_equal(surface.closest_chart_point(r.copy()),
+                                      t)
+        # a query that differs only in height is solved anew
+        r2 = r + [0.0, 0.0, 0.5]
+        t2 = surface.closest_chart_point(r2)
+        assert not np.array_equal(t2, t)
+        np.testing.assert_array_equal(t2, world_to_chart(
+            curved.closest_point(r2)))
+
+    def test_surfaces_keep_their_own_entries(self):
+        a = make_random_surface(1, amplitude=0.8)
+        b = make_random_surface(2, amplitude=0.8)
+        r = np.array([1.0, 1.0, 3.0])
+        ta, tb = a.closest_chart_point(r), b.closest_chart_point(r)
+        assert not np.array_equal(ta, tb)
+        np.testing.assert_array_equal(ta, world_to_chart(a.closest_point(r)))
+        np.testing.assert_array_equal(tb, world_to_chart(b.closest_point(r)))
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("meskf.surface.CLOSEST_CHART_MEMO", 4)
+        surface = make_random_surface(3, amplitude=0.8)
+        calls = []
+        solve = BSplineSurface.closest_point
+
+        def counted(self, r):
+            calls.append(1)
+            return solve(self, r)
+
+        monkeypatch.setattr(BSplineSurface, "closest_point", counted)
+        queries = [np.array([x, 0.5, 1.0]) for x in range(-3, 4)]
+        for r in queries:
+            surface.closest_chart_point(r)
+        assert len(surface._memo) == 4 and len(calls) == 7
+        surface.closest_chart_point(queries[-1])     # kept: no new solve
+        surface.closest_chart_point(queries[0])      # evicted: solved again
+        assert len(calls) == 8 and len(surface._memo) == 4
+
+    def test_failed_solve_is_not_stored(self, monkeypatch):
+        surface = make_random_surface(3, amplitude=0.8)
+        monkeypatch.setattr("meskf.surface.CLOSEST_POINT_MAX_ITER", 1)
+        with pytest.raises(NumericalFailureError):
+            surface.closest_chart_point(np.array([3.0, -2.0, 4.0]))
+        assert not surface._memo
 
 
 def test_chart_roundtrip_identity(curved):
