@@ -163,11 +163,7 @@ def sample_sigma_region(state: FilterState, surface: BSplineSurface,
         raise DegenerateSamplingError("position covariance not SPD") from e
     g = _whitened_grid(config.grid_half_width, config.grid_resolution)
     pts = state.t_R + g @ L.T
-    u, v = pts[:, 0], pts[:, 1]
-    (u0, u1), (v0, v1) = surface.domain
-    if not (u0 <= u.min() and u.max() <= u1
-            and v0 <= v.min() and v.max() <= v1):
-        pts = pts[surface.contains(pts)]
+    pts = pts[surface.contains(pts)]
     if len(pts) == 0:
         raise DegenerateSamplingError("no sigma-region samples in domain")
     return pts

@@ -328,8 +328,11 @@ class BSplineSurface:
 
         Memoised on the exact bits of r, so a fixed query point, such as
         a range anchor with no lever arm, is solved once per surface.
-        The memo keeps the CLOSEST_CHART_MEMO latest queries. A query
-        that raises is not stored.
+        The memo holds CLOSEST_CHART_MEMO entries and evicts first in,
+        first out: a hit does not renew an entry. Scenarios visit their
+        anchors round-robin, so a fixed anchor hits only when the scenario
+        has at most CLOSEST_CHART_MEMO anchors. A query that raises is
+        not stored.
         """
         r = np.asarray(r, dtype=float)
         key = r.tobytes()

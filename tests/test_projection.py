@@ -189,7 +189,7 @@ class TestSampling:
                             np.array([[0.02, 0.005, 0.0],
                                       [0.005, 0.01, 0.0],
                                       [0.0, 0.0, 0.01]]))
-        # and a state whose cloud crosses the domain's corner (9, 9)
+        # and a state whose cloud crosses the domain's corner (10, 10)
         edge = FilterState(np.array([9.8, 9.9]), 0.2, state.P_x)
         for st, w, n in ((state, 3.0, 41), (state, 2.5, 21),
                          (state, 3.0, 41), (edge, 3.0, 41)):
