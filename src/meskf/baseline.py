@@ -73,11 +73,7 @@ def propagate_3d(state: FullPoseState, odom: OdometryInput,
     error Jacobian is F = [[I, A], [0, B]] with A = -R [v]_x dt and
     B = R_z(-omega dt), and the noise enters through
     G = [[-R_2 dt, 0], [0, -dt e_3]], R_2 the first two columns of R.
-    P' = F P F^T + G Q G^T is written out on those blocks: with
-    P = [[P_pp, X], [X^T, T]] and Y = X + A T,
-    P'_pp = P_pp + A X^T + Y A^T + dt^2 R_2 Q_v R_2^T, P'_pt = Y B^T and
-    P'_tt = B T B^T + dt^2 sigma_omega e_3 e_3^T (upper triangles of P
-    and of Q_v are read).
+    P' = F P F^T + G Q G^T, symmetrised.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -91,39 +87,24 @@ def propagate_3d(state: FullPoseState, odom: OdometryInput,
     # B = R(dq)^T = [[c, s, 0], [-s, c, 0], [0, 0, 1]]
     c = 1.0 - 2.0 * dq[3] * dq[3]
     s = 2.0 * dq[0] * dq[3]
-
-    # rows of A = -R [v]_x dt, of G's velocity block and of G Q_v
-    A = [(r2 * vy * dt, -r2 * vx * dt, (r1 * vx - r0 * vy) * dt)
-         for r0, r1, r2 in R]
-    G = [(-r0 * dt, -r1 * dt) for r0, r1, _ in R]
-    (q00, q01), (_, q11) = odom.sigma_v.tolist()
-    GQ = [(g0 * q00 + g1 * q01, g0 * q01 + g1 * q11) for g0, g1 in G]
-    P = state.P.tolist()
-    (t00, t01, t02), (_, t11, t12), (_, _, t22) = [
-        row[3:6] for row in P[3:6]]
-    Y = [(x[3] + a0 * t00 + a1 * t01 + a2 * t02,
-          x[4] + a0 * t01 + a1 * t11 + a2 * t12,
-          x[5] + a0 * t02 + a1 * t12 + a2 * t22)
-         for (a0, a1, a2), x in zip(A, P)]
-    n00, n01, n02, n11, n12, n22 = [
-        P[i][j] + A[i][0] * P[j][3] + A[i][1] * P[j][4] + A[i][2] * P[j][5]
-        + Y[i][0] * A[j][0] + Y[i][1] * A[j][1] + Y[i][2] * A[j][2]
-        + GQ[i][0] * G[j][0] + GQ[i][1] * G[j][1]
-        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))]
-    (e0, e1, e2), (f0, f1, f2), (h0, h1, h2) = [
-        (c * y0 + s * y1, c * y1 - s * y0, y2) for y0, y1, y2 in Y]
-    # B T B^T through the rows u0, u1 of B T
-    u00, u01, u02 = c * t00 + s * t01, c * t01 + s * t11, c * t02 + s * t12
-    u10, u11, u12 = c * t01 - s * t00, c * t11 - s * t01, c * t12 - s * t02
-    b00, b01, b11 = c * u00 + s * u01, c * u01 - s * u00, c * u11 - s * u10
-    b22 = t22 + dt * dt * odom.sigma_omega
-    P_new = np.array([n00, n01, n02, e0, e1, e2,
-                      n01, n11, n12, f0, f1, f2,
-                      n02, n12, n22, h0, h1, h2,
-                      e0, f0, h0, b00, b01, u02,
-                      e1, f1, h1, b01, b11, u12,
-                      e2, f2, h2, u02, u12, b22]).reshape(6, 6)
-    return FullPoseState._adopt(np.array(p_new), np.array(q_new), P_new)
+    # rows of A; G is built without its factor -dt, and Q with its square
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = [
+        (r2 * vy * dt, -r2 * vx * dt, (r1 * vx - r0 * vy) * dt)
+        for r0, r1, r2 in R]
+    (q00, q01), (q10, q11) = odom.sigma_v.tolist()
+    F = np.array([1.0, 0.0, 0.0, a0, a1, a2,
+                  0.0, 1.0, 0.0, a3, a4, a5,
+                  0.0, 0.0, 1.0, a6, a7, a8,
+                  0.0, 0.0, 0.0, c, s, 0.0,
+                  0.0, 0.0, 0.0, -s, c, 0.0,
+                  0.0, 0.0, 0.0, 0.0, 0.0, 1.0]).reshape(6, 6)
+    G = np.array([*R[0][0:2], 0.0, *R[1][0:2], 0.0, *R[2][0:2], 0.0,
+                  0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]).reshape(6, 3)
+    Q = np.array([q00, q01, 0.0, q10, q11, 0.0, 0.0, 0.0,
+                  odom.sigma_omega]).reshape(3, 3) * (dt * dt)
+    P = F.dot(state.P).dot(F.T) + G.dot(Q).dot(G.T)
+    return FullPoseState._adopt(np.array(p_new), np.array(q_new),
+                                0.5 * (P + P.T))
 
 
 def _correct_3d(state: FullPoseState, innovation: np.ndarray,

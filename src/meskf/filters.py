@@ -18,7 +18,8 @@ from . import quat
 from . import sensors3d as s3d
 from .core import FilterState, RobotExtrinsics, propagate
 from .errors import (DegenerateGeometryError, DegenerateSamplingError,
-                     NoIntersectionError, divisor, number_fields)
+                     NoIntersectionError, NumericalFailureError, divisor,
+                     number_fields)
 from .surface import BSplineSurface
 
 
@@ -66,15 +67,16 @@ class MESEKF:
 @dataclass
 class MPESEKF(MESEKF):
     """The M-ESEKF with chart-projected corrections. A range with no
-    projection (no shell points, degenerate samples or geometry) falls
-    back to the M-ESEKF's 3-D range update, under the same label."""
+    projection (no shell points, degenerate samples or geometry, an
+    anchor whose closest point does not converge) falls back to the
+    M-ESEKF's 3-D range update, under the same label."""
     sampling: prj.SamplingConfig
     pose_label, range_label = "projected_position", "projected_range"
 
     def correct_pose(self, state, meas):
         p = prj.project_position(self.surface, meas.z_p, meas.P_m[0:3, 0:3],
                                  self.extrinsics, state)
-        state = prj.projected_position_update(state, self.surface, p)
+        state = prj.projected_position_update(state, p)
         return s3d.orientation_update(state, self.surface, self.extrinsics,
                                       meas)
 
@@ -83,9 +85,9 @@ class MPESEKF(MESEKF):
             pr = prj.project_range(self.surface, meas.z_d, meas.R_d,
                                    meas.r_A, self.extrinsics, state,
                                    self.sampling)
-            return prj.projected_range_update(state, self.surface, pr)
+            return prj.projected_range_update(state, pr)
         except (NoIntersectionError, DegenerateSamplingError,
-                DegenerateGeometryError):
+                DegenerateGeometryError, NumericalFailureError):
             return super().correct_range(state, meas)
 
 

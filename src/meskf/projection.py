@@ -127,7 +127,7 @@ def project_position(surface: BSplineSurface, r_Sm: np.ndarray,
     return ProjectedPosition(z_t, P_t)
 
 
-def projected_position_update(state: FilterState, surface: BSplineSurface,
+def projected_position_update(state: FilterState,
                               proj: ProjectedPosition) -> FilterState:
     H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     return correct(state, proj.z_t - state.t_R, H, proj.P_t)
@@ -223,7 +223,7 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
     return ProjectedRange(z_dU, R_dU, t_A)
 
 
-def projected_range_update(state: FilterState, surface: BSplineSurface,
+def projected_range_update(state: FilterState,
                            proj: ProjectedRange) -> FilterState:
     diff = proj.t_A_prime - state.t_R
     dist = np.linalg.norm(diff)

@@ -21,6 +21,7 @@ queries call it point by point.
 """
 
 import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,14 +37,15 @@ CLOSEST_POINT_TOL = 1e-10     # chart step, m
 CLOSEST_CHART_MEMO = 32       # entries kept by closest_chart_point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BSplineSurface:
     """Immutable clamped b-spline elevation surface z = S(u, v).
 
     control_points is an (n+1, m+1) grid of scalar elevations, row index
     running along u. Each end of a knot vector is repeated exactly
     degree + 1 times, so the domain has positive width and its first and
-    last knot spans are not empty.
+    last knot spans are not empty. Surfaces compare and hash by
+    identity.
     """
 
     degree_u: int
@@ -56,13 +58,11 @@ class BSplineSurface:
     # with both power axes reversed for Horner's rule as
     # _patches[i - p][j - q], the span search ranges (lo_u, hi_u, lo_v,
     # hi_v) for bisect, and the domain (u_min, u_max, v_min, v_max)
-    _ku: list = field(init=False, repr=False, compare=False)
-    _kv: list = field(init=False, repr=False, compare=False)
-    _patches: list = field(init=False, repr=False, compare=False)
-    _search: tuple = field(init=False, repr=False, compare=False)
-    _bounds: tuple = field(init=False, repr=False, compare=False)
-    # closest_chart_point's results by query bytes, oldest first
-    _memo: dict = field(init=False, repr=False, compare=False)
+    _ku: list = field(init=False, repr=False)
+    _kv: list = field(init=False, repr=False)
+    _patches: list = field(init=False, repr=False)
+    _search: tuple = field(init=False, repr=False)
+    _bounds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         ku = np.ascontiguousarray(self.knots_u, dtype=float)
@@ -103,7 +103,6 @@ class BSplineSurface:
         (u0, u1), (v0, v1) = self.domain
         object.__setattr__(self, "_bounds",
                            (float(u0), float(u1), float(v0), float(v1)))
-        object.__setattr__(self, "_memo", {})
 
     @property
     def domain(self):
@@ -115,7 +114,7 @@ class BSplineSurface:
 
     def contains(self, t: np.ndarray) -> np.ndarray:
         t = np.atleast_2d(np.asarray(t, dtype=float))
-        (u0, u1), (v0, v1) = self.domain
+        u0, u1, v0, v1 = self._bounds
         return ((t[:, 0] >= u0) & (t[:, 0] <= u1)
                 & (t[:, 1] >= v0) & (t[:, 1] <= v1))
 
@@ -326,27 +325,25 @@ class BSplineSurface:
     def closest_chart_point(self, r: np.ndarray) -> np.ndarray:
         """``world_to_chart(closest_point(r))``, as a read-only array.
 
-        Memoised on the exact bits of r, so a fixed query point, such as
-        a range anchor with no lever arm, is solved once per surface.
-        The memo holds CLOSEST_CHART_MEMO entries and evicts first in,
-        first out: a hit does not renew an entry. Scenarios visit their
-        anchors round-robin, so a fixed anchor hits only when the scenario
-        has at most CLOSEST_CHART_MEMO anchors. A query that raises is
-        not stored.
+        Memoised on the surface and the exact bits of r in
+        CLOSEST_CHART_MEMO entries, shared by all surfaces (and keeping
+        theirs alive), that evict the least recently used; a query that
+        raises is not stored. A fixed query, such as a range anchor with
+        no lever arm, is solved once while a scenario visits at most
+        CLOSEST_CHART_MEMO of them round-robin.
         """
-        r = np.asarray(r, dtype=float)
-        key = r.tobytes()
-        uv = self._memo.get(key)
-        if uv is None:
-            # plain floats: long-lived 16-byte numpy buffers, renewed on
-            # every query of a moving point, kept the heap from shrinking
-            uv = tuple(world_to_chart(self.closest_point(r)).tolist())
-            if len(self._memo) >= CLOSEST_CHART_MEMO:
-                del self._memo[next(iter(self._memo))]
-            self._memo[key] = uv
-        t = np.array(uv)
+        t = np.array(_closest_chart(self, np.asarray(r, dtype=float)
+                                    .tobytes()))
         t.flags.writeable = False
         return t
+
+
+@functools.lru_cache(maxsize=CLOSEST_CHART_MEMO)
+def _closest_chart(surface: BSplineSurface, r: bytes) -> tuple:
+    # plain floats: long-lived 16-byte numpy buffers, renewed on every
+    # query of a moving point, kept the heap from shrinking
+    return tuple(world_to_chart(
+        surface.closest_point(np.frombuffer(r))).tolist())
 
 
 def _strips(x: np.ndarray, knots: list, first: int, last: int) -> list:

@@ -16,9 +16,9 @@ from meskf import (FilterState, OdometryInput, PoseMeasurement,
                    RobotExtrinsics, flat_surface, world_to_chart)
 from meskf import quat
 from meskf.sensors3d import pose_update
-from meskf.core import heading_rotation_2d, propagate, wrap_angle
+from meskf.core import propagate, wrap_angle
 from meskf.sim.config import load_scenario
-from meskf.sim.runner import anees_bounds, run_campaign
+from meskf.sim.runner import run_campaign
 from meskf.sim.trajectory import generate_ground_truth
 
 from conftest import make_random_surface, random_spd

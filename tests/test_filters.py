@@ -12,10 +12,10 @@ import meskf
 from meskf import (CESEKF, FILTER_KINDS, FILTERS, MESEKF, MPESEKF,
                    ConfigError, DegenerateGeometryError,
                    DegenerateSamplingError, NoIntersectionError,
-                   PseudoMeasurementConfig, RangeMeasurement,
-                   RobotExtrinsics, SamplingConfig, make_filter,
-                   predict_range, project_range, projected_range_update,
-                   range_update)
+                   NumericalFailureError, PseudoMeasurementConfig,
+                   RangeMeasurement, RobotExtrinsics, SamplingConfig,
+                   make_filter, predict_range, project_range,
+                   projected_range_update, range_update)
 from meskf import projection
 
 LEVER = RobotExtrinsics([0.1, -0.05, 0.2], [1.0, 0.0, 0.0, 0.0])
@@ -35,7 +35,8 @@ def range_meas(surface, state, offset=0.01):
 
 @pytest.mark.parametrize("error", [NoIntersectionError,
                                    DegenerateSamplingError,
-                                   DegenerateGeometryError])
+                                   DegenerateGeometryError,
+                                   NumericalFailureError])
 def test_mp_range_falls_back_to_3d_update(curved, state, monkeypatch,
                                           error):
     def no_projection(*args):
@@ -55,7 +56,7 @@ def test_mp_range_is_projected_when_it_can_be(curved, state):
                        sampling)
     mp = MPESEKF(curved, 0.05, LEVER, sampling)
     assert_same_state(mp.correct_range(state, meas),
-                      projected_range_update(state, curved, pr))
+                      projected_range_update(state, pr))
 
 
 def test_pseudo_cadence_divides_odometry_rate(curved):

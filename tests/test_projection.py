@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meskf import (DegenerateCovarianceError, DegenerateSamplingError,
-                   FilterState, NoIntersectionError, RobotExtrinsics,
-                   SamplingConfig, associate_to_surface,
+from meskf import (DegenerateCovarianceError, DegenerateGeometryError,
+                   DegenerateSamplingError, FilterState, NoIntersectionError,
+                   RobotExtrinsics, SamplingConfig, associate_to_surface,
                    ellipsoid_tangent_intersection, project_position,
                    project_range, project_range_variance,
                    projected_position_update, projected_range_update,
@@ -134,7 +134,7 @@ class TestProjectPosition:
         state = FilterState(np.array([1.0, 1.0]), 0.5, np.eye(3) * 0.01)
         r_Sm = curved.chart_to_world(np.array([1.05, 0.95]))
         proj = project_position(curved, r_Sm, np.eye(3) * 1e-4, IDENT, state)
-        s2 = projected_position_update(state, curved, proj)
+        s2 = projected_position_update(state, proj)
         assert np.linalg.norm(s2.t_R - proj.z_t) < np.linalg.norm(
             state.t_R - proj.z_t)
         np.testing.assert_allclose(s2.gamma_R, state.gamma_R, atol=1e-12)
@@ -380,25 +380,26 @@ class TestProjectRange:
 
 
 class TestProjectedRangeUpdate:
-    def test_consistent_measurement_keeps_mean(self, flat):
+    def test_consistent_measurement_keeps_mean(self):
         state = FilterState(np.array([1.0, 0.0]), 0.0, np.eye(3) * 0.01)
         proj = ProjectedRange(4.0, 0.0025, np.array([5.0, 0.0]))
-        s2 = projected_range_update(state, flat, proj)
+        s2 = projected_range_update(state, proj)
         np.testing.assert_allclose(s2.t_R, state.t_R, atol=1e-12)
 
-    def test_single_update_is_rank_one(self, flat):
+    def test_single_update_is_rank_one(self):
         state = FilterState(np.array([1.0, 0.0]), 0.0, np.eye(3) * 0.01)
         proj = ProjectedRange(3.8, 0.0025, np.array([5.0, 0.0]))
-        s2 = projected_range_update(state, flat, proj)
+        s2 = projected_range_update(state, proj)
         # variance along the tangential direction is untouched
         np.testing.assert_allclose(s2.P_x[1, 1], state.P_x[1, 1], atol=1e-12)
         assert s2.P_x[0, 0] < state.P_x[0, 0]
 
-    def test_degenerate_equivalent_anchor(self, flat):
+    def test_degenerate_equivalent_anchor(self):
         state = FilterState(np.array([1.0, 0.0]), 0.0, np.eye(3) * 0.01)
         proj = ProjectedRange(0.0, 0.0025, state.t_R.copy())
-        with pytest.raises(Exception):
-            projected_range_update(state, flat, proj)
+        with pytest.raises(DegenerateGeometryError,
+                           match="equivalent anchor"):
+            projected_range_update(state, proj)
 
 
 def test_lever_arm_computed_once_per_measurement(monkeypatch):

@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meskf import (BSplineSurface, ConfigError, NumericalFailureError,
-                   OutOfChartError, load_surface, save_surface,
-                   surface_from_dict, world_to_chart)
+                   OutOfChartError, flat_surface, load_surface,
+                   save_surface, surface_from_dict, world_to_chart)
 from meskf.bspline import (basis_and_derivatives, find_spans,
                            point_basis_ders2, tensor_eval)
+from meskf.surface import CLOSEST_CHART_MEMO
 
 from conftest import make_random_surface
 
@@ -339,6 +340,19 @@ def test_elevation_many_reports_non_finite_first(curved):
             curved.elevation_many(np.array(cloud))
 
 
+def count_solves(monkeypatch):
+    """List that gains one entry per BSplineSurface.closest_point call."""
+    calls = []
+    solve = BSplineSurface.closest_point
+
+    def counted(self, r):
+        calls.append(1)
+        return solve(self, r)
+
+    monkeypatch.setattr(BSplineSurface, "closest_point", counted)
+    return calls
+
+
 class TestClosestChartPoint:
     def test_equals_a_fresh_solve_and_is_read_only(self, curved):
         surface = make_random_surface(42, amplitude=0.8)
@@ -367,30 +381,35 @@ class TestClosestChartPoint:
         np.testing.assert_array_equal(tb, world_to_chart(b.closest_point(r)))
 
     def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr("meskf.surface.CLOSEST_CHART_MEMO", 4)
         surface = make_random_surface(3, amplitude=0.8)
-        calls = []
-        solve = BSplineSurface.closest_point
-
-        def counted(self, r):
-            calls.append(1)
-            return solve(self, r)
-
-        monkeypatch.setattr(BSplineSurface, "closest_point", counted)
-        queries = [np.array([x, 0.5, 1.0]) for x in range(-3, 4)]
+        calls = count_solves(monkeypatch)
+        queries = [np.array([x, 0.5, 1.0])
+                   for x in np.linspace(-3.0, 3.0, CLOSEST_CHART_MEMO + 1)]
         for r in queries:
             surface.closest_chart_point(r)
-        assert len(surface._memo) == 4 and len(calls) == 7
+        assert len(calls) == CLOSEST_CHART_MEMO + 1
         surface.closest_chart_point(queries[-1])     # kept: no new solve
         surface.closest_chart_point(queries[0])      # evicted: solved again
-        assert len(calls) == 8 and len(surface._memo) == 4
+        assert len(calls) == CLOSEST_CHART_MEMO + 2
 
     def test_failed_solve_is_not_stored(self, monkeypatch):
         surface = make_random_surface(3, amplitude=0.8)
-        monkeypatch.setattr("meskf.surface.CLOSEST_POINT_MAX_ITER", 1)
-        with pytest.raises(NumericalFailureError):
-            surface.closest_chart_point(np.array([3.0, -2.0, 4.0]))
-        assert not surface._memo
+        calls = count_solves(monkeypatch)
+        r = np.array([3.0, -2.0, 4.0])
+        with monkeypatch.context() as m:
+            m.setattr("meskf.surface.CLOSEST_POINT_MAX_ITER", 1)
+            with pytest.raises(NumericalFailureError):
+                surface.closest_chart_point(r)
+        # solved anew, without the iteration limit
+        np.testing.assert_array_equal(surface.closest_chart_point(r),
+                                      world_to_chart(surface.closest_point(r)))
+        assert len(calls) == 3
+
+
+def test_surfaces_compare_and_hash_by_identity():
+    a, b = flat_surface(), flat_surface()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_chart_roundtrip_identity(curved):
@@ -419,8 +438,13 @@ def test_out_of_domain_raises(curved):
 
 def test_contains(curved):
     (ulo, uhi), (vlo, vhi) = curved.domain
-    t = np.array([[0.0, 0.0], [uhi + 0.1, 0.0], [0.0, vlo - 0.1]])
-    np.testing.assert_array_equal(curved.contains(t), [True, False, False])
+    t = np.array([[0.0, 0.0], [uhi + 0.1, 0.0], [0.0, vlo - 0.1],
+                  [ulo, vlo], [uhi, vhi]])
+    # closed, like the domain that eval_point accepts
+    np.testing.assert_array_equal(curved.contains(t),
+                                  [True, False, False, True, True])
+    for u, v in t[3:]:
+        curved.eval_point(u, v)
 
 
 class TestClosestPoint:
