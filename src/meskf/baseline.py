@@ -56,11 +56,9 @@ class FullPoseState:
 class PseudoMeasurementConfig:
     sigma_z: float = 0.01    # elevation pseudo-noise std, m
     sigma_rp: float = 0.01   # roll/pitch pseudo-noise std, rad
-    rate: float = 20.0       # application frequency, Hz
 
     def __post_init__(self):
-        number_fields(self, "pseudo", float, ("sigma_z", "sigma_rp", "rate"),
-                      gt=0)
+        number_fields(self, "pseudo", float, ("sigma_z", "sigma_rp"), gt=0)
 
 
 def propagate_3d(state: FullPoseState, odom: OdometryInput,

@@ -87,11 +87,6 @@ class RobotExtrinsics:
         return RobotExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
 
 
-def heading_rotation_2d(gamma):
-    c, s = np.cos(gamma), np.sin(gamma)
-    return np.array([[c, -s], [s, c]])
-
-
 def _motion_model(surface: BSplineSurface, state: FilterState,
                   odom: OdometryInput, dt):
     """Chart displacement dt T R_z(gamma) v_m and its Jacobians.

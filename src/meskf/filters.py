@@ -2,10 +2,11 @@
 
 A filter holds only its configuration, so one object serves every trial
 of a campaign. ``start`` offsets the true chart pose by the stds of
-``InitialUncertainty`` times a trial's six standard-normal draws;
-``correct_periodic`` is due every ``every`` steps (0: never);
-``to_eval`` maps a state to the scoring space (chart position, heading,
-their covariance); ``*_label`` names each correction in timings.
+``InitialUncertainty`` times a trial's six standard-normal draws; a
+filter with a ``periodic_label`` applies ``correct_periodic`` after every
+propagation step; ``to_eval`` maps a state to the scoring space (chart
+position, heading, their covariance); ``*_label`` names each correction
+in timings.
 """
 
 from dataclasses import dataclass
@@ -18,8 +19,7 @@ from . import quat
 from . import sensors3d as s3d
 from .core import FilterState, RobotExtrinsics, propagate
 from .errors import (DegenerateGeometryError, DegenerateSamplingError,
-                     NoIntersectionError, NumericalFailureError, divisor,
-                     number_fields)
+                     NoIntersectionError, NumericalFailureError, number_fields)
 from .surface import BSplineSurface
 
 
@@ -43,7 +43,7 @@ class MESEKF:
     surface: BSplineSurface
     dt: float
     extrinsics: RobotExtrinsics
-    pose_label, range_label, every = "pose", "range", 0
+    pose_label, range_label, periodic_label = "pose", "range", None
 
     def start(self, t, gamma, init: InitialUncertainty, noise):
         P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2,
@@ -93,13 +93,12 @@ class MPESEKF(MESEKF):
 
 class CESEKF:
     """Constrained 6-dof ESEKF: 3-D position and attitude, held to the
-    surface by a pseudo-measurement every ``every`` steps."""
+    surface by a pseudo-measurement after every propagation step."""
     pose_label, range_label, periodic_label = "pose", "range", "pseudo"
 
     def __init__(self, surface, dt, extrinsics, pseudo):
         self.surface, self.dt, self.extrinsics = surface, dt, extrinsics
         self.pseudo = pseudo
-        self.every = divisor(pseudo.rate, 1.0 / dt, "pseudo.rate")
 
     def start(self, t, gamma, init: InitialUncertainty, noise):
         p0, q_true = s3d.predict_pose(

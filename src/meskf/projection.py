@@ -14,6 +14,7 @@ place where tangent frame, heading and extrinsics are composed.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,17 +180,21 @@ def project_range_variance(surface: BSplineSurface, R_d: float,
     J_lever (the J of ``_lever_arm``), stripped of its surface-normal
     component, and mapped through the chart. Floored at 1e-12.
     """
-    u, v = float(state.t_R[0]), float(state.t_R[1])
+    u, v = state.t_R.tolist()
     s, s_u, s_v = surface.eval_point(u, v)[:3]
-    d = np.array([u, v, s]) - anchor_shifted
-    dist = np.linalg.norm(d)
+    a_x, a_y, a_z = np.asarray(anchor_shifted, dtype=float).tolist()
+    dx, dy, dz = u - a_x, v - a_y, s - a_z
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist < 1e-6:
         raise DegenerateGeometryError("anchor coincides with sensor")
-    n_AS = d / dist
-    p_d = n_AS * R_d + (J_lever @ state.P_x @ J_lever.T) @ n_AS
-    normal = np.array(frame_matrix(*frame_cos_sin(s_u, s_v)))[:, 2]
-    p_dT = p_d - normal * (normal @ p_d)
-    return max(float(np.linalg.norm(p_dT[0:2])), 1e-12)
+    n = (dx / dist, dy / dist, dz / dist)
+    C = J_lever.dot(state.P_x).dot(J_lever.T).tolist()
+    p_d = [R_d * n_k + c0 * n[0] + c1 * n[1] + c2 * n[2]
+           for n_k, (c0, c1, c2) in zip(n, C)]
+    normal = [row[2] for row in frame_matrix(*frame_cos_sin(s_u, s_v))]
+    along = normal[0] * p_d[0] + normal[1] * p_d[1] + normal[2] * p_d[2]
+    x, y = p_d[0] - normal[0] * along, p_d[1] - normal[1] * along
+    return max(math.sqrt(x * x + y * y), 1e-12)
 
 
 def project_range(surface: BSplineSurface, z_d: float, R_d: float,
@@ -217,7 +222,7 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
     if not np.any(keep):
         raise NoIntersectionError("range shell misses the sigma region")
     t_m = samples[keep]
-    t_A = surface.closest_chart_point(A_prime)
+    t_A = world_to_chart(surface.closest_point(A_prime))
     z_dU = float(np.mean(np.linalg.norm(t_A - t_m, axis=1)))
     R_dU = project_range_variance(surface, R_d, J, state, A_prime)
     return ProjectedRange(z_dU, R_dU, t_A)

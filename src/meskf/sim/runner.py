@@ -139,7 +139,7 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
     (``meskf.filters``), started from ``init`` and the trial's draws.
 
     Each step propagates on the odometry, then applies the periodic
-    correction when due, the pose event, and the range events of the
+    correction if the filter has one, the pose event, and the range events of the
     step, timing each correction. A package error or a chart position
     error above ``DIVERGENCE_LIMIT_M`` ends the trial as diverged.
     """
@@ -169,7 +169,7 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
     for step in range(1, n + 1):
         try:
             state = filt.propagate(state, streams.odometry[step - 1])
-            if filt.every and step % filt.every == 0:
+            if filt.periodic_label:
                 state = timed(filt.periodic_label, filt.correct_periodic,
                               state)
             if step in streams.pose_events:

@@ -2,8 +2,9 @@
 
 A surface is the graph z = S(u, v) of a clamped tensor-product b-spline
 over a rectangular chart domain. Chart points are length-2 arrays (u, v),
-world points length-3 arrays (x, y, z). Every query also has a batched
-variant operating on (N, 2) / (N, 3) arrays.
+world points length-3 arrays (x, y, z). The elevation, gradient,
+tangent-frame and chart-to-world queries also have a batched variant
+operating on (N, 2) arrays.
 
 The chart map is the vertical projection: sigma(x, y, z) = (x, y) and
 sigma^{-1}(u, v) = (u, v, S(u, v)).
@@ -21,7 +22,6 @@ queries call it point by point.
 """
 
 import bisect
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,7 +34,6 @@ from .errors import (NumericalFailureError, OutOfChartError, build, number,
 
 CLOSEST_POINT_MAX_ITER = 50
 CLOSEST_POINT_TOL = 1e-10     # chart step, m
-CLOSEST_CHART_MEMO = 32       # entries kept by closest_chart_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +267,12 @@ class BSplineSurface:
     # -- closest point -------------------------------------------------------
 
     def closest_point(self, r: np.ndarray) -> np.ndarray:
-        """Local minimizer of ||r - sigma^{-1}(t)|| by damped Gauss-Newton.
+        """Local minimizer of ||r - sigma^{-1}(t)|| by damped Newton.
+
+        The Newton matrix is J^T J - (r_z - S) Hess S, with J the
+        Jacobian [[1, 0], [0, 1], [S_u, S_v]] (point inversion: Piegl &
+        Tiller, *The NURBS Book*, sec. 6.1); where it is not positive
+        definite, the step is Gauss-Newton's, on J^T J alone.
 
         Initialized at the vertical projection of r; iterates are clipped
         to the chart domain. The search ends when the step norm, or the
@@ -278,20 +282,21 @@ class BSplineSurface:
         NumericalFailureError (carrying the best iterate) if none of this
         happens within CLOSEST_POINT_MAX_ITER iterations.
         """
-        r = np.asarray(r, dtype=float)
-        if not np.all(np.isfinite(r)):
+        rx, ry, rz = np.asarray(r, dtype=float).tolist()
+        if not all(map(math.isfinite, (rx, ry, rz))):
             raise ValueError("query point must be finite")
-        rx, ry, rz = (float(c) for c in r)
         u0, u1, v0, v1 = self._bounds
         u, v = min(max(rx, u0), u1), min(max(ry, v0), v1)
-        z, gu, gv = self.eval_point(u, v)[:3]
+        z, gu, gv, huu, huv, hvv = self.eval_point(u, v)
         cost = (rx - u) ** 2 + (ry - v) ** 2 + (rz - z) ** 2
         for _ in range(CLOSEST_POINT_MAX_ITER):
-            # normal equations of the Jacobian [[1,0],[0,1],[Su,Sv]]
             ez = rz - z
             b0 = rx - u + gu * ez
             b1 = ry - v + gv * ez
             a00, a01, a11 = 1.0 + gu * gu, gu * gv, 1.0 + gv * gv
+            n00, n01, n11 = a00 - ez * huu, a01 - ez * huv, a11 - ez * hvv
+            if n00 > 0.0 and n00 * n11 > n01 * n01:
+                a00, a01, a11 = n00, n01, n11
             det = a00 * a11 - a01 * a01
             du = (a11 * b0 - a01 * b1) / det
             dv = (a00 * b1 - a01 * b0) / det
@@ -303,9 +308,9 @@ class BSplineSurface:
             for _ in range(20):
                 u_new = min(max(u + lam * du, u0), u1)
                 v_new = min(max(v + lam * dv, v0), v1)
-                z_new, gu_new, gv_new = self.eval_point(u_new, v_new)[:3]
+                new = self.eval_point(u_new, v_new)
                 cost_new = ((rx - u_new) ** 2 + (ry - v_new) ** 2
-                            + (rz - z_new) ** 2)
+                            + (rz - new[0]) ** 2)
                 if cost_new <= cost:
                     break
                 lam *= 0.5
@@ -314,36 +319,13 @@ class BSplineSurface:
                     # shorter step moves less than the tolerance
                     return np.array([u, v, z])
             moved = math.hypot(u_new - u, v_new - v)
-            u, v, z, cost = u_new, v_new, z_new, cost_new
-            gu, gv = gu_new, gv_new
+            u, v, cost = u_new, v_new, cost_new
+            z, gu, gv, huu, huv, hvv = new
             if lam * step < CLOSEST_POINT_TOL or moved < CLOSEST_POINT_TOL:
                 return np.array([u, v, z])
         raise NumericalFailureError(
             "closest-point iteration did not converge",
             best=np.array([u, v, z]))
-
-    def closest_chart_point(self, r: np.ndarray) -> np.ndarray:
-        """``world_to_chart(closest_point(r))``, as a read-only array.
-
-        Memoised on the surface and the exact bits of r in
-        CLOSEST_CHART_MEMO entries, shared by all surfaces (and keeping
-        theirs alive), that evict the least recently used; a query that
-        raises is not stored. A fixed query, such as a range anchor with
-        no lever arm, is solved once while a scenario visits at most
-        CLOSEST_CHART_MEMO of them round-robin.
-        """
-        t = np.array(_closest_chart(self, np.asarray(r, dtype=float)
-                                    .tobytes()))
-        t.flags.writeable = False
-        return t
-
-
-@functools.lru_cache(maxsize=CLOSEST_CHART_MEMO)
-def _closest_chart(surface: BSplineSurface, r: bytes) -> tuple:
-    # plain floats: long-lived 16-byte numpy buffers, renewed on every
-    # query of a moving point, kept the heap from shrinking
-    return tuple(world_to_chart(
-        surface.closest_point(np.frombuffer(r))).tolist())
 
 
 def _strips(x: np.ndarray, knots: list, first: int, last: int) -> list:

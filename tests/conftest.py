@@ -26,6 +26,24 @@ def curved() -> BSplineSurface:
 
 
 @pytest.fixture()
+def surface_calls(monkeypatch):
+    """``surface_calls(name)`` patches ``BSplineSurface.name``, such as
+    ``eval_point`` or ``closest_point``, for the test and returns a list
+    that gains the arguments of each later call."""
+    def record(name):
+        calls = []
+        real = getattr(BSplineSurface, name)
+
+        def recorded(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(BSplineSurface, name, recorded)
+        return calls
+    return record
+
+
+@pytest.fixture()
 def state() -> FilterState:
     P = np.diag([0.04, 0.09, 0.01])
     return FilterState(np.array([0.3, -0.4]), 0.7, P)

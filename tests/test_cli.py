@@ -151,11 +151,21 @@ def test_unknown_filter_in_scenario_is_config_error(scenario, tmp_path,
 @pytest.mark.parametrize("rate", [7.0, 15.0, 30.0, 40.0])
 def test_pseudo_rate_must_divide_odometry_rate(scenario, tmp_path, capsys,
                                                rate):
-    # at 20 Hz odometry, 15 and 30 Hz used to run at 20 Hz, 7 Hz at
-    # 6.67 Hz, with no word
+    # at 20 Hz odometry, 15 and 30 Hz once ran at 20 Hz, 7 Hz at 6.67 Hz,
+    # with no word; pseudo.rate is now refused whatever its value
     assert _simulate_with(scenario, tmp_path, "pseudo", {"rate": rate},
                           "--filter", "C-ESEKF") == 2
-    assert "config error: pseudo.rate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: pseudo" in err and "rate" in err
+
+
+def test_pseudo_rate_is_config_error(scenario, tmp_path, capsys):
+    # the pseudo-measurement follows every propagation step; a scenario
+    # that still names its old rate is refused
+    assert _simulate_with(scenario, tmp_path, "pseudo", {"rate": 20.0},
+                          "--filter", "C-ESEKF") == 2
+    err = capsys.readouterr().err
+    assert "config error: pseudo" in err and "rate" in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

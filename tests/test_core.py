@@ -10,13 +10,19 @@ from meskf import (FilterState, OdometryInput, OutOfChartError,
                    RobotExtrinsics, SingularUpdateError, correct,
                    error_jacobians, propagate, wrap_angle)
 from meskf import core
-from meskf.core import _motion_model, heading_rotation_2d, joseph_update
+from meskf.core import _motion_model, joseph_update
 
 from conftest import random_spd
 
 
 def odom(vx=1.0, vy=0.0, w=0.2, sv=1e-4, sw=1e-5):
     return OdometryInput(np.array([vx, vy]), w, np.eye(2) * sv, sw)
+
+
+def heading_rotation_2d(gamma):
+    """R_z(gamma) on the chart plane, the oracle of the planar model."""
+    c, s = np.cos(gamma), np.sin(gamma)
+    return np.array([[c, -s], [s, c]])
 
 
 def test_wrap_angle():

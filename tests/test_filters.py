@@ -10,7 +10,7 @@ import pytest
 
 import meskf
 from meskf import (CESEKF, FILTER_KINDS, FILTERS, MESEKF, MPESEKF,
-                   ConfigError, DegenerateGeometryError,
+                   DegenerateGeometryError,
                    DegenerateSamplingError, NoIntersectionError,
                    NumericalFailureError, PseudoMeasurementConfig,
                    RangeMeasurement, RobotExtrinsics, SamplingConfig,
@@ -57,16 +57,6 @@ def test_mp_range_is_projected_when_it_can_be(curved, state):
     mp = MPESEKF(curved, 0.05, LEVER, sampling)
     assert_same_state(mp.correct_range(state, meas),
                       projected_range_update(state, pr))
-
-
-def test_pseudo_cadence_divides_odometry_rate(curved):
-    assert MESEKF(curved, 0.05, LEVER).every == 0
-    for rate, every in ((20.0, 1), (10.0, 2), (2.5, 8)):
-        c = CESEKF(curved, 0.05, LEVER, PseudoMeasurementConfig(rate=rate))
-        assert c.every == every
-    for rate in (7.0, 15.0, 30.0, 40.0):
-        with pytest.raises(ConfigError, match="pseudo.rate"):
-            CESEKF(curved, 0.05, LEVER, PseudoMeasurementConfig(rate=rate))
 
 
 def test_registry_builds_each_kind_with_its_tuning(curved):

@@ -15,7 +15,7 @@ from meskf import projection, quat
 from meskf.projection import ProjectedRange, _lever_arm
 from meskf.sim.config import load_scenario
 from meskf.sim.runner import run_campaign
-from meskf.surface import BSplineSurface, world_to_chart
+from meskf.surface import world_to_chart
 
 from conftest import make_random_surface, random_spd
 
@@ -248,6 +248,27 @@ class TestProjectRangeVariance:
         got = project_range_variance(flat, 0.0025, ZERO_J, state, anchor)
         np.testing.assert_allclose(got, 1e-12)
 
+    def test_matches_vector_formulation(self):
+        # the float arithmetic against the same formula in numpy
+        # 3-vectors, with a lever arm, on a curved surface
+        lever = load_scenario(LEVER_SCENARIO)
+        surface, ext = lever.surface, lever.extrinsics
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            state = FilterState(rng.uniform(-8, 8, size=2),
+                                rng.uniform(-np.pi, np.pi),
+                                random_spd(rng, 3, 1e-3))
+            anchor = rng.uniform([-9, -9, -1], [9, 9, 2])
+            _, J = _lever_arm(surface, state, ext)
+            d = surface.chart_to_world(state.t_R) - anchor
+            n_AS = d / np.linalg.norm(d)
+            p_d = n_AS * 0.0025 + (J @ state.P_x @ J.T) @ n_AS
+            normal = surface.normal(state.t_R)
+            p_dT = p_d - normal * (normal @ p_d)
+            np.testing.assert_allclose(
+                project_range_variance(surface, 0.0025, J, state, anchor),
+                np.linalg.norm(p_dT[0:2]), rtol=1e-12)
+
     def test_coincident_anchor_raises(self, flat):
         state = small_state()
         anchor = flat.chart_to_world(state.t_R)
@@ -329,54 +350,36 @@ class TestProjectRange:
                 assert proj.z_dU == float(np.mean(np.linalg.norm(
                     t_A - t_m, axis=1)))
 
-    def test_anchor_is_solved_once_and_handed_out_read_only(self,
-                                                            monkeypatch):
-        # zero lever arm: A' is the anchor, so a reference-scenario trial
-        # solves one closest point per anchor, however many projections
-        scenario = load_scenario(REFERENCE_SCENARIO)
-        scenario.filter_kind, scenario.n_trials = "MP-ESEKF", 1
-        assert not np.any(scenario.extrinsics.r_RS)
-        solved, projected = [], []
-        solve = BSplineSurface.closest_point
+    def test_moving_anchor_equals_a_fresh_solve(self, monkeypatch,
+                                                surface_calls):
+        # every projection's anchor is the closest point of A' solved on
+        # that call; with a lever arm A' moves with the state, and with
+        # none it is the anchor itself. A separately loaded surface gives
+        # the same solve.
+        solved = surface_calls("closest_point")
         project = projection.project_range
+        projected = []
 
-        def counted_solve(self, r):
-            solved.append(np.asarray(r, dtype=float).tobytes())
-            return solve(self, r)
+        def recorded(surface, z_d, R_d, anchor, ext, state, config):
+            lever = _lever_arm(surface, state, ext)[0]
+            first = len(solved)
+            proj = project(surface, z_d, R_d, anchor, ext, state, config)
+            projected.append((anchor - lever, solved[first:], proj))
+            return proj
 
-        def counted_project(*args):
-            projected.append(project(*args))
-            return projected[-1]
-
-        monkeypatch.setattr(BSplineSurface, "closest_point", counted_solve)
-        monkeypatch.setattr(projection, "project_range", counted_project)
-        run_campaign(scenario)
-        anchors = [np.asarray(a, dtype=float).tobytes()
-                   for a in scenario.suite.anchors]
-        assert len(projected) > 100
-        assert [solved.count(a) for a in anchors] == [1, 1]
-        with pytest.raises(ValueError):
-            projected[0].t_A_prime[0] = 0.0
-
-    def test_moving_anchor_equals_a_fresh_solve(self, monkeypatch):
-        # with a lever arm A' moves with the state: every projection's
-        # anchor is the closest point solved anew on another surface
-        scenario = load_scenario(LEVER_SCENARIO)
-        scenario.filter_kind, scenario.n_trials = "MP-ESEKF", 1
-        fresh = load_scenario(LEVER_SCENARIO).surface
-        queries = []
-        lookup = BSplineSurface.closest_chart_point
-
-        def recorded(self, r):
-            queries.append((np.array(r), lookup(self, r)))
-            return queries[-1][1]
-
-        monkeypatch.setattr(BSplineSurface, "closest_chart_point", recorded)
-        run_campaign(scenario)
-        assert len(queries) > 100
-        for r, t in queries:
-            np.testing.assert_array_equal(
-                t, world_to_chart(fresh.closest_point(r)))
+        monkeypatch.setattr(projection, "project_range", recorded)
+        for path in (REFERENCE_SCENARIO, LEVER_SCENARIO):
+            scenario = load_scenario(path)
+            scenario.filter_kind, scenario.n_trials = "MP-ESEKF", 1
+            fresh = load_scenario(path).surface
+            projected.clear()
+            run_campaign(scenario)
+            assert len(projected) > 100
+            for a, calls, proj in projected:
+                assert len(calls) == 1
+                np.testing.assert_array_equal(calls[0][0], a)
+                np.testing.assert_array_equal(
+                    proj.t_A_prime, world_to_chart(fresh.closest_point(a)))
 
 
 class TestProjectedRangeUpdate:

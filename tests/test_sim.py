@@ -42,10 +42,9 @@ def synthesize(surface, truth, su, sched, seed, trial, extrinsics=IDENT):
 
 
 def default_trial(surface, truth, streams, kind):
-    """One trial of the filter ``kind`` with its default tuning, the
-    C-ESEKF's pseudo-measurement at every odometry step."""
+    """One trial of the filter ``kind`` with its default tuning."""
     filt = make_filter(kind, surface, truth.dt, IDENT, SamplingConfig(),
-                       PseudoMeasurementConfig(rate=1.0 / truth.dt))
+                       PseudoMeasurementConfig())
     return run_trial(filt, truth, streams, InitialUncertainty())
 
 
@@ -375,6 +374,21 @@ class TestEndToEnd:
         assert np.all(np.isfinite(m.anees))
         kinds = {row[1] for row in m.timing_rows}
         assert "pose" in kinds and "range" in kinds
+
+    def test_periodic_correction_follows_every_step(self, flat):
+        # 10 Hz odometry, at which a 20 Hz pseudo-measurement rate used
+        # to be refused; only the C-ESEKF has a periodic correction
+        n, dt = 20, 0.1
+        truth = GroundTruth(np.arange(n + 1) * dt, np.zeros((n + 1, 2)),
+                            np.zeros(n + 1), np.zeros((n, 2)), np.zeros(n),
+                            dt)
+        odo = OdometryInput(np.zeros(2), 0.0, np.eye(2) * 1e-4, 1e-6)
+        streams = MeasurementStreams([odo] * n, {}, {}, np.zeros(6))
+        for kind in FILTER_KINDS:
+            res = default_trial(flat, truth, streams, kind)
+            assert not res.diverged
+            assert len(res.timings.get("pseudo", ())) == (
+                n if kind == "C-ESEKF" else 0)
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_drift_past_limit_diverges(self, flat, kind):

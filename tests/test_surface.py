@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from meskf import (BSplineSurface, ConfigError, NumericalFailureError,
                    OutOfChartError, flat_surface, load_surface,
-                   save_surface, surface_from_dict, world_to_chart)
+                   save_surface, surface_from_dict, surface_from_grid,
+                   world_to_chart)
 from meskf.bspline import (basis_and_derivatives, find_spans,
                            point_basis_ders2, tensor_eval)
-from meskf.surface import CLOSEST_CHART_MEMO
 
 from conftest import make_random_surface
 
@@ -340,72 +340,6 @@ def test_elevation_many_reports_non_finite_first(curved):
             curved.elevation_many(np.array(cloud))
 
 
-def count_solves(monkeypatch):
-    """List that gains one entry per BSplineSurface.closest_point call."""
-    calls = []
-    solve = BSplineSurface.closest_point
-
-    def counted(self, r):
-        calls.append(1)
-        return solve(self, r)
-
-    monkeypatch.setattr(BSplineSurface, "closest_point", counted)
-    return calls
-
-
-class TestClosestChartPoint:
-    def test_equals_a_fresh_solve_and_is_read_only(self, curved):
-        surface = make_random_surface(42, amplitude=0.8)
-        r = np.array([2.0, -1.5, 1.0])
-        t = surface.closest_chart_point(r)
-        np.testing.assert_array_equal(t, world_to_chart(
-            curved.closest_point(r)))
-        with pytest.raises(ValueError):
-            t[0] = 0.0
-        np.testing.assert_array_equal(surface.closest_chart_point(r.copy()),
-                                      t)
-        # a query that differs only in height is solved anew
-        r2 = r + [0.0, 0.0, 0.5]
-        t2 = surface.closest_chart_point(r2)
-        assert not np.array_equal(t2, t)
-        np.testing.assert_array_equal(t2, world_to_chart(
-            curved.closest_point(r2)))
-
-    def test_surfaces_keep_their_own_entries(self):
-        a = make_random_surface(1, amplitude=0.8)
-        b = make_random_surface(2, amplitude=0.8)
-        r = np.array([1.0, 1.0, 3.0])
-        ta, tb = a.closest_chart_point(r), b.closest_chart_point(r)
-        assert not np.array_equal(ta, tb)
-        np.testing.assert_array_equal(ta, world_to_chart(a.closest_point(r)))
-        np.testing.assert_array_equal(tb, world_to_chart(b.closest_point(r)))
-
-    def test_memo_is_bounded(self, monkeypatch):
-        surface = make_random_surface(3, amplitude=0.8)
-        calls = count_solves(monkeypatch)
-        queries = [np.array([x, 0.5, 1.0])
-                   for x in np.linspace(-3.0, 3.0, CLOSEST_CHART_MEMO + 1)]
-        for r in queries:
-            surface.closest_chart_point(r)
-        assert len(calls) == CLOSEST_CHART_MEMO + 1
-        surface.closest_chart_point(queries[-1])     # kept: no new solve
-        surface.closest_chart_point(queries[0])      # evicted: solved again
-        assert len(calls) == CLOSEST_CHART_MEMO + 2
-
-    def test_failed_solve_is_not_stored(self, monkeypatch):
-        surface = make_random_surface(3, amplitude=0.8)
-        calls = count_solves(monkeypatch)
-        r = np.array([3.0, -2.0, 4.0])
-        with monkeypatch.context() as m:
-            m.setattr("meskf.surface.CLOSEST_POINT_MAX_ITER", 1)
-            with pytest.raises(NumericalFailureError):
-                surface.closest_chart_point(r)
-        # solved anew, without the iteration limit
-        np.testing.assert_array_equal(surface.closest_chart_point(r),
-                                      world_to_chart(surface.closest_point(r)))
-        assert len(calls) == 3
-
-
 def test_surfaces_compare_and_hash_by_identity():
     a, b = flat_surface(), flat_surface()
     assert a == a and a != b
@@ -447,6 +381,21 @@ def test_contains(curved):
         curved.eval_point(u, v)
 
 
+def assert_grid_minimum(surface, r):
+    """closest_point(r) is no farther from r than any node of a dense
+    local grid around the solver's answer."""
+    t_star = world_to_chart(surface.closest_point(r))
+    span = 0.3
+    axis = np.linspace(-span, span, 301)
+    gu, gv = np.meshgrid(axis, axis, indexing="ij")
+    cand = t_star + np.column_stack([gu.ravel(), gv.ravel()])
+    cand = cand[surface.contains(cand)]
+    world = surface.chart_to_world_many(cand)
+    d_grid = np.min(np.linalg.norm(world - r, axis=1))
+    d_star = np.linalg.norm(surface.chart_to_world(t_star) - r)
+    assert d_star <= d_grid + 1e-9
+
+
 class TestClosestPoint:
     def test_grid_search_oracle(self, curved):
         rng = np.random.default_rng(8)
@@ -455,17 +404,25 @@ class TestClosestPoint:
             p0 = curved.chart_to_world(t0)
             n = curved.normal(t0)
             r = p0 + rng.uniform(-0.5, 0.5) * n + rng.normal(0, 0.1, size=3)
-            t_star = world_to_chart(curved.closest_point(r))
-            # dense local grid around the solver's answer
-            span = 0.3
-            axis = np.linspace(-span, span, 301)
-            gu, gv = np.meshgrid(axis, axis, indexing="ij")
-            cand = t_star + np.column_stack([gu.ravel(), gv.ravel()])
-            cand = cand[curved.contains(cand)]
-            world = curved.chart_to_world_many(cand)
-            d_grid = np.min(np.linalg.norm(world - r, axis=1))
-            d_star = np.linalg.norm(curved.chart_to_world(t_star) - r)
-            assert d_star <= d_grid + 1e-9
+            assert_grid_minimum(curved, r)
+
+    def test_newton_matrix_not_positive_definite_falls_back(self):
+        # an elliptic bowl S = (0.2 u^2 + 0.15 v^2) / 2, its radii of
+        # curvature 5 and 6.7 at the bottom, and queries slightly off the
+        # axis, 6 and 7 above the bottom: at the start the Newton matrix
+        # J^T J - (r_z - S) Hess S is indefinite, then negative definite
+        knots = np.concatenate([[-5.0] * 4, np.linspace(-5, 5, 6)[1:-1],
+                                [5.0] * 4])
+        g = np.array([knots[i + 1:i + 4].mean() for i in range(8)])
+        bowl = surface_from_grid(0.1 * g[:, None] ** 2 + 0.075 * g ** 2,
+                                 (-5.0, 5.0), (-5.0, 5.0))
+        z, s_u, s_v, s_uu, s_uv, s_vv = bowl.eval_point(0.3, -0.2)
+        for height, signs in ((6.0, [-1, 1]), (7.0, [-1, -1])):
+            ez = height - z
+            newton = [[1 + s_u * s_u - ez * s_uu, s_u * s_v - ez * s_uv],
+                      [s_u * s_v - ez * s_uv, 1 + s_v * s_v - ez * s_vv]]
+            assert list(np.sign(np.linalg.eigvalsh(newton))) == signs
+            assert_grid_minimum(bowl, np.array([0.3, -0.2, height]))
 
     def test_residual_orthogonality(self, curved):
         rng = np.random.default_rng(9)
@@ -490,31 +447,30 @@ class TestClosestPoint:
         np.testing.assert_allclose(flat.closest_point(r),
                                    [2.0, -3.0, 0.0], atol=1e-12)
 
-    def test_rounding_noise_stops_backtracking(self, monkeypatch):
+    def test_rounding_noise_stops_backtracking(self, surface_calls):
         # the costliest query of trial 0 of bench/lever_curved.json
-        # (MP-ESEKF, its A' about 1.3 m from the surface): near the
-        # optimum the cost changes only by rounding, and each of its
-        # backtracking searches used to halve the step 20 times,
-        # 44 evaluations in all
+        # (MP-ESEKF, its A' about 1.3 m from the surface). Gauss-Newton
+        # converged only linearly here, and near the optimum, where the
+        # cost changes only by rounding, it took 31 evaluations and
+        # stopped with a tangential residual of 9.1e-9 at gauss_newton
         surface = load_surface(REFERENCE_SURFACE)
-        calls = []
-        eval_point = BSplineSurface.eval_point
-
-        def counted(self, u, v):
-            calls.append((u, v))
-            return eval_point(self, u, v)
-
-        monkeypatch.setattr(BSplineSurface, "eval_point", counted)
+        gauss_newton = np.array([9.513244697239172, -0.7500237946697049,
+                                 0.9557095687942184])
         r = np.array([9.438342615744679, -0.7720989523053567,
                       -0.3204277338930861])
+        calls = surface_calls("eval_point")
         p = surface.closest_point(r)
-        assert len(calls) <= 32
-        np.testing.assert_allclose(
-            p, [9.513244697239172, -0.7500237946697049, 0.9557095687942184],
-            rtol=0, atol=1e-9)
-        t = world_to_chart(p)
-        tang = surface.tangent_frame(t)[:, 0:2].T @ (r - p)
-        assert np.max(np.abs(tang)) < 1e-7
+        assert len(calls) <= 6
+        tang = surface.tangent_frame(world_to_chart(p))[:, 0:2].T @ (r - p)
+        assert np.max(np.abs(tang)) < 1e-9
+        assert (np.linalg.norm(r - p)
+                <= np.linalg.norm(r - gauss_newton) + 1e-12)
+
+    def test_non_finite_query_raises(self, curved):
+        for bad in ([np.nan, 0.0, 1.0], [0.0, np.inf, 1.0],
+                    [0.0, 0.0, -np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                curved.closest_point(np.array(bad))
 
     def test_no_convergence_raises_with_best_iterate(self, curved,
                                                      monkeypatch):
