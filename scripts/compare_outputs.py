@@ -7,7 +7,8 @@ Every array of ``trials.npz`` except the measured timings
 (``timing_mean_us``, ``timing_p99_us``) must be bitwise equal, and
 ``metrics.csv`` and ``summary.json`` byte-equal. Exits 0 when they are.
 Otherwise prints one line per array or file that differs, with the
-largest difference for a numeric array, and exits 1.
+largest difference for a numeric array, absolute and relative to the
+largest magnitude in either array, and exits 1.
 """
 import argparse
 import sys
@@ -31,9 +32,14 @@ def _difference(a: np.ndarray, b: np.ndarray):
     if a.tobytes() == b.tobytes():
         return None
     if a.dtype.kind in "biuf":
+        a, b = a.astype(float), b.astype(float)
         # fmax skips the NaN of a NaN on either side
-        d = np.abs(a.astype(float) - b.astype(float))
-        return f"largest difference {np.fmax.reduce(d, axis=None):.6g}"
+        d = np.fmax.reduce(np.abs(a - b), axis=None)
+        scale = np.fmax.reduce(np.fmax(np.abs(a), np.abs(b)), axis=None)
+        # scale is 0 only when every entry is a zero, so d is 0 too
+        rel = d / scale if scale else 0.0
+        return (f"largest difference {d:.6g}, "
+                f"{rel:.3g} of the largest magnitude")
     return f"{int(np.sum(a != b))} of {a.size} entries differ"
 
 

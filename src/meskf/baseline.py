@@ -48,9 +48,6 @@ class FullPoseState:
         state.p, state.q, state.P = p, q, P
         return state
 
-    def copy(self) -> "FullPoseState":
-        return FullPoseState(self.p, self.q, self.P)
-
 
 @dataclass
 class PseudoMeasurementConfig:

@@ -49,9 +49,6 @@ class FilterState:
         state.gamma_R = wrap_angle(float(gamma_R))
         return state
 
-    def copy(self) -> "FilterState":
-        return FilterState(self.t_R, self.gamma_R, self.P_x)
-
 
 @dataclass
 class OdometryInput:
@@ -189,15 +186,15 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     """Shared gain/injection/Joseph-covariance core.
 
     Returns (dx, P_new). Raises SingularUpdateError when the innovation
-    covariance S is not positive definite or its condition number
-    exceeds 1e12. P is symmetric.
+    covariance S is not finite, not positive definite, or its condition
+    number exceeds 1e12. P is symmetric.
 
-    A one-row update has a scalar S and needs no factorization. With
-    a = P h, s = h^T a + r and k = a / s, the Joseph form
-    (I - k h^T) P (I - k h^T)^T + r k k^T expands to
-    P - k a^T - a k^T + s k k^T (Bierman, "Factorization Methods for
-    Discrete Sequential Estimation", 1977), which is written out on
-    floats for the 3-state filter.
+    With A = P H^T, S = H A + R and the gain K = A S^-1, the Joseph form
+    (I - K H) P (I - K H)^T + K R K^T expands to
+    P - K A^T - A K^T + K S K^T, an identity for any gain K (Bierman,
+    "Factorization Methods for Discrete Sequential Estimation", 1977).
+    Every update takes this expanded form. One row on three states, where
+    S is a scalar and needs no factorization, is written out on floats.
 
     Otherwise S is checked by its eigenvalues (read from its lower
     triangle) and the gain solved by LU, both through numpy's linalg
@@ -206,33 +203,24 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     non-finite S is refused before them and a failed solve by the NaN
     it writes.
     """
-    if H.shape[0] == 1:
-        if P.shape[0] == 3:
-            return _joseph_row3(P, H, R, innovation)
-        a = P.dot(H[0])
-        s = float(H[0].dot(a) + R[0, 0])
-        if not s > 0.0:
-            raise SingularUpdateError("innovation variance is not positive")
-        k = a / s
-        ka = np.outer(k, a)
-        return k * innovation[0], P - (ka + ka.T) + s * np.outer(k, k)
+    if H.shape[0] == 1 and P.shape[0] == 3:
+        return _joseph_row3(P, H, R, innovation)
     # ndarray.dot: for these tiny operands its call overhead is well
     # below that of the matmul ufunc behind @
-    PHt = P.dot(H.T)
-    S = H.dot(PHt) + R
+    A = P.dot(H.T)
+    S = H.dot(A) + R
     if not np.isfinite(S).all():
         raise SingularUpdateError("innovation covariance is singular: "
                                   "not finite")
     w = _umath_linalg.eigvalsh_lo(S)
     if not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
         raise SingularUpdateError("innovation covariance is singular")
-    K = _umath_linalg.solve(S, PHt.T).T
+    K = _umath_linalg.solve(S, A.T).T
     if math.isnan(K[0, 0]):     # a failed solve fills its output with NaN
         raise SingularUpdateError("solving S for the gain failed")
-    dx = K.dot(innovation)
-    IKH = np.eye(P.shape[0]) - K.dot(H)
-    P_new = IKH.dot(P).dot(IKH.T) + K.dot(R).dot(K.T)
-    return dx, 0.5 * (P_new + P_new.T)
+    KA = K.dot(A.T)
+    P_new = P - (KA + KA.T) + K.dot(S).dot(K.T)
+    return K.dot(innovation), 0.5 * (P_new + P_new.T)
 
 
 def _joseph_row3(P, H, R, innovation):
@@ -244,8 +232,9 @@ def _joseph_row3(P, H, R, innovation):
     a1 = p01 * h0 + p11 * h1 + p12 * h2
     a2 = p02 * h0 + p12 * h1 + p22 * h2
     s = h0 * a0 + h1 * a1 + h2 * a2 + float(R[0, 0])
-    if not s > 0.0:
-        raise SingularUpdateError("innovation variance is not positive")
+    if not 0.0 < s < math.inf:
+        raise SingularUpdateError("innovation variance is not positive "
+                                  "and finite")
     k0, k1, k2 = a0 / s, a1 / s, a2 / s
     y = float(innovation[0])
     n00 = p00 - 2.0 * k0 * a0 + s * k0 * k0

@@ -2,9 +2,10 @@
 
 A surface is the graph z = S(u, v) of a clamped tensor-product b-spline
 over a rectangular chart domain. Chart points are length-2 arrays (u, v),
-world points length-3 arrays (x, y, z). The elevation, gradient,
-tangent-frame and chart-to-world queries also have a batched variant
-operating on (N, 2) arrays.
+world points length-3 arrays (x, y, z). ``eval_point`` answers every
+single-point query of S (elevation, gradient, Hessian); the elevation,
+gradient, tangent-frame and chart-to-world queries also have a batched
+variant operating on (N, 2) arrays.
 
 The chart map is the vertical projection: sigma(x, y, z) = (x, y) and
 sigma^{-1}(u, v) = (u, v, S(u, v)).
@@ -212,15 +213,9 @@ class BSplineSurface:
                 z += w
         return z
 
-    def elevation(self, t: np.ndarray) -> float:
-        return self.eval_point(float(t[0]), float(t[1]))[0]
-
     def gradient_many(self, t: np.ndarray) -> np.ndarray:
         """(N, 2) array of (dS/du, dS/dv), exact analytic derivatives."""
         return self.elevation_gradient_many(t)[1]
-
-    def gradient(self, t: np.ndarray) -> np.ndarray:
-        return np.array(self.eval_point(float(t[0]), float(t[1]))[1:3])
 
     def elevation_gradient_many(self, t: np.ndarray):
         """(z, grad) of shapes (N,) and (N, 2): ``eval_point``'s at each
@@ -261,9 +256,6 @@ class BSplineSurface:
         _, s_u, s_v = self.eval_point(float(t[0]), float(t[1]))[:3]
         return np.array(frame_matrix(*frame_cos_sin(s_u, s_v)))
 
-    def normal(self, t: np.ndarray) -> np.ndarray:
-        return self.tangent_frame(t)[:, 2]
-
     # -- closest point -------------------------------------------------------
 
     def closest_point(self, r: np.ndarray) -> np.ndarray:
@@ -275,10 +267,12 @@ class BSplineSurface:
         definite, the step is Gauss-Newton's, on J^T J alone.
 
         Initialized at the vertical projection of r; iterates are clipped
-        to the chart domain. The search ends when the step norm, or the
-        damped step, drops below CLOSEST_POINT_TOL, or when backtracking
-        finds no lower cost before the damped step does; the cost then
-        differs from its neighbours' only by rounding. Raises
+        to the chart domain. A coordinate on a bound that the descent
+        direction points past stays on it, and the other coordinate takes
+        its own one-dimensional step. The search ends when the step norm,
+        or the damped step, drops below CLOSEST_POINT_TOL, or when
+        backtracking finds no lower cost before the damped step does; the
+        cost then differs from its neighbours' only by rounding. Raises
         NumericalFailureError (carrying the best iterate) if none of this
         happens within CLOSEST_POINT_MAX_ITER iterations.
         """
@@ -297,15 +291,25 @@ class BSplineSurface:
             n00, n01, n11 = a00 - ez * huu, a01 - ez * huv, a11 - ez * hvv
             if n00 > 0.0 and n00 * n11 > n01 * n01:
                 a00, a01, a11 = n00, n01, n11
-            det = a00 * a11 - a01 * a01
-            du = (a11 * b0 - a01 * b1) / det
-            dv = (a00 * b1 - a01 * b0) / det
+            # b is the descent direction; a coordinate on a bound that b
+            # points past stays there, and the other one steps alone
+            hold_u = (u == u0 and b0 < 0.0) or (u == u1 and b0 > 0.0)
+            hold_v = (v == v0 and b1 < 0.0) or (v == v1 and b1 > 0.0)
+            if hold_u or hold_v:
+                du = 0.0 if hold_u else b0 / a00
+                dv = 0.0 if hold_v else b1 / a11
+            else:
+                det = a00 * a11 - a01 * a01
+                du = (a11 * b0 - a01 * b1) / det
+                dv = (a00 * b1 - a01 * b0) / det
             step = math.hypot(du, dv)
             if step < CLOSEST_POINT_TOL:
                 return np.array([u, v, z])
-            # backtracking damping on the squared residual
+            # backtracking damping on the squared residual, until the
+            # cost falls or the damped step is below the tolerance: then
+            # there is no descent left above the cost's rounding
             lam = 1.0
-            for _ in range(20):
+            while True:
                 u_new = min(max(u + lam * du, u0), u1)
                 v_new = min(max(v + lam * dv, v0), v1)
                 new = self.eval_point(u_new, v_new)
@@ -314,9 +318,9 @@ class BSplineSurface:
                 if cost_new <= cost:
                     break
                 lam *= 0.5
-                if lam * step < CLOSEST_POINT_TOL:
-                    # no descent left above the cost's rounding: any
-                    # shorter step moves less than the tolerance
+                # "not >=": with an infinite step, lam underflows to 0 and
+                # the NaN product ends the loop too
+                if not lam * step >= CLOSEST_POINT_TOL:
                     return np.array([u, v, z])
             moved = math.hypot(u_new - u, v_new - v)
             u, v, cost = u_new, v_new, cost_new

@@ -54,15 +54,15 @@ def test_propagate_grows_covariance():
 
 def test_pseudo_update_pulls_to_surface(curved):
     t = np.array([0.5, -0.5])
-    z_true = curved.elevation(t)
+    z_true = curved.eval_point(*t)[0]
     s = FullPoseState(np.array([t[0], t[1], z_true + 0.3]),
                       quat.z_rotation(0.2), np.eye(6) * 0.04)
     cfg = PseudoMeasurementConfig(sigma_z=0.001, sigma_rp=0.001)
     for _ in range(10):
         s = pseudo_update(s, curved, cfg)
-    assert abs(s.p[2] - curved.elevation(s.p[0:2])) < 1e-3
+    assert abs(s.p[2] - curved.eval_point(*s.p[0:2])[0]) < 1e-3
     # body z-axis aligned with the surface normal
-    n = curved.normal(s.p[0:2])
+    n = curved.tangent_frame(s.p[0:2])[:, 2]
     R = np.array(quat.to_matrix(s.q))
     assert R[:, 2] @ n > 1 - 1e-4
 
@@ -163,7 +163,8 @@ def check_baseline_jacobians(surface, s):
     # the roll/pitch residual turns the body z-axis onto the normal
     rp = np.array(quat.to_matrix(quat.from_rotvec([y0[1], y0[2], 0.0])))
     np.testing.assert_allclose(quat.to_matrix(s.q) @ rp[:, 2],
-                               surface.normal(s.p[0:2]), atol=1e-12)
+                               surface.tangent_frame(s.p[0:2])[:, 2],
+                               atol=1e-12)
 
     x0, P = chart_errors(s, surface)
 
@@ -178,7 +179,8 @@ def check_baseline_jacobians(surface, s):
 
 def random_pose_state(rng, surface, tilt):
     t = rng.uniform(-8, 8, size=2)
-    p = np.array([t[0], t[1], surface.elevation(t) + rng.normal(0, 0.2)])
+    z = surface.eval_point(*t)[0] + rng.normal(0, 0.2)
+    p = np.array([t[0], t[1], z])
     q = quat.multiply(quat.z_rotation(rng.uniform(-np.pi, np.pi)),
                       quat.from_rotvec(rng.normal(0, tilt, 3)))
     A = rng.standard_normal((6, 6))
@@ -200,7 +202,8 @@ def test_baseline_jacobians_near_level(curved, flat):
         q = quat.multiply(quat.multiply(frame, s.q),
                           quat.from_rotvec(np.r_[rng.normal(0, 1e-7, 2), 0]))
         s = FullPoseState(s.p, q, s.P)
-        a = np.array(quat.to_matrix(s.q)).T @ curved.normal(s.p[0:2])
+        n = curved.tangent_frame(s.p[0:2])[:, 2]
+        a = np.array(quat.to_matrix(s.q)).T @ n
         assert np.hypot(a[0], a[1]) < 1e-4
         check_baseline_jacobians(curved, s)
     # exactly level: s = |(a0, a1)| = 0

@@ -97,9 +97,11 @@ def test_compare_outputs_script(scenario, tmp_path):
     np.savez(b / "trials.npz", **arrays)
     code, out = compare()
     assert code == 1
+    d = abs(arrays["errors"][1, 3, 1] - errors[1, 3, 1])
+    scale = np.abs(errors).max()
     assert out.splitlines() == [
-        f"trials.npz[errors]: largest difference "
-        f"{abs(arrays['errors'][1, 3, 1] - errors[1, 3, 1]):.6g}"]
+        f"trials.npz[errors]: largest difference {d:.6g}, "
+        f"{d / scale:.3g} of the largest magnitude"]
     arrays["errors"] = errors
     np.savez(b / "trials.npz", **arrays)
     (b / "summary.json").write_text(

@@ -263,7 +263,7 @@ class TestProjectRangeVariance:
             d = surface.chart_to_world(state.t_R) - anchor
             n_AS = d / np.linalg.norm(d)
             p_d = n_AS * 0.0025 + (J @ state.P_x @ J.T) @ n_AS
-            normal = surface.normal(state.t_R)
+            normal = surface.tangent_frame(state.t_R)[:, 2]
             p_dT = p_d - normal * (normal @ p_d)
             np.testing.assert_allclose(
                 project_range_variance(surface, 0.0025, J, state, anchor),

@@ -52,7 +52,8 @@ def test_predict_pose_lever_arm_flat(flat):
 def test_predict_pose_on_curved_surface(curved):
     s = FilterState(np.array([1.5, -2.0]), 0.0, np.eye(3))
     pos, q = predict_pose(curved, s, IDENT)
-    np.testing.assert_allclose(pos[2], curved.elevation(s.t_R), atol=1e-12)
+    np.testing.assert_allclose(pos[2], curved.eval_point(*s.t_R)[0],
+                               atol=1e-12)
     R = quat.to_matrix(q)
     np.testing.assert_allclose(R, curved.tangent_frame(s.t_R), atol=1e-9)
 

@@ -72,7 +72,7 @@ class TestGroundTruth:
         truth = generate_ground_truth(curved, circle_spec())
         for t, gamma in zip(truth.chart, truth.gamma):
             du, dv = -t[1], t[0]        # counter-clockwise about the origin
-            s_u, s_v = curved.gradient(t)
+            _, s_u, s_v = curved.eval_point(*t)[:3]
             tangent = np.array([du, dv, s_u * du + s_v * dv])
             axis = curved.tangent_frame(t) @ [np.cos(gamma), np.sin(gamma),
                                               0.0]

@@ -367,7 +367,7 @@ def test_flat_surface_is_zero(flat):
 def test_out_of_domain_raises(curved):
     (ulo, uhi), _ = curved.domain
     with pytest.raises(OutOfChartError):
-        curved.elevation(np.array([uhi + 1.0, 0.0]))
+        curved.eval_point(uhi + 1.0, 0.0)
 
 
 def test_contains(curved):
@@ -402,9 +402,22 @@ class TestClosestPoint:
         for k in range(10):
             t0 = rng.uniform(-8, 8, size=2)
             p0 = curved.chart_to_world(t0)
-            n = curved.normal(t0)
+            n = curved.tangent_frame(t0)[:, 2]
             r = p0 + rng.uniform(-0.5, 0.5) * n + rng.normal(0, 0.1, size=3)
             assert_grid_minimum(curved, r)
+
+    @pytest.mark.parametrize("seed, r", [
+        (3000, [-1.830536, -9.094496, -2.363524]),
+        (3000, [-9.709274, 8.664478, -2.704759]),
+        (3001, [-9.666463, -5.065043, 2.54251]),
+        (3003, [8.85415, -8.755685, -2.71258]),
+    ])
+    def test_minimum_on_the_chart_edge(self, seed, r):
+        # queries whose closest point lies on an edge of the chart, the
+        # descent direction pointing out of it: the edge coordinate stays
+        # on its bound while the other one converges along the edge
+        surface = make_random_surface(seed, amplitude=0.8)
+        assert_grid_minimum(surface, np.array(r))
 
     def test_newton_matrix_not_positive_definite_falls_back(self):
         # an elliptic bowl S = (0.2 u^2 + 0.15 v^2) / 2, its radii of
@@ -504,7 +517,7 @@ def test_property_frame_orthonormal_random_surfaces(u, v, seed):
     surface = make_random_surface(seed % 50, amplitude=1.2)
     R = surface.tangent_frame(np.array([u, v]))
     assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-9
-    g = surface.gradient(np.array([u, v]))
+    g = surface.eval_point(u, v)[1:3]
     n = np.array([-g[0], -g[1], 1.0])
     n /= np.linalg.norm(n)
     assert np.max(np.abs(R[:, 2] - n)) < 1e-9
