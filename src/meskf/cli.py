@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 configuration error,
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,25 +52,32 @@ def write_timings_csv(path, metrics):
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _defined(x):
+    """float(x), or None (JSON null) where x is not finite, as when
+    every trial diverged."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def summary_dict(metrics):
     lo, hi = metrics.anees_bounds
     anees = metrics.anees[np.isfinite(metrics.anees)]
     violations = (np.sum((anees < lo) | (anees > hi)) / len(anees)
-                  if len(anees) else float("nan"))
+                  if len(anees) else math.nan)
     return {
-        "final_rmse_pos_m": float(metrics.rmse_pos[-1]),
-        "final_rmse_head_rad": float(metrics.rmse_head[-1]),
+        "final_rmse_pos_m": _defined(metrics.rmse_pos[-1]),
+        "final_rmse_head_rad": _defined(metrics.rmse_head[-1]),
         "mean_anees": float(np.mean(anees)) if len(anees) else None,
         "anees_bounds": [float(lo), float(hi)],
-        "bound_violation_fraction": float(violations),
+        "bound_violation_fraction": _defined(violations),
         "exclusion_rate": float(metrics.exclusion_rate),
         "n_trials": metrics.n_trials,
     }
 
 
 def write_summary_json(path, metrics):
-    Path(path).write_text(
-        json.dumps(summary_dict(metrics), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(summary_dict(metrics), indent=2,
+                                     sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_outputs(out_dir, metrics, errors=None, covs=None, diverged=None):
@@ -126,13 +134,27 @@ def cmd_metrics(args) -> int:
     if missing:
         raise ConfigError(f"missing arrays {', '.join(missing)}",
                           field=str(npz_path))
+    n_trials, n_steps, n_rows = (
+        data[name].size for name in ("diverged", "times", "timing_trial"))
+    expected = {"times": (n_steps,), "errors": (n_trials, n_steps, 3),
+                "covariances": (n_trials, n_steps, 3, 3),
+                "diverged": (n_trials,),
+                **{name: (n_rows,) for name in TRIALS_ARRAYS[4:]}}
+    wrong = [f"{name} {data[name].shape} not {shape}"
+             for name, shape in expected.items() if data[name].shape != shape]
+    if wrong:
+        raise ConfigError(f"array shapes disagree: {', '.join(wrong)}",
+                          field=str(npz_path))
     timing_rows = list(zip(
         (int(t) for t in data["timing_trial"]),
         (str(k) for k in data["timing_kind"]),
         data["timing_mean_us"], data["timing_p99_us"]))
-    metrics = metrics_from_arrays(
-        data["times"], data["errors"], data["covariances"],
-        data["diverged"], timing_rows)
+    try:
+        metrics = metrics_from_arrays(
+            data["times"], data["errors"], data["covariances"],
+            data["diverged"], timing_rows)
+    except np.linalg.LinAlgError as e:
+        raise ConfigError(f"covariances: {e}", field=str(npz_path)) from e
     out_dir = Path(args.out) if args.out else in_dir
     _write_outputs(out_dir, metrics)
     print(f"recomputed metrics for {metrics.n_trials} trials -> {out_dir}")

@@ -196,12 +196,11 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     Every update takes this expanded form. One row on three states, where
     S is a scalar and needs no factorization, is written out on floats.
 
-    Otherwise S is checked by its eigenvalues (read from its lower
-    triangle) and the gain solved by LU, both through numpy's linalg
-    gufuncs directly: for these few-row systems the public wrappers cost
-    more than the arithmetic. The gufuncs report no error code, so a
-    non-finite S is refused before them and a failed solve by the NaN
-    it writes.
+    Otherwise S is checked by ``require_spd`` and the gain solved by LU,
+    both through numpy's linalg gufuncs directly: for these few-row
+    systems the public wrappers cost more than the arithmetic. The
+    gufuncs report no error code, so a failed solve is refused by the
+    NaN it writes.
     """
     if H.shape[0] == 1 and P.shape[0] == 3:
         return _joseph_row3(P, H, R, innovation)
@@ -209,18 +208,28 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     # below that of the matmul ufunc behind @
     A = P.dot(H.T)
     S = H.dot(A) + R
-    if not np.isfinite(S).all():
-        raise SingularUpdateError("innovation covariance is singular: "
-                                  "not finite")
-    w = _umath_linalg.eigvalsh_lo(S)
-    if not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
-        raise SingularUpdateError("innovation covariance is singular")
+    require_spd(S, SingularUpdateError, "innovation covariance")
     K = _umath_linalg.solve(S, A.T).T
     if math.isnan(K[0, 0]):     # a failed solve fills its output with NaN
         raise SingularUpdateError("solving S for the gain failed")
     KA = K.dot(A.T)
     P_new = P - (KA + KA.T) + K.dot(S).dot(K.T)
     return K.dot(innovation), 0.5 * (P_new + P_new.T)
+
+
+def require_spd(S: np.ndarray, error: type, what: str) -> None:
+    """Raise ``error`` unless the symmetric matrix S is finite, positive
+    definite and has a condition number of at most 1e12.
+
+    The eigenvalues are read from S's lower triangle by numpy's
+    eigvalsh gufunc, which reports no error code, so a non-finite S is
+    refused before it. The message names S as ``what``.
+    """
+    if not np.isfinite(S).all():
+        raise error(f"{what} is singular: not finite")
+    w = _umath_linalg.eigvalsh_lo(S)
+    if not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
+        raise error(f"{what} is singular")
 
 
 def _joseph_row3(P, H, R, innovation):

@@ -2,11 +2,11 @@
 
 Position measurements are associated with the surface by closest-point
 projection and their covariance ellipsoid is sliced by the local tangent
-plane; the slice's semi-axes are mapped through the chart to form a 2-D
-measurement. Range measurements are re-expressed as distances on the
-chart by sampling the filter's sigma region, intersecting it with the
-measured range sphere, and averaging chart distances to an equivalent
-anchor. Both schemes feed the ordinary chart-space correction.
+plane; the slice's covariance, one Schur complement in the tangent
+frame, is mapped through the chart to form a 2-D measurement. Range
+measurements are re-expressed as distances on the chart by sampling the
+filter's sigma region, intersecting it with the measured range sphere,
+and averaging chart distances to an equivalent anchor. Both schemes feed the ordinary chart-space correction.
 
 The sensor's lever arm R_WR r_RS, which shifts the measurement and the
 anchor, and its Jacobian come from ``sensors3d._sensor_model``, the one
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FilterState, RobotExtrinsics, correct
+from .core import FilterState, RobotExtrinsics, correct, require_spd
 from .errors import (ConfigError, DegenerateCovarianceError,
                      DegenerateGeometryError, DegenerateSamplingError,
                      NoIntersectionError, number_fields)
@@ -89,42 +89,56 @@ def associate_to_surface(surface: BSplineSurface, r_Sm: np.ndarray,
     return surface.closest_point(np.asarray(r_Sm, dtype=float) - lever)
 
 
+def _tangent_slice(P_M: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """2x2 covariance of the tangent-plane slice of P_M, in plane
+    coordinates.
+
+    With the rotation F = [T|n] = [B1'|B2'|N'], write
+    F^T P_M F = [[A, b], [b^T, c]]. The slice {y : y^T (T^T P_M^-1 T) y
+    = 1} has T^T P_M^-1 T, the tangent block of (F^T P_M F)^-1, whose
+    inverse is the Schur complement A - b b^T / c (Zhang, "The Schur
+    Complement and Its Applications", 2005): the covariance of the
+    tangent components given a zero normal offset. Its eigenvalues lie
+    between P_M's least and greatest, so once P_M passes
+    ``require_spd`` the slice is positive definite too.
+    """
+    require_spd(P_M, DegenerateCovarianceError, "covariance")
+    G = frame.T.dot(P_M).dot(frame)
+    b = G[0:2, 2]
+    return G[0:2, 0:2] - np.outer(b, b) / G[2, 2]
+
+
 def ellipsoid_tangent_intersection(P_M: np.ndarray, frame: np.ndarray):
     """Semi-axes of the tangent-plane slice of a covariance ellipsoid.
 
-    With T = [B1'|B2'], the slice {y : y^T (T^T P^-1 T) y = 1} in plane
-    coordinates is eigendecomposed and its axes lifted back to R^3.
-    Returned ordered by eigenvalue (r1 the longer axis).
+    ``frame`` is a rotation [B1'|B2'|N'], such as ``tangent_frame``'s.
+    With T = [B1'|B2'] and (s_i, u_i) the eigenpairs of the slice's
+    covariance (``_tangent_slice``), the axes are T u_i sqrt(s_i) in
+    R^3, r1 the longer axis. Raises DegenerateCovarianceError when P_M
+    is not finite, not positive definite or its condition number
+    exceeds 1e12.
     """
-    P_M = np.asarray(P_M, dtype=float)
+    s, U = np.linalg.eigh(_tangent_slice(np.asarray(P_M, dtype=float),
+                                         frame))
     T = frame[:, 0:2]
-    try:
-        P_inv = np.linalg.inv(P_M)
-    except np.linalg.LinAlgError as e:
-        raise DegenerateCovarianceError("covariance is singular") from e
-    if np.linalg.cond(P_M) > 1e12:
-        raise DegenerateCovarianceError("covariance is singular")
-    A = T.T @ P_inv @ T
-    lam, U = np.linalg.eigh(A)
-    if lam[0] <= 0:
-        raise DegenerateCovarianceError("tangent slice is degenerate")
-    r1 = T @ U[:, 0] / np.sqrt(lam[0])
-    r2 = T @ U[:, 1] / np.sqrt(lam[1])
-    return r1, r2
+    return T.dot(U[:, 1]) * math.sqrt(s[1]), T.dot(U[:, 0]) * math.sqrt(s[0])
 
 
 def project_position(surface: BSplineSurface, r_Sm: np.ndarray,
                      P_m: np.ndarray, extrinsics: RobotExtrinsics,
                      state: FilterState) -> ProjectedPosition:
-    """Project a 3-D position measurement and its covariance to the chart."""
+    """Project a 3-D position measurement and its covariance to the chart.
+
+    The chart covariance is the tangent slice of P_M mapped through the
+    chart block T_c = frame[0:2, 0:2]: the chart map drops z.
+    """
     lever, J = _lever_arm(surface, state, extrinsics)
     z_pM = associate_to_surface(surface, r_Sm, lever)
     z_t = world_to_chart(z_pM)
     P_M = np.asarray(P_m, dtype=float) + J @ state.P_x @ J.T
     frame = surface.tangent_frame(z_t)
-    r1, r2 = ellipsoid_tangent_intersection(P_M, frame)
-    M = np.column_stack([r1[0:2], r2[0:2]])    # chart map drops z
-    P_t = M @ M.T
+    T_c = frame[0:2, 0:2]
+    P_t = T_c.dot(_tangent_slice(P_M, frame)).dot(T_c.T)
     return ProjectedPosition(z_t, P_t)
 
 

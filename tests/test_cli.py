@@ -248,6 +248,28 @@ def test_metrics_names_missing_array(tmp_path, capsys):
     assert "trials.npz" in err and "timing_trial" in err
 
 
+@pytest.mark.parametrize("damage", ["errors_cut", "covariance_zero"])
+def test_metrics_refuses_malformed_arrays(scenario, tmp_path, capsys,
+                                         damage):
+    # errors cut to 10 steps no longer broadcast against times; a zero
+    # covariance of a kept trial makes the NEES solve singular. Both are
+    # the file's fault, so both are a config error naming it.
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(scenario), "--out", str(out)])
+    with np.load(out / "trials.npz", allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    if damage == "errors_cut":
+        arrays["errors"] = arrays["errors"][:, 0:10]
+    else:
+        assert not arrays["diverged"][0]
+        arrays["covariances"][0, 5] = 0.0
+    np.savez_compressed(out / "trials.npz", **arrays)
+    assert main(["metrics", "--in", str(out),
+                 "--out", str(tmp_path / "redo")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "trials.npz" in err
+
+
 class _Unpickled:
     loaded = False
 
@@ -453,5 +475,11 @@ def test_exit_code_divergence(tmp_path, kind):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--filter", kind,
                  "--out", str(out)]) == 3
-    summary = json.loads((out / "summary.json").read_text())
+    # strict JSON: an undefined value is null, never a bare NaN
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_refuse_constant)
     assert summary["exclusion_rate"] > 0
+
+
+def _refuse_constant(name):
+    raise ValueError(f"summary.json holds {name}, which is not JSON")

@@ -83,6 +83,7 @@ class TestEllipsoidIntersection:
             assert abs(r1 @ Q[:, 2]) < 1e-9
             assert abs(r2 @ Q[:, 2]) < 1e-9
             assert abs(r1 @ Pinv @ r2) < 1e-9
+            assert r1 @ r1 >= r2 @ r2    # r1 is the longer axis
 
     def test_isotropic_gives_sigma_circle(self):
         P = np.eye(3) * 0.04
@@ -90,8 +91,11 @@ class TestEllipsoidIntersection:
         np.testing.assert_allclose(np.linalg.norm(r1), 0.2, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(r2), 0.2, atol=1e-12)
 
-    def test_singular_covariance_raises(self):
-        P = np.diag([1.0, 1.0, 0.0])
+    @pytest.mark.parametrize("P", [np.diag([1.0, 1.0, 0.0]),
+                                   np.full((3, 3), np.nan),
+                                   np.diag([1.0, 1.0, -1.0])],
+                             ids=["singular", "nan", "indefinite"])
+    def test_singular_covariance_raises(self, P):
         with pytest.raises(DegenerateCovarianceError):
             ellipsoid_tangent_intersection(P, np.eye(3))
 
@@ -111,6 +115,46 @@ class TestProjectPosition:
             expected = np.linalg.inv(np.linalg.inv(P_full)[0:2, 0:2])
             np.testing.assert_allclose(proj.P_t, expected, atol=1e-9)
             np.testing.assert_allclose(proj.z_t, r_Sm[0:2], atol=1e-9)
+
+    @pytest.mark.parametrize("lever", [False, True],
+                             ids=["no_lever", "lever"])
+    def test_curved_matches_paper_construction(self, curved, monkeypatch,
+                                               lever):
+        # oracle: the paper's construction written out: invert P_M,
+        # restrict it to the tangent plane, eigendecompose, lift both
+        # semi-axes to R^3, drop z and multiply back as M M^T
+        def paper_P_t(P_M, frame):
+            T = frame[:, 0:2]
+            lam, U = np.linalg.eigh(T.T @ np.linalg.inv(P_M) @ T)
+            M = (T @ U / np.sqrt(lam))[0:2]
+            return M @ M.T
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the projection needs no inverse, SVD "
+                                 "or eigendecomposition")
+
+        ext = (RobotExtrinsics(np.array([0.3, -0.2, 0.5]),
+                               quat.from_rotvec(np.array([0.1, 0.2, 0.3])))
+               if lever else IDENT)
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            t = rng.uniform(-8, 8, size=2)
+            state = FilterState(t, rng.uniform(-np.pi, np.pi),
+                                random_spd(rng, 3, 1e-3))
+            r_Sm = (np.array([*t, curved.eval_point(*t)[0]])
+                    + rng.normal(0.0, 0.05, size=3))
+            P_m = random_spd(rng, 3, 0.01)
+            with monkeypatch.context() as m:
+                for name in ("inv", "cond", "eigh", "svd"):
+                    m.setattr(np.linalg, name, refuse)
+                proj = project_position(curved, r_Sm, P_m, ext, state)
+            lever_p, J = _lever_arm(curved, state, ext)
+            z_t = world_to_chart(associate_to_surface(curved, r_Sm, lever_p))
+            expected = paper_P_t(P_m + J @ state.P_x @ J.T,
+                                 curved.tangent_frame(z_t))
+            np.testing.assert_array_equal(proj.z_t, z_t)
+            np.testing.assert_allclose(proj.P_t, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
 
     def test_ramp_variance_split(self):
         # plane z = u has unit normal (-1,0,1)/sqrt(2); an isotropic
