@@ -2,20 +2,22 @@
 
 ``run_trial`` is one event loop for all three filters of
 ``meskf.filters``. ``run_campaign`` builds the scenario's filter once,
-runs the trials of the scenario with it and scores them.
+runs the trials of the scenario with it, on every usable core, and
+scores them.
 
 Every filter is scored in the same evaluation space, chart position
 error (m) and heading error (rad), which its ``to_eval`` maps it to.
 """
 
 import math
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import wrap_angle
-from ..errors import MeskfError
+from ..errors import MeskfError, number
 from ..filters import InitialUncertainty, make_filter
 from .sensors import (MeasurementStreams, noise_free_measurements,
                       synthesize_measurements)
@@ -243,26 +245,85 @@ def stack_results(results: list):
     return errors, covs, diverged, timing_rows
 
 
-def run_campaign(scenario):
+def run_campaign(scenario, workers=None):
     """All trials of a scenario (``sim.config.Scenario``).
 
     The ground truth and the noise-free measurements are built once;
     each trial then draws its measurement noise from (seed, trial) and
     runs the scenario's filter.
+
+    The trials run on n = min(``workers``, trials) processes, ``workers``
+    being by default the cores this process may run on
+    (``os.sched_getaffinity``). The split is static and interleaved:
+    this process runs trials 0, n, 2n, ... itself, and n - 1 workers
+    forked from it (the ``fork`` start method, so Linux) run the rest.
+    The workers inherit the filter, the truth and the noise-free
+    measurements through the fork; only their results are sent back.
+    Every trial draws from its own stream and the results are put back
+    in trial order, so the outputs are bitwise the same for any n. With
+    n = 1 nothing is forked; to run serially from the command line,
+    limit the affinity (``taskset -c 0 meskf simulate ...``). A caller
+    that runs threads of its own should pass ``workers=1``: a fork
+    copies only the calling thread, and any lock another thread held.
+
     Returns (metrics, errors, covariances, diverged), the last three
     stacked over trials as ``trials.npz`` stores them.
     """
     sc = scenario
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    n = min(number(int, workers, "workers", ge=1), sc.n_trials)
     truth = generate_ground_truth(sc.surface, sc.trajectory)
     clean = noise_free_measurements(sc.surface, truth, sc.suite,
                                     sc.schedule, sc.extrinsics)
     filt = make_filter(sc.filter_kind, sc.surface, truth.dt, sc.extrinsics,
                        sc.sampling, sc.pseudo)
-    results = []
-    for trial in range(sc.n_trials):
-        streams = synthesize_measurements(clean, sc.seed, trial)
-        results.append(run_trial(filt, truth, streams, sc.init))
+    shared = (filt, truth, clean, sc.seed, sc.init, sc.n_trials)
+    results = _run_share(shared, 0, 1) if n == 1 else _run_forked(shared, n)
     errors, covs, diverged, timing_rows = stack_results(results)
     metrics = metrics_from_arrays(truth.times, errors, covs, diverged,
                                   timing_rows)
     return metrics, errors, covs, diverged
+
+
+def _run_share(shared, first: int, step: int) -> list:
+    """Trials first, first + step, ... of the campaign ``shared``, in
+    order."""
+    filt, truth, clean, seed, init, n_trials = shared
+    return [run_trial(filt, truth, synthesize_measurements(clean, seed, k),
+                      init)
+            for k in range(first, n_trials, step)]
+
+
+# The campaign a forked worker inherited; set in workers only.
+_inherited = None
+
+
+def _inherit(shared):
+    global _inherited
+    _inherited = shared
+
+
+def _worker_share(first: int, step: int) -> list:
+    return _run_share(_inherited, first, step)
+
+
+def _run_forked(shared, n: int) -> list:
+    """The campaign's results on n processes: this one runs trials
+    0, n, 2n, ... while n - 1 forked workers run the others. The
+    benchmark's tracer wraps the layer functions in this process only,
+    so the caller's share is what it sees of a campaign."""
+    # imported here, not at module top, where every start-up would pay
+    # for them, serial or not
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    results = [None] * shared[-1]
+    with ProcessPoolExecutor(n - 1,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit,
+                             initargs=(shared,)) as pool:
+        shares = [pool.submit(_worker_share, j, n) for j in range(1, n)]
+        results[0::n] = _run_share(shared, 0, n)
+        for j, share in enumerate(shares, 1):
+            results[j::n] = share.result()
+    return results

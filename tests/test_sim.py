@@ -1,4 +1,5 @@
 """Simulation harness: trajectories, sensor synthesis, metrics."""
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ from scipy.stats import chi2
 
 from meskf import (FILTER_KINDS, ConfigError, FilterState,
                    InitialUncertainty, OdometryInput, PseudoMeasurementConfig,
-                   RobotExtrinsics, SamplingConfig, make_filter, propagate,
-                   quat)
+                   RobotExtrinsics, SamplingConfig, flat_surface, make_filter,
+                   propagate, quat)
+from meskf.sim import runner
 from meskf.sim.config import load_scenario, scenario_from_dict
 from meskf.sim.runner import (DIVERGENCE_LIMIT_M, _percentile99,
                               anees_bounds, metrics_from_arrays,
@@ -408,3 +410,115 @@ class TestEndToEnd:
         assert res.diverged
         assert 0 < first < n
         assert res.diverged_step == first
+
+
+def short_reference(kind, trials, duration=3.0):
+    """The reference scenario cut to ``duration`` s, every sensor on."""
+    sc = load_scenario(REFERENCE_SCENARIO)
+    sc.filter_kind, sc.n_trials = kind, trials
+    sc.trajectory.duration = duration
+    sc.schedule = SensorSchedule.always_on(duration)
+    return sc
+
+
+def trial_of(sc, streams):
+    """The trial whose draws ``streams`` holds, told by its initial-state
+    noise."""
+    truth = generate_ground_truth(sc.surface, sc.trajectory)
+    clean = noise_free_measurements(sc.surface, truth, sc.suite,
+                                    sc.schedule, sc.extrinsics)
+    for k in range(sc.n_trials):
+        drawn = synthesize_measurements(clean, sc.seed, k)
+        if np.array_equal(drawn.initial_state_noise,
+                          streams.initial_state_noise):
+            return k
+    raise AssertionError("streams of no trial of the campaign")
+
+
+class TestParallelCampaign:
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_outputs_do_not_depend_on_workers(self, kind):
+        # 3 workers is more processes than this host may have cores
+        sc = short_reference(kind, 5)
+        runs = {}
+        for workers in (1, 2, 3):
+            m, errors, covs, diverged = run_campaign(sc, workers=workers)
+            runs[workers] = (errors.tobytes(), covs.tobytes(),
+                             diverged.tobytes(),
+                             [row[:2] for row in m.timing_rows])
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+
+    def test_divergence_comes_back_from_workers(self, monkeypatch):
+        # the walk off the chart of test_cli's test_exit_code_divergence:
+        # every trial diverges, at a step of its own
+        s = flat_surface(extent=5.0)
+        sc = scenario_from_dict({
+            "surface": {"degree_u": s.degree_u, "degree_v": s.degree_v,
+                        "knots_u": s.knots_u.tolist(),
+                        "knots_v": s.knots_v.tolist(),
+                        "control_points": s.control_points.tolist()},
+            "trajectory": {"path": {"type": "circle", "center": [0, 0],
+                                    "radius": 4.5},
+                           "speed": 1.0, "duration": 20.0, "dt": 0.05},
+            "schedule": [{"start": 0.0, "end": 20.0, "sensors": []}],
+            "init": {"pos_std": 2.0},
+            "trials": 4,
+            "seed": 1})
+        stacked = []
+        real = runner.stack_results
+
+        def stack(results):
+            stacked.append([(r.diverged, r.diverged_step) for r in results])
+            return real(results)
+
+        monkeypatch.setattr(runner, "stack_results", stack)
+        serial = run_campaign(sc, workers=1)
+        parallel = run_campaign(sc, workers=2)
+        assert stacked[1] == stacked[0]
+        # trials 1 and 3 ran in the worker
+        assert stacked[1][1][0] and stacked[1][3][0]
+        np.testing.assert_array_equal(parallel[3], serial[3])
+        np.testing.assert_array_equal(parallel[1], serial[1])
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_bad_worker_count_refused(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_campaign(short_reference("M-ESEKF", 2), workers=workers)
+
+    def test_caller_runs_its_share(self, monkeypatch):
+        # The benchmark's tracer wraps the layer functions in the calling
+        # process only, and the spans of a forked worker are lost with it:
+        # a caller that only waited would leave a traced campaign with no
+        # trial. So the caller runs trials 0, n, 2n, ... itself.
+        sc = short_reference("M-ESEKF", 4)
+        seen = []
+        real = runner.run_trial
+
+        def counted(filt, truth, streams, init):
+            seen.append(trial_of(sc, streams))
+            return real(filt, truth, streams, init)
+
+        monkeypatch.setattr(runner, "run_trial", counted)
+        run_campaign(sc, workers=2)
+        assert seen == [0, 2]
+
+    def test_no_worker_outlives_a_campaign(self):
+        run_campaign(short_reference("M-ESEKF", 4), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_failing_trial(self, monkeypatch):
+        # patched before the fork, so the worker that runs trial 1
+        # raises an error that is not the package's
+        sc = short_reference("M-ESEKF", 4)
+        real = runner.run_trial
+
+        def failing(filt, truth, streams, init):
+            if trial_of(sc, streams) == 1:
+                raise RuntimeError("trial 1 failed")
+            return real(filt, truth, streams, init)
+
+        monkeypatch.setattr(runner, "run_trial", failing)
+        with pytest.raises(RuntimeError, match="trial 1 failed"):
+            run_campaign(sc, workers=2)
+        assert multiprocessing.active_children() == []
