@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import wrap_angle
-from ..errors import MeskfError, number
+from ..errors import MeskfError
 from ..filters import InitialUncertainty, make_filter
 from .sensors import (MeasurementStreams, noise_free_measurements,
                       synthesize_measurements)
@@ -245,34 +245,34 @@ def stack_results(results: list):
     return errors, covs, diverged, timing_rows
 
 
-def run_campaign(scenario, workers=None):
+def run_campaign(scenario):
     """All trials of a scenario (``sim.config.Scenario``).
 
     The ground truth and the noise-free measurements are built once;
     each trial then draws its measurement noise from (seed, trial) and
     runs the scenario's filter.
 
-    The trials run on n = min(``workers``, trials) processes, ``workers``
-    being by default the cores this process may run on
+    The trials run on n = min(usable cores, trials) processes, the
+    usable cores being those this process may run on
     (``os.sched_getaffinity``). The split is static and interleaved:
     this process runs trials 0, n, 2n, ... itself, and n - 1 workers
-    forked from it (the ``fork`` start method, so Linux) run the rest.
-    The workers inherit the filter, the truth and the noise-free
-    measurements through the fork; only their results are sent back.
-    Every trial draws from its own stream and the results are put back
-    in trial order, so the outputs are bitwise the same for any n. With
-    n = 1 nothing is forked; to run serially from the command line,
-    limit the affinity (``taskset -c 0 meskf simulate ...``). A caller
-    that runs threads of its own should pass ``workers=1``: a fork
-    copies only the calling thread, and any lock another thread held.
+    forked from it run the rest. The workers inherit the filter, the
+    truth and the noise-free measurements through the fork; only their
+    results are sent back. Every trial draws from its own stream and
+    the results are put back in trial order, so the outputs are bitwise
+    the same for any n. With n = 1 nothing is forked; to run serially
+    from the command line, limit the affinity
+    (``taskset -c 0 meskf simulate ...``). Where ``os.sched_getaffinity``
+    is missing (macOS, Windows: the platforms where forking is missing
+    or unsafe) the trials run serially.
 
     Returns (metrics, errors, covariances, diverged), the last three
     stacked over trials as ``trials.npz`` stores them.
     """
     sc = scenario
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    n = min(number(int, workers, "workers", ge=1), sc.n_trials)
+    n = 1
+    if hasattr(os, "sched_getaffinity"):
+        n = min(len(os.sched_getaffinity(0)), sc.n_trials)
     truth = generate_ground_truth(sc.surface, sc.trajectory)
     clean = noise_free_measurements(sc.surface, truth, sc.suite,
                                     sc.schedule, sc.extrinsics)

@@ -1,5 +1,6 @@
 """Simulation harness: trajectories, sensor synthesis, metrics."""
 import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -435,17 +436,39 @@ def trial_of(sc, streams):
     raise AssertionError("streams of no trial of the campaign")
 
 
+def count_trials(monkeypatch, sc):
+    """The trials of ``sc`` that run_trial runs in this process, in the
+    order it runs them (a list that fills as they run)."""
+    seen = []
+    real = runner.run_trial
+
+    def counted(filt, truth, streams, init):
+        seen.append(trial_of(sc, streams))
+        return real(filt, truth, streams, init)
+
+    monkeypatch.setattr(runner, "run_trial", counted)
+    return seen
+
+
+def run_on_cores(monkeypatch, sc, cores):
+    """run_campaign(sc) as on a host whose usable cores are ``cores``;
+    the patch is in place before the fork."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+    return run_campaign(sc)
+
+
 class TestParallelCampaign:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
-    def test_outputs_do_not_depend_on_workers(self, kind):
-        # 3 workers is more processes than this host may have cores
+    def test_outputs_do_not_depend_on_processes(self, kind, monkeypatch):
+        # 3 processes is more than this host may have cores
         sc = short_reference(kind, 5)
         runs = {}
-        for workers in (1, 2, 3):
-            m, errors, covs, diverged = run_campaign(sc, workers=workers)
-            runs[workers] = (errors.tobytes(), covs.tobytes(),
-                             diverged.tobytes(),
-                             [row[:2] for row in m.timing_rows])
+        for cores in (1, 2, 3):
+            m, errors, covs, diverged = run_on_cores(monkeypatch, sc, cores)
+            runs[cores] = (errors.tobytes(), covs.tobytes(),
+                           diverged.tobytes(),
+                           [row[:2] for row in m.timing_rows])
         assert runs[2] == runs[1]
         assert runs[3] == runs[1]
 
@@ -473,18 +496,13 @@ class TestParallelCampaign:
             return real(results)
 
         monkeypatch.setattr(runner, "stack_results", stack)
-        serial = run_campaign(sc, workers=1)
-        parallel = run_campaign(sc, workers=2)
+        serial = run_on_cores(monkeypatch, sc, 1)
+        parallel = run_on_cores(monkeypatch, sc, 2)
         assert stacked[1] == stacked[0]
         # trials 1 and 3 ran in the worker
         assert stacked[1][1][0] and stacked[1][3][0]
         np.testing.assert_array_equal(parallel[3], serial[3])
         np.testing.assert_array_equal(parallel[1], serial[1])
-
-    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
-    def test_bad_worker_count_refused(self, workers):
-        with pytest.raises(ConfigError, match="workers"):
-            run_campaign(short_reference("M-ESEKF", 2), workers=workers)
 
     def test_caller_runs_its_share(self, monkeypatch):
         # The benchmark's tracer wraps the layer functions in the calling
@@ -492,19 +510,20 @@ class TestParallelCampaign:
         # a caller that only waited would leave a traced campaign with no
         # trial. So the caller runs trials 0, n, 2n, ... itself.
         sc = short_reference("M-ESEKF", 4)
-        seen = []
-        real = runner.run_trial
-
-        def counted(filt, truth, streams, init):
-            seen.append(trial_of(sc, streams))
-            return real(filt, truth, streams, init)
-
-        monkeypatch.setattr(runner, "run_trial", counted)
-        run_campaign(sc, workers=2)
+        seen = count_trials(monkeypatch, sc)
+        run_on_cores(monkeypatch, sc, 2)
         assert seen == [0, 2]
 
-    def test_no_worker_outlives_a_campaign(self):
-        run_campaign(short_reference("M-ESEKF", 4), workers=2)
+    def test_serial_without_affinity(self, monkeypatch):
+        # no os.sched_getaffinity (macOS, Windows): nothing is forked
+        sc = short_reference("M-ESEKF", 4)
+        seen = count_trials(monkeypatch, sc)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        run_campaign(sc)
+        assert seen == [0, 1, 2, 3]
+
+    def test_no_worker_outlives_a_campaign(self, monkeypatch):
+        run_on_cores(monkeypatch, short_reference("M-ESEKF", 4), 2)
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_failing_trial(self, monkeypatch):
@@ -520,5 +539,5 @@ class TestParallelCampaign:
 
         monkeypatch.setattr(runner, "run_trial", failing)
         with pytest.raises(RuntimeError, match="trial 1 failed"):
-            run_campaign(sc, workers=2)
+            run_on_cores(monkeypatch, sc, 2)
         assert multiprocessing.active_children() == []
