@@ -169,7 +169,9 @@ def sample_sigma_region(state: FilterState, surface: BSplineSurface,
 
     A square grid in whitened coordinates is mapped through the Cholesky
     factor of the position covariance block; grid nodes outside the
-    Mahalanobis radius or the chart domain are discarded.
+    Mahalanobis radius or the chart domain are discarded. The odd grid's
+    middle node is the state itself (to ``np.linspace``'s rounding), so
+    only a state off the chart leaves no sample.
     """
     P_pos = state.P_x[0:2, 0:2]
     try:

@@ -53,19 +53,6 @@ def conjugate(q):
     return (w, -x, -y, -z)
 
 
-def rotate(q, v):
-    """R(q) v for a unit quaternion q, as v + w t + u x t with
-    t = 2 u x v and u the vector part of q."""
-    w, ux, uy, uz = q.tolist() if type(q) is _ndarray else q
-    vx, vy, vz = v.tolist() if type(v) is _ndarray else v
-    tx = 2.0 * (uy * vz - uz * vy)
-    ty = 2.0 * (uz * vx - ux * vz)
-    tz = 2.0 * (ux * vy - uy * vx)
-    return (vx + w * tx + (uy * tz - uz * ty),
-            vy + w * ty + (uz * tx - ux * tz),
-            vz + w * tz + (ux * ty - uy * tx))
-
-
 def from_axis_angle(axis, angle: float):
     ax, ay, az = axis.tolist() if type(axis) is _ndarray else axis
     half = 0.5 * angle

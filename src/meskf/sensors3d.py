@@ -117,9 +117,12 @@ def _sensor_model(surface: BSplineSurface, state: FilterState,
     q_rs = ext.q_RS.tolist()
     if q_rs != [1.0, 0.0, 0.0, 0.0]:
         q = quat.multiply(q, q_rs)
-        # sensor-frame rates R_RS^T w
-        q_sr = quat.conjugate(q_rs)
-        rates = [quat.rotate(q_sr, w) for w in rates]
+        # sensor-frame rates R_RS^T w = w0 R_RS[0] + w1 R_RS[1] + w2 R_RS[2]
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = quat.to_matrix(
+            q_rs)
+        rates = [(r00 * w0 + r10 * w1 + r20 * w2,
+                  r01 * w0 + r11 * w1 + r21 * w2,
+                  r02 * w0 + r12 * w1 + r22 * w2) for w0, w1, w2 in rates]
     return p, J, q, rates
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from .. import quat
 from ..core import FilterState, OdometryInput, RobotExtrinsics
 from ..errors import ConfigError, divisor, finite_array, number_fields
-from ..sensors3d import PoseMeasurement, RangeMeasurement, predict_pose
+from ..sensors3d import (PoseMeasurement, RangeMeasurement, predict_pose,
+                         predict_range)
 from ..surface import BSplineSurface
 from .trajectory import GroundTruth
 
@@ -151,8 +152,9 @@ def noise_free_measurements(surface: BSplineSurface, truth: GroundTruth,
                             extrinsics: RobotExtrinsics
                             ) -> NoiseFreeMeasurements:
     """True sensor pose at each enabled pose slot and true distance at
-    each enabled range slot; ranges visit the anchors round-robin, one
-    per slot, whether or not the slot is enabled."""
+    each enabled range slot, by ``predict_pose`` and ``predict_range`` at
+    the true state; ranges visit the anchors round-robin, one per slot,
+    whether or not the slot is enabled."""
     duration = truth.times[-1]
     schedule.validate(duration)
     if abs(suite.odometry_rate * truth.dt - 1.0) > 1e-9:
@@ -168,20 +170,18 @@ def noise_free_measurements(surface: BSplineSurface, truth: GroundTruth,
                  if schedule.enabled(sensor, truth.times[k])]
         return len(steps), slots, [steps[i] for i in slots]
 
-    def true_pose(k):
-        state = FilterState(truth.chart[k], truth.gamma[k], np.eye(3))
-        return predict_pose(surface, state, extrinsics)
+    def true_state(k):
+        return FilterState(truth.chart[k], truth.gamma[k], np.eye(3))
 
     n_pose, pose_slots, pose_steps = enabled("pose")
-    poses = [true_pose(k) for k in pose_steps]
+    poses = [predict_pose(surface, true_state(k), extrinsics)
+             for k in pose_steps]
     n_range, range_slots, range_steps = enabled("range")
     anchors = suite.anchors
     if len(anchors) == 0:
         range_slots, range_steps = [], []
     anchors = np.array([anchors[i % len(anchors)] for i in range_slots])
-    # one norm per slot, as for a single sample: a batched norm may
-    # round differently
-    d = [np.linalg.norm(true_pose(k)[0] - a)
+    d = [predict_range(surface, true_state(k), extrinsics, a)
          for k, a in zip(range_steps, anchors)]
     return NoiseFreeMeasurements(
         truth, suite,

@@ -2,11 +2,14 @@
 
 Chart-space paths (analytic circles or splines through waypoints) are
 traversed with a trapezoidal speed profile and sampled at the odometry
-step. Body velocities are recovered by inverting the discrete
-displacement model exactly, so re-integrating the propagation model
-with zero noise reproduces the chart path to floating-point accuracy.
-The speed ramps up over the first ``RAMP_FRACTION`` of the duration and
-down over the last.
+step. The heading is the direction of the path's own derivative: the
+circle's, or the spline's from its coefficients. Body velocities are
+recovered by inverting the discrete displacement model exactly, so
+re-integrating the propagation model with zero noise reproduces the
+chart path to floating-point accuracy. The speed ramps up over the
+first ``RAMP_FRACTION`` of the duration and down over the last. A
+closed path wraps around; an open path that the profile overruns stops
+at its end and keeps the end tangent's heading.
 """
 
 from dataclasses import dataclass
@@ -54,7 +57,8 @@ class GroundTruth:
 
 
 def _path_function(path: dict):
-    """Return (position(s), total_length, closed) for a chart path."""
+    """Return (position(s), total_length, closed) for a chart path;
+    position(s) gives the points at arc lengths s and their tangents."""
     if not isinstance(path, dict):
         raise ConfigError("must be an object", field="trajectory.path")
     kind = path.get("type")
@@ -68,8 +72,9 @@ def _path_function(path: dict):
 
         def pos(s):
             ang = np.asarray(s, dtype=float) / radius
-            return center + radius * np.stack(
-                [np.cos(ang), np.sin(ang)], axis=-1)
+            c, sn = np.cos(ang), np.sin(ang)
+            return (center + radius * np.stack([c, sn], axis=-1),
+                    np.stack([-sn, c], axis=-1))
 
         return pos, length, True
     if kind == "waypoints":
@@ -88,7 +93,7 @@ def _path_function(path: dict):
         spline = _cubic_spline(chord, pts, closed)
         # arc-length table on a fine grid
         sfine = np.linspace(0.0, chord[-1], 64 * len(pts))
-        seg = np.linalg.norm(np.diff(spline(sfine), axis=0), axis=1)
+        seg = np.linalg.norm(np.diff(spline(sfine)[0], axis=0), axis=1)
         arc = np.concatenate([[0.0], np.cumsum(seg)])
         length = arc[-1]
 
@@ -112,8 +117,8 @@ def _cubic_spline(x, y, periodic: bool):
     6 (d[i] - d[i-1]), d the chord slopes (Numerical Recipes, 3rd ed.,
     section 3.3), in one dense solve: cyclic in i when periodic. Returns
     a function of the parameter that picks the span by searchsorted and
-    evaluates its cubic by Horner's rule; beyond the ends it continues
-    the end spans' cubics.
+    evaluates its cubic and the cubic's derivative by Horner's rule;
+    beyond the ends it continues the end spans' cubics.
     """
     h = np.diff(x)
     d = np.diff(y, axis=0) / h[:, None]
@@ -141,7 +146,8 @@ def _cubic_spline(x, y, periodic: bool):
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 1)
         dt = (t - x[i])[..., None]
-        return y[i] + dt * (c1[i] + dt * (c2[i] + dt * c3[i]))
+        return (y[i] + dt * (c1[i] + dt * (c2[i] + dt * c3[i])),
+                c1[i] + dt * (2.0 * c2[i] + 3.0 * dt * c3[i]))
 
     return evaluate
 
@@ -151,10 +157,8 @@ def _arc_profile(spec: TrajectorySpec, n_steps: int):
     t = np.arange(n_steps + 1) * spec.dt
     ramp = RAMP_FRACTION * spec.duration
     v = np.full_like(t, spec.speed)
-    if ramp > 0:
-        v = np.minimum(v, spec.speed * t / ramp)
-        v = np.minimum(v, spec.speed * np.maximum(spec.duration - t, 0) / ramp)
-    v = np.maximum(v, 0.0)
+    v = np.minimum(v, spec.speed * t / ramp)
+    v = np.minimum(v, spec.speed * np.maximum(spec.duration - t, 0) / ramp)
     # trapezoid integration of speed
     s = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * spec.dt)])
     return s
@@ -169,17 +173,14 @@ def generate_ground_truth(surface: BSplineSurface,
         s = np.mod(s, length)
     else:
         s = np.clip(s, 0.0, length)
-    chart = pos_fn(s)
+    chart, tangent = pos_fn(s)
     if not np.all(surface.contains(chart)):
         raise ConfigError("leaves the chart domain", field="trajectory.path")
 
     # heading: the direction of the path tangent (du, dv, dS), with
     # dS = S_u du + S_v dv, along the frame's first two axes, the first
     # two entries of R^T (du, dv, dS) for R = R_x(a) R_y(b)
-    ds = 1e-4 * max(length, 1.0)
-    ahead = pos_fn(np.mod(s + ds, length) if closed
-                   else np.clip(s + ds, 0.0, length))
-    du, dv = (ahead - chart).T
+    du, dv = tangent.T
     s_u, s_v = surface.gradient_many(chart).T
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
     dz = s_u * du + s_v * dv

@@ -241,6 +241,10 @@ def test_metrics_refuses_pickled_arrays(scenario, tmp_path, capsys):
 def test_metrics_names_missing_array(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
+    # no trials.npz at all
+    assert main(["metrics", "--in", str(out),
+                 "--out", str(tmp_path / "redo")]) == 2
+    assert "trials.npz not found" in capsys.readouterr().err
     np.savez_compressed(out / "trials.npz", times=np.zeros(3))
     assert main(["metrics", "--in", str(out),
                  "--out", str(tmp_path / "redo")]) == 2
@@ -401,6 +405,21 @@ BAD_NUMBERS = [
     ("sampling", "grid_resolution", 21.0, "sampling.grid_resolution"),
     ("sensors", "pose_rate", True, "sensors.pose_rate"),
     ("sensors", "pose_rate", "5", "sensors.pose_rate"),
+    # 3 Hz does not divide the 20 Hz odometry rate
+    ("sensors", "pose_rate", 3.0, "sensors.pose_rate"),
+    # the odometry rate is 1/dt of the trajectory, 20 Hz
+    ("sensors", "odometry_rate", 10.0, "sensors.odometry_rate"),
+    (None, "schedule", [], "schedule"),
+    (None, "schedule", [{**_SEGMENT, "end": 0.0}], "schedule[0]"),
+    (None, "schedule", [{**_SEGMENT, "sensors": ["lidar"]}], "schedule[0]"),
+    ("trajectory", "path", {"type": "circle", "center": [0, 0, 0],
+                            "radius": 2.0}, "trajectory.path.center"),
+    ("trajectory", "path", {"type": "waypoints", "points": [[0, 0]]},
+     "trajectory.path.points"),
+    ("trajectory", "path", {"type": "spiral"}, "trajectory.path.type"),
+    (None, "surface", 5, "surface"),
+    ("surface", "control_points", [0.0] * 7, "surface"),
+    ("surface", "control_points", [[0.0] * 6] * 7, "surface"),
     ("extrinsics", "r_RS", "abc", "extrinsics.r_RS"),
     ("surface", "degree_u", 3.7, "surface.degree_u"),
     (None, "trials", "2", "trials"),

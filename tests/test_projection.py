@@ -265,6 +265,13 @@ class TestSampling:
         with pytest.raises(DegenerateSamplingError):
             sample_sigma_region(state, flat, SamplingConfig())
 
+    def test_state_off_the_chart_raises(self, flat):
+        # the flat chart is [-20, 20]^2; a 3-sigma cloud of 0.3 m around
+        # (22, 0) has no node on it
+        state = small_state(t=(22.0, 0.0), var=0.01)
+        with pytest.raises(DegenerateSamplingError, match="in domain"):
+            sample_sigma_region(state, flat, SamplingConfig())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplingConfig(grid_resolution=4)

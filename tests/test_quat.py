@@ -143,14 +143,6 @@ def test_to_matrix_matches_scipy(q):
 
 
 @settings(max_examples=200, deadline=None)
-@given(quats, st.tuples(finite, finite, finite))
-def test_rotate_matches_scipy(q, v):
-    q = quat.normalize(q)
-    np.testing.assert_allclose(quat.rotate(q, v), scipy_rot(q).apply(v),
-                               atol=1e-12)
-
-
-@settings(max_examples=200, deadline=None)
 @given(st.one_of(rotvecs, st.tuples(tiny, tiny, tiny)))
 def test_rotvec_maps_match_scipy(v):
     ref = Rotation.from_rotvec(v)
@@ -199,7 +191,6 @@ CALLS = {
     "canonicalize": (ONE_QUAT,),
     "multiply": (ONE_QUAT, (0.1, 0.2, -0.3, 0.9)),
     "conjugate": (ONE_QUAT,),
-    "rotate": (quat.normalize(ONE_QUAT), (0.3, -1.2, 2.0)),
     "from_axis_angle": ((0.0, 0.6, 0.8), 0.4),
     "from_rotvec": ((0.1, -0.2, 0.3),),
     "to_rotvec": (ONE_QUAT,),

@@ -21,7 +21,7 @@ from meskf.sim.sensors import (MeasurementStreams, ScheduleSegment,
                                SensorSchedule, SensorSuite,
                                _rng, noise_free_measurements,
                                synthesize_measurements)
-from meskf.sensors3d import predict_pose
+from meskf.sensors3d import predict_pose, predict_range
 from meskf.sim.trajectory import (GroundTruth, TrajectorySpec,
                                   _cubic_spline, generate_ground_truth)
 
@@ -52,14 +52,22 @@ def default_trial(surface, truth, streams, kind):
 
 
 class TestGroundTruth:
-    def test_zero_noise_reintegration_exact(self, curved):
+    def test_zero_noise_reintegration_exact(self, curved, flat):
         # the recovered body velocities re-drive the propagation model
         # back onto the true chart path: a circle on the curved test
-        # surface, and the reference scenario's waypoint path
+        # surface, the reference scenario's waypoint path, and an open
+        # waypoint path whose end the vehicle reaches at step 143 of 200,
+        # where it stops and keeps the end tangent's heading
         reference = load_scenario(REFERENCE_SCENARIO)
+        overrun = TrajectorySpec({"type": "waypoints",
+                                  "points": [[0, 0], [3, 1], [6, 0]]},
+                                 1.0, 10.0, 0.05)
         for surface, spec in ((curved, circle_spec()),
-                              (reference.surface, reference.trajectory)):
+                              (reference.surface, reference.trajectory),
+                              (flat, overrun)):
             truth = generate_ground_truth(surface, spec)
+            # a continuous heading: no jump at the end of an open path
+            assert np.max(np.abs(truth.omega)) < 1.0
             s = FilterState(truth.chart[0], truth.gamma[0],
                             np.eye(3) * 1e-6)
             sv = np.eye(2) * 1e-6
@@ -68,6 +76,7 @@ class TestGroundTruth:
                 s = propagate(surface, s, o, truth.dt)
                 assert np.linalg.norm(s.t_R - truth.chart[k + 1]) < 1e-9
                 assert abs(s.gamma_R - truth.gamma[k + 1]) < 1e-9
+        assert np.all(truth.chart[143:] == [6.0, 0.0])
 
     def test_heading_follows_the_path(self, curved):
         # the frame's heading axis R_x(a) R_y(b) (cos g, sin g, 0) is the
@@ -79,10 +88,8 @@ class TestGroundTruth:
             tangent = np.array([du, dv, s_u * du + s_v * dv])
             axis = curved.tangent_frame(t) @ [np.cos(gamma), np.sin(gamma),
                                               0.0]
-            # the path's tangent is a finite difference 1e-4 of its length
-            # ahead, about 3e-4 rad off on this circle
             assert np.linalg.norm(axis - tangent / np.linalg.norm(tangent)) \
-                < 1e-3
+                < 1e-12
 
     def test_circle_stays_on_radius(self, flat):
         truth = generate_ground_truth(flat, circle_spec(radius=3.0))
@@ -99,8 +106,9 @@ class TestGroundTruth:
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_waypoint_spline_matches_scipy(self, periodic):
-        # oracle: scipy's CubicSpline on the same chord parameter, over
-        # the reference scenario's waypoints and random ones
+        # oracle: scipy's CubicSpline and its first derivative on the
+        # same chord parameter, over the reference scenario's waypoints
+        # and random ones
         reference = load_scenario(REFERENCE_SCENARIO).trajectory
         rng = np.random.default_rng(3)
         sets = [np.array(reference.path["points"], dtype=float)]
@@ -115,8 +123,10 @@ class TestGroundTruth:
             t = np.linspace(0.0, x[-1], 4001)
             oracle = CubicSpline(x, pts, bc_type="periodic" if periodic
                                  else "natural")
-            np.testing.assert_allclose(_cubic_spline(x, pts, periodic)(t),
-                                       oracle(t), rtol=0, atol=1e-12)
+            value, tangent = _cubic_spline(x, pts, periodic)(t)
+            np.testing.assert_allclose(value, oracle(t), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tangent, oracle(t, 1), rtol=0,
+                                       atol=1e-12)
 
     def test_out_of_domain_path_rejected(self, curved):
         # a scenario error, not an OutOfChartError from deep inside
@@ -220,8 +230,7 @@ def old_streams(surface, truth, su, sched, extrinsics, seed, trial):
         if not sched.enabled("range", truth.times[k]):
             continue
         st = FilterState(truth.chart[k], truth.gamma[k], np.eye(3))
-        pos, _ = predict_pose(surface, st, extrinsics)
-        d = np.linalg.norm(pos - anchor)
+        d = predict_range(surface, st, extrinsics, anchor)
         range_events.setdefault(k, []).append((anchor, max(d + noise, 0.0)))
     return (odometry, pose_events, range_events,
             _rng(seed, trial, "init").normal(size=6))
