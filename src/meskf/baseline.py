@@ -22,8 +22,8 @@ from .core import OdometryInput, RobotExtrinsics, joseph_update
 from .errors import DegenerateGeometryError, number_fields
 from .sensors3d import (PoseMeasurement, RangeMeasurement, _cross,
                         pose_residual, range_residual)
-from .surface import (BSplineSurface, frame_angle_derivatives,
-                      frame_cos_sin, frame_matrix)
+from .surface import (BSplineSurface, frame_cos_sin, frame_matrix,
+                      frame_rates)
 
 
 @dataclass
@@ -151,22 +151,28 @@ def _pseudo_residual_jacobian(state: FullPoseState,
                               surface: BSplineSurface):
     """(y0, H) of the elevation + roll/pitch pseudo-measurement.
 
-    H = -dy0/dx on one ``eval_point``: the unit normal n = m / |m|,
-    m = (-S_u, -S_v, 1), moves with the chart position as dn =
-    (I - n n^T) dm / |m|, and a = R^T n with the attitude as [a]_x,
-    so that a row d of the residual's derivative in a contributes
-    -d [a]_x = a x d to H.
+    H = -dy0/dx on one ``eval_point``: the unit normal n is the third
+    column N' of the tangent frame F = [B1' | B2' | N'], and it moves
+    with the chart position as F turns, dn/dx_k = F (w_k x e_3) =
+    w_k1 B1' - w_k0 B2' with w_k the frame's turn (``frame_rates``).
+    a = R^T n moves with the attitude as [a]_x, so that a row d of the
+    residual's derivative in a contributes -d [a]_x = a x d to H.
     """
     x, y, pz = state.p.tolist()
     s, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(x, y)
-    k = 1.0 / math.sqrt(1.0 + s_u * s_u + s_v * s_v)
-    n0, n1, n2 = -s_u * k, -s_v * k, k
-    vecs = [(n0, n1, n2)]
-    for m0, m1 in ((-s_uu, -s_uv), (-s_uv, -s_vv)):     # dm/du, dm/dv
-        nm = n0 * m0 + n1 * m1
-        vecs.append((k * (m0 - n0 * nm), k * (m1 - n1 * nm), -k * n2 * nm))
-    r0, r1, r2 = zip(*quat.to_matrix(state.q))      # columns of R
-    a, a_u, a_v = [(_dot(v, r0), _dot(v, r1), _dot(v, r2)) for v in vecs]
+    ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
+    (b0, _, n0), (b1, c1, n1), (b2, c2, n2) = frame_matrix(ca, sa, cb, sb)
+    (u0, u1, _), (v0, v1, _) = frame_rates(s_u, s_uu, s_uv, s_vv,
+                                           ca, sa, cb, sb)
+    # n, dn/du and dn/dv, with B1' = (b0, b1, b2) and B2' = (0, c1, c2)
+    vecs = ((n0, n1, n2), (u1 * b0, u1 * b1 - u0 * c1, u1 * b2 - u0 * c2),
+            (v1 * b0, v1 * b1 - v0 * c1, v1 * b2 - v0 * c2))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = quat.to_matrix(
+        state.q)
+    # R^T n, R^T dn/du and R^T dn/dv
+    a, a_u, a_v = [(e0 * r00 + e1 * r10 + e2 * r20,
+                    e0 * r01 + e1 * r11 + e2 * r21,
+                    e0 * r02 + e1 * r12 + e2 * r22) for e0, e1, e2 in vecs]
     (rp0, rp1), D = _align_jacobian(*a)
     rows = [-s_u, -s_v, 1.0, 0.0, 0.0, 0.0]
     for d in D:
@@ -229,8 +235,9 @@ def chart_errors(state: FullPoseState, surface: BSplineSurface):
     Heading gamma = atan2(c_1, c_0) with c = F^T R e_1, the body x-axis
     in the tangent frame F. The covariance is pushed through the map by
     its analytic Jacobian, so all filters are scored in the same space:
-    F turns with the chart position at the frame-angle rates w, so
-    dc = c x w, and the attitude error moves c by -F^T R [e_1]_x dtheta.
+    F turns with the chart position by w_k (``frame_rates``), so
+    dc/dx_k = c x w_k, and the attitude error moves c by
+    -F^T R [e_1]_x dtheta.
     The Jacobian's rows are e_1, e_2 and one heading row j that is zero
     in p_z and dtheta_x, so J P J^T is written out on those entries.
     """
@@ -244,14 +251,11 @@ def chart_errors(state: FullPoseState, surface: BSplineSurface):
     m01, m02 = _dot(f0, by), _dot(f0, bz)
     m11, m12 = _dot(f1, by), _dot(f1, bz)
     inv = 1.0 / (c0 * c0 + c1 * c1)
-    j = []
-    for da, db in frame_angle_derivatives(s_u, s_uu, s_uv, s_vv,
-                                          ca, sa, cb):
-        w0, w1, w2 = cb * da, db, sb * da
-        j.append((c0 * (c2 * w0 - c0 * w2) - c1 * (c1 * w2 - c2 * w1))
-                 * inv)
+    (u0, u1, u2), (v0, v1, v2) = frame_rates(s_u, s_uu, s_uv, s_vv,
+                                             ca, sa, cb, sb)
+    j0 = (c0 * (c2 * u0 - c0 * u2) - c1 * (c1 * u2 - c2 * u1)) * inv
+    j1 = (c0 * (c2 * v0 - c0 * v2) - c1 * (c1 * v2 - c2 * v1)) * inv
     # attitude columns: dc/dtheta = (0, -M e_3, M e_2)
-    j0, j1 = j
     j4 = (c1 * m02 - c0 * m12) * inv
     j5 = (c0 * m11 - c1 * m01) * inv
     P = state.P.tolist()

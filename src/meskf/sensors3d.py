@@ -10,8 +10,8 @@ Kalman filter", arXiv:1711.02508). ``_sensor_model`` gives them for the
 chart state (dt_R, dgamma_R), n = 3, in closed form from one
 single-point surface evaluation (S, its gradient and its Hessian): the
 frame angles alpha = arctan(S_v) and beta = -arctan(S_u cos alpha) are
-differentiated through the Hessian. ``baseline._sensor_model_3d`` gives
-them for the 6-dof state, n = 6.
+differentiated through the Hessian (``surface.frame_rates``).
+``baseline._sensor_model_3d`` gives them for the 6-dof state, n = 6.
 """
 
 import math
@@ -22,8 +22,8 @@ import numpy as np
 from . import quat
 from .core import FilterState, RobotExtrinsics, correct
 from .errors import DegenerateGeometryError
-from .surface import (BSplineSurface, frame_angle_derivatives,
-                      frame_cos_sin, frame_matrix)
+from .surface import (BSplineSurface, frame_cos_sin, frame_matrix,
+                      frame_rates)
 
 
 @dataclass
@@ -81,14 +81,13 @@ def _sensor_model(surface: BSplineSurface, state: FilterState,
     J = [[c, 0.0, 0.0], [0.0, c, 0.0], [c * s_u, c * s_v, 0.0]]
     p = [c * u, c * v, c * s]
     if lever or rotation:
-        # robot-frame rotation rates: the frame R_x(alpha) R_y(beta)
-        # turns by (cos b da, db, sin b da), seen through R_z(gamma)
-        rates = []
-        for da, db in frame_angle_derivatives(s_u, s_uu, s_uv, s_vv,
-                                              ca, sa, cb):
-            wx, wz = cb * da, sb * da
-            rates.append((cg * wx + sg * db, cg * db - sg * wx, wz))
-        rates.append((0.0, 0.0, 1.0))
+        # robot-frame rotation rates: the frame's turn, seen through
+        # R_z(gamma)
+        (u0, u1, u2), (v0, v1, v2) = frame_rates(s_u, s_uu, s_uv, s_vv,
+                                                 ca, sa, cb, sb)
+        rates = [(cg * u0 + sg * u1, cg * u1 - sg * u0, u2),
+                 (cg * v0 + sg * v1, cg * v1 - sg * v0, v2),
+                 (0.0, 0.0, 1.0)]
     if lever:
         (f00, _, f02), (f10, f11, f12), (f20, f21, f22) = frame_matrix(
             ca, sa, cb, sb)

@@ -45,10 +45,13 @@ class SensorSuite:
     def __post_init__(self):
         number_fields(self, "sensors", float,
                       ("odometry_rate", "pose_rate", "range_rate"), gt=0)
+        # a measurement's noise covariance must be invertible; the
+        # odometry's only enters the propagated covariance
         number_fields(self, "sensors", float,
-                      ("odometry_linear_std", "odometry_angular_std",
-                       "pose_position_std", "pose_orientation_std",
-                       "range_distance_std"), ge=0)
+                      ("odometry_linear_std", "odometry_angular_std"), ge=0)
+        number_fields(self, "sensors", float,
+                      ("pose_position_std", "pose_orientation_std",
+                       "range_distance_std"), gt=0)
         # one anchor may be given as a bare 3-vector, none as []
         anchors = finite_array(self.anchors, "sensors.anchors")
         anchors = (anchors.reshape(0, 3) if anchors.size == 0
@@ -64,9 +67,6 @@ class ScheduleSegment:
     start: float
     end: float
     sensors: frozenset
-
-    def __post_init__(self):
-        self.sensors = frozenset(self.sensors) | {"odometry"}
 
 
 @dataclass
@@ -102,9 +102,9 @@ class SensorSchedule:
         return False
 
     @staticmethod
-    def always_on(duration: float, sensors=("pose", "range")):
+    def always_on(duration: float):
         return SensorSchedule(
-            [ScheduleSegment(0.0, duration, frozenset(sensors))])
+            [ScheduleSegment(0.0, duration, frozenset(("pose", "range")))])
 
 
 @dataclass
@@ -235,7 +235,7 @@ def synthesize_measurements(clean: NoiseFreeMeasurements, seed: int,
     noise = _rng(seed, trial, "range").normal(
         0.0, suite.range_distance_std, size=clean.n_range_slots)
     z_d = np.maximum(clean.range_d + noise[clean.range_slots], 0.0).tolist()
-    R_d = max(suite.range_distance_std ** 2, 1e-12)
+    R_d = suite.range_distance_std ** 2
     range_events = {}
     for k, anchor, d in zip(clean.range_steps, clean.range_anchors, z_d):
         range_events.setdefault(k, []).append(RangeMeasurement(anchor, d, R_d))

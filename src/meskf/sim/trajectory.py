@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core import wrap_angle
 from ..errors import ConfigError, finite_array, number, number_fields
-from ..surface import BSplineSurface, frame_cos_sin
+from ..surface import BSplineSurface, frame_cos_sin, frame_matrix
 
 RAMP_FRACTION = 0.15
 
@@ -39,6 +39,18 @@ class TrajectorySpec:
     def __post_init__(self):
         number_fields(self, "trajectory", float, ("speed",), ge=0)
         number_fields(self, "trajectory", float, ("duration", "dt"), gt=0)
+        self.steps()
+
+    def steps(self) -> int:
+        """The number of odometry steps, duration / dt. A duration that
+        is not a whole number of steps, at least one, is refused, not
+        rounded: a ConfigError naming ``trajectory.duration``."""
+        n = round(self.duration / self.dt)
+        if n < 1 or abs(n * self.dt - self.duration) > 1e-9:
+            raise ConfigError(f"must be a whole number of dt = {self.dt} s "
+                              f"steps, at least one, not {self.duration}",
+                              field="trajectory.duration")
+        return n
 
 
 @dataclass
@@ -152,9 +164,8 @@ def _cubic_spline(x, y, periodic: bool):
     return evaluate
 
 
-def _arc_profile(spec: TrajectorySpec, n_steps: int):
-    """Trapezoidal arc-length profile s(t_k), k = 0..n_steps."""
-    t = np.arange(n_steps + 1) * spec.dt
+def _arc_profile(spec: TrajectorySpec, t: np.ndarray):
+    """Trapezoidal arc-length profile s(t_k) at the sample times t."""
     ramp = RAMP_FRACTION * spec.duration
     v = np.full_like(t, spec.speed)
     v = np.minimum(v, spec.speed * t / ramp)
@@ -167,8 +178,8 @@ def _arc_profile(spec: TrajectorySpec, n_steps: int):
 def generate_ground_truth(surface: BSplineSurface,
                           spec: TrajectorySpec) -> GroundTruth:
     pos_fn, length, closed = _path_function(spec.path)
-    n_steps = int(round(spec.duration / spec.dt))
-    s = _arc_profile(spec, n_steps)
+    times = np.arange(spec.steps() + 1) * spec.dt
+    s = _arc_profile(spec, times)
     if closed:
         s = np.mod(s, length)
     else:
@@ -179,24 +190,22 @@ def generate_ground_truth(surface: BSplineSurface,
 
     # heading: the direction of the path tangent (du, dv, dS), with
     # dS = S_u du + S_v dv, along the frame's first two axes, the first
-    # two entries of R^T (du, dv, dS) for R = R_x(a) R_y(b)
+    # two entries of F^T (du, dv, dS) for the frame F (F[0][1] is 0)
     du, dv = tangent.T
     s_u, s_v = surface.gradient_many(chart).T
-    ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
+    (f00, _, _), (f10, f11, _), (f20, f21, _) = frame_matrix(
+        *frame_cos_sin(s_u, s_v))
     dz = s_u * du + s_v * dv
-    gamma = np.arctan2(ca * dv + sa * dz,
-                       cb * du + sa * sb * dv - ca * sb * dz)
+    gamma = np.arctan2(f11 * dv + f21 * dz, f00 * du + f10 * dv + f20 * dz)
 
     # exact inversion of the discrete displacement model
     # d_chart / dt = T R_z(gamma) v_m, on the lower-triangular chart
-    # block T = [[cos b, 0], [sin a sin b, cos a]] of R
+    # block T = [[F00, 0], [F10, F11]] of F
     d_u, d_v = np.diff(chart, axis=0).T / spec.dt
-    ca, sa, cb, sb = ca[:-1], sa[:-1], cb[:-1], sb[:-1]
-    x_u = d_u / cb
-    x_v = (d_v - sa * sb * x_u) / ca
+    x_u = d_u / f00[:-1]
+    x_v = (d_v - f10[:-1] * x_u) / f11[:-1]
     cg, sg = np.cos(gamma[:-1]), np.sin(gamma[:-1])
     v_m = np.column_stack([cg * x_u + sg * x_v, cg * x_v - sg * x_u])
     omega = wrap_angle(np.diff(gamma)) / spec.dt
-    return GroundTruth(times=np.arange(n_steps + 1) * spec.dt,
-                       chart=chart, gamma=gamma, v_m=v_m, omega=omega,
-                       dt=spec.dt)
+    return GroundTruth(times=times, chart=chart, gamma=gamma, v_m=v_m,
+                       omega=omega, dt=spec.dt)

@@ -414,6 +414,19 @@ def frame_angle_derivatives(s_u, s_uu, s_uv, s_vv, ca, sa, cb):
             (da_v, -k_b * (s_uv * ca - s_u * sa * da_v)))
 
 
+def frame_rates(s_u, s_uu, s_uv, s_vv, ca, sa, cb, sb):
+    """(w_u, w_v): the frame's turn per unit u and per unit v.
+
+    The frame F = R_x(a) R_y(b) moves with the chart position as
+    dF/dx_k = F [w_k]_x, in its own axes, with
+    w_k = (cos b da/dx_k, db/dx_k, sin b da/dx_k): R_y(b)^T e_1 da
+    from the turn about x, e_2 db from the turn about y.
+    """
+    (da_u, db_u), (da_v, db_v) = frame_angle_derivatives(
+        s_u, s_uu, s_uv, s_vv, ca, sa, cb)
+    return (cb * da_u, db_u, sb * da_u), (cb * da_v, db_v, sb * da_v)
+
+
 def frame_matrix(ca, sa, cb, sb):
     """Rows of R_x(a) R_y(b) = [B1' | B2' | N'] from the angles' cos/sin."""
     return ((cb, 0.0, sb),

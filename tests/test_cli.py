@@ -423,6 +423,12 @@ BAD_NUMBERS = [
     ("extrinsics", "r_RS", "abc", "extrinsics.r_RS"),
     ("surface", "degree_u", 3.7, "surface.degree_u"),
     (None, "trials", "2", "trials"),
+    # a duration is a whole number of dt = 0.05 s steps, at least one
+    *[("trajectory", "duration", v, "trajectory.duration")
+      for v in (1.03, 20.02, 0.01)],
+    # a measurement's noise covariance must be invertible
+    *[("sensors", key, 0.0, f"sensors.{key}") for key in (
+        "pose_position_std", "pose_orientation_std", "range_distance_std")],
 ]
 
 

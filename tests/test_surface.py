@@ -13,6 +13,7 @@ from meskf import (BSplineSurface, ConfigError, NumericalFailureError,
                    world_to_chart)
 from meskf.bspline import (basis_and_derivatives, find_spans,
                            point_basis_ders2, tensor_eval)
+from meskf.surface import frame_cos_sin, frame_rates
 
 from conftest import make_random_surface
 
@@ -231,6 +232,32 @@ def test_tangent_frame_orthonormal_and_normal_correct(curved):
         n_exact = np.array([-g[k, 0], -g[k, 1], 1.0])
         n_exact /= np.linalg.norm(n_exact)
         assert np.max(np.abs(R[:, 2] - n_exact)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frame_rates_match_central_differences(seed):
+    # dF/dx_k = F [w_k]_x against central differences of tangent_frame.
+    # The difference is off by h^2 |F'''| / 6 from truncation (|F'''|
+    # stays below 6 on these slopes) and by about 8 ulp of each entry,
+    # which is at most 1, over 2h from rounding.
+    surface = make_random_surface(seed, amplitude=1.2)
+    h = 1e-4
+    tol = h * h + 8 * np.finfo(float).eps / h
+    knots = np.concatenate([surface.knots_u, surface.knots_v])
+    for t in sample_points(surface, 40, seed=seed):
+        # F'' jumps across knots, which spoils the h^2 term, so keep
+        # the stencil in one span
+        if np.min(np.abs(knots[:, None] - t)) < 10 * h:
+            continue
+        _, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(*t)
+        F = surface.tangent_frame(t)
+        rates = frame_rates(s_u, s_uu, s_uv, s_vv, *frame_cos_sin(s_u, s_v))
+        for step, (w0, w1, w2) in zip(np.eye(2) * h, rates):
+            fd = (surface.tangent_frame(t + step)
+                  - surface.tangent_frame(t - step)) / (2 * h)
+            skew = np.array([[0.0, -w2, w1], [w2, 0.0, -w0],
+                             [-w1, w0, 0.0]])
+            assert np.max(np.abs(fd - F @ skew)) < tol
 
 
 def test_frame_quaternion_matches_matrix(curved):
