@@ -149,12 +149,9 @@ def cmd_metrics(args) -> int:
         (int(t) for t in data["timing_trial"]),
         (str(k) for k in data["timing_kind"]),
         data["timing_mean_us"], data["timing_p99_us"]))
-    try:
-        metrics = metrics_from_arrays(
-            data["times"], data["errors"], data["covariances"],
-            data["diverged"], timing_rows)
-    except np.linalg.LinAlgError as e:
-        raise ConfigError(f"covariances: {e}", field=str(npz_path)) from e
+    metrics = metrics_from_arrays(
+        data["times"], data["errors"], data["covariances"],
+        data["diverged"], timing_rows)
     out_dir = Path(args.out) if args.out else in_dir
     _write_outputs(out_dir, metrics)
     print(f"recomputed metrics for {metrics.n_trials} trials -> {out_dir}")

@@ -172,6 +172,12 @@ def sample_sigma_region(state: FilterState, surface: BSplineSurface,
     Mahalanobis radius or the chart domain are discarded. The odd grid's
     middle node is the state itself (to ``np.linspace``'s rounding), so
     only a state off the chart leaves no sample.
+
+    The (N, 2) samples are stored column-major, so that each coordinate
+    is one contiguous array: the domain filter, ``elevation_many`` and
+    ``project_range`` run on whole columns, and the filter indexes each
+    column alone, which is several times cheaper than a row index of
+    the (N, 2) array.
     """
     P_pos = state.P_x[0:2, 0:2]
     try:
@@ -179,11 +185,12 @@ def sample_sigma_region(state: FilterState, surface: BSplineSurface,
     except np.linalg.LinAlgError as e:
         raise DegenerateSamplingError("position covariance not SPD") from e
     g = _whitened_grid(config.grid_half_width, config.grid_resolution)
-    pts = state.t_R + g @ L.T
-    pts = pts[surface.contains(pts)]
-    if len(pts) == 0:
+    pts = np.add(state.t_R, g @ L.T, order="F")
+    u, v = pts[:, 0], pts[:, 1]
+    keep = surface.contains(pts)
+    if not keep.any():
         raise DegenerateSamplingError("no sigma-region samples in domain")
-    return pts
+    return np.vstack((u[keep], v[keep])).T
 
 
 def project_range_variance(surface: BSplineSurface, R_d: float,
@@ -225,21 +232,24 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
     lever, J = _lever_arm(surface, state, extrinsics)
     A_prime = np.asarray(anchor, dtype=float) - lever
     samples = sample_sigma_region(state, surface, config)
+    u, v = samples[:, 0], samples[:, 1]
     a_u, a_v, a_z = A_prime.tolist()
-    du = samples[:, 0] - a_u
-    dv = samples[:, 1] - a_v
+    du = u - a_u
+    dv = v - a_v
     dz = surface.elevation_many(samples) - a_z
-    # summed in the order of np.linalg.norm's row sum
+    # both distances are summed in the order of np.linalg.norm's row sum
     dists = np.sqrt(du * du + dv * dv + dz * dz)
     tol = config.shell_tolerance
     if tol is None:
-        tol = np.sqrt(R_d)
+        tol = math.sqrt(R_d)
     keep = np.abs(dists - z_d) <= tol
-    if not np.any(keep):
+    if not keep.any():
         raise NoIntersectionError("range shell misses the sigma region")
-    t_m = samples[keep]
     t_A = world_to_chart(surface.closest_point(A_prime))
-    z_dU = float(np.mean(np.linalg.norm(t_A - t_m, axis=1)))
+    t_u, t_v = t_A.tolist()
+    eu = t_u - u[keep]
+    ev = t_v - v[keep]
+    z_dU = float(np.mean(np.sqrt(eu * eu + ev * ev)))
     R_dU = project_range_variance(surface, R_d, J, state, A_prime)
     return ProjectedRange(z_dU, R_dU, t_A)
 

@@ -193,16 +193,24 @@ def metrics_from_arrays(times: np.ndarray, errors: np.ndarray,
     """RMSE_k and ANEES_k from stacked per-trial arrays.
 
     Diverged trials are excluded from the averages and reported through
-    the exclusion rate.
+    the exclusion rate; so is a trial with a covariance that is singular
+    in floating point, whose NEES cannot be formed.
     """
     keep = ~np.asarray(diverged, dtype=bool)
+    nees = []                           # one (K+1,) array per kept trial
+    for k in np.flatnonzero(keep):
+        e_k = errors[k]
+        try:
+            x = np.linalg.solve(covariances[k], e_k[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            keep[k] = False
+            continue
+        nees.append(np.sum(e_k * x, axis=-1))
     n_steps = len(times)
     if np.any(keep):
         e = errors[keep]                                # (N, K+1, 3)
-        P = covariances[keep]                           # (N, K+1, 3, 3)
         rmse_pos = np.sqrt(np.mean(np.sum(e[:, :, 0:2] ** 2, axis=2), axis=0))
         rmse_head = np.sqrt(np.mean(e[:, :, 2] ** 2, axis=0))
-        nees = np.sum(e * np.linalg.solve(P, e[..., None])[..., 0], axis=-1)
         anees = np.mean(nees, axis=0) / 3.0
     else:
         rmse_pos = rmse_head = np.full(n_steps, np.nan)

@@ -13,6 +13,7 @@ Orientation noise is generated as Tait-Bryan angles and converted to
 quaternions.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,13 +46,20 @@ class SensorSuite:
     def __post_init__(self):
         number_fields(self, "sensors", float,
                       ("odometry_rate", "pose_rate", "range_rate"), gt=0)
-        # a measurement's noise covariance must be invertible; the
-        # odometry's only enters the propagated covariance
+        # a measurement's noise covariance must be invertible, so its
+        # variance a positive normal float; the odometry's only enters
+        # the propagated covariance
         number_fields(self, "sensors", float,
                       ("odometry_linear_std", "odometry_angular_std"), ge=0)
-        number_fields(self, "sensors", float,
-                      ("pose_position_std", "pose_orientation_std",
-                       "range_distance_std"), gt=0)
+        measured = ("pose_position_std", "pose_orientation_std",
+                    "range_distance_std")
+        number_fields(self, "sensors", float, measured, gt=0)
+        for name in measured:
+            var = getattr(self, name) * getattr(self, name)
+            if not sys.float_info.min <= var <= sys.float_info.max:
+                raise ConfigError(
+                    f"its square {var!r} is not a positive normal float",
+                    field=f"sensors.{name}")
         # one anchor may be given as a bare 3-vector, none as []
         anchors = finite_array(self.anchors, "sensors.anchors")
         anchors = (anchors.reshape(0, 3) if anchors.size == 0

@@ -252,26 +252,52 @@ def test_metrics_names_missing_array(tmp_path, capsys):
     assert "trials.npz" in err and "timing_trial" in err
 
 
-@pytest.mark.parametrize("damage", ["errors_cut", "covariance_zero"])
-def test_metrics_refuses_malformed_arrays(scenario, tmp_path, capsys,
-                                         damage):
-    # errors cut to 10 steps no longer broadcast against times; a zero
-    # covariance of a kept trial makes the NEES solve singular. Both are
-    # the file's fault, so both are a config error naming it.
+def test_metrics_refuses_malformed_arrays(scenario, tmp_path, capsys):
+    # errors cut to 10 steps no longer broadcast against times: the
+    # file's fault, so a config error naming it
     out = tmp_path / "out"
     main(["simulate", "--config", str(scenario), "--out", str(out)])
     with np.load(out / "trials.npz", allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files}
-    if damage == "errors_cut":
-        arrays["errors"] = arrays["errors"][:, 0:10]
-    else:
-        assert not arrays["diverged"][0]
-        arrays["covariances"][0, 5] = 0.0
+    arrays["errors"] = arrays["errors"][:, 0:10]
     np.savez_compressed(out / "trials.npz", **arrays)
     assert main(["metrics", "--in", str(out),
                  "--out", str(tmp_path / "redo")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "trials.npz" in err
+
+
+def test_singular_covariance_is_excluded_in_scoring(tmp_path):
+    # the reference scenario cut to 5 s: with a pose orientation std of
+    # 1e-20 (a variance of 1e-40, a normal float) the M-ESEKF's covariance
+    # becomes singular in floating point, which used to raise LinAlgError
+    # in scoring (exit 1). Which trials it hits depends on the rounding
+    # of the host's LAPACK, so only the exclusion is asserted (exit 3).
+    ref = Path(__file__).resolve().parents[1] / "scenarios"
+    cfg = json.loads((ref / "reference_curved.json").read_text())
+    cfg["surface"] = str(ref / cfg["surface"])
+    cfg["trajectory"]["duration"] = 5.0
+    del cfg["schedule"]
+    cfg.update(trials=2, filter="M-ESEKF")
+    cfg["sensors"]["pose_orientation_std"] = 1e-20
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    summary = (out / "summary.json").read_text()
+    assert json.loads(summary)["exclusion_rate"] > 0
+    # meskf metrics recomputes the same exclusion from trials.npz, also
+    # for covariances zeroed at one step, which are singular on any host
+    redo = tmp_path / "redo"
+    assert main(["metrics", "--in", str(out), "--out", str(redo)]) == 0
+    assert (redo / "summary.json").read_text() == summary
+    with np.load(out / "trials.npz", allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["covariances"][:, 5] = 0.0
+    np.savez(out / "trials.npz", **arrays)
+    assert main(["metrics", "--in", str(out), "--out", str(redo)]) == 0
+    assert json.loads((redo / "summary.json").read_text())[
+        "exclusion_rate"] == 1.0
 
 
 class _Unpickled:
@@ -426,9 +452,11 @@ BAD_NUMBERS = [
     # a duration is a whole number of dt = 0.05 s steps, at least one
     *[("trajectory", "duration", v, "trajectory.duration")
       for v in (1.03, 20.02, 0.01)],
-    # a measurement's noise covariance must be invertible
-    *[("sensors", key, 0.0, f"sensors.{key}") for key in (
-        "pose_position_std", "pose_orientation_std", "range_distance_std")],
+    # a measurement's noise covariance must be invertible: its variance
+    # a positive normal float (1e-170 squares to 0, 1e200 to inf)
+    *[("sensors", key, v, f"sensors.{key}") for key in (
+        "pose_position_std", "pose_orientation_std", "range_distance_std")
+      for v in (0.0, 1e-170, 1e200)],
 ]
 
 

@@ -247,6 +247,8 @@ class TestSampling:
             ref = ref[curved.contains(ref)]
             pts = sample_sigma_region(st, curved, cfg)
             np.testing.assert_array_equal(pts, ref)
+            # stored column-major: each coordinate is contiguous
+            assert pts.flags.f_contiguous
         # one grid is shared by every call, so no caller may write to it
         grid = projection._whitened_grid(3.0, 41)
         assert grid is projection._whitened_grid(3.0, 41)
@@ -382,24 +384,43 @@ class TestProjectRange:
         # the shell written with world points, eval_point elevations and
         # np.linalg.norm gives the same z_dU, bit for bit; a shell 1e-300
         # wide around one sample's distance keeps that sample only if
-        # the distance is reproduced to the last bit
+        # the distance is reproduced to the last bit, and the default
+        # tolerance (None) is one range sigma
         rng = np.random.default_rng(33)
-        for _ in range(20):
-            state = FilterState(rng.uniform(-8.5, 8.5, size=2), 0.0,
-                                random_spd(rng, 3, 0.01))
-            anchor = np.concatenate([rng.uniform(-9, 9, size=2), [0.5]])
+        R_d = 0.0025
+
+        def check(state, anchor):
             samples = sample_sigma_region(state, curved,
                                           SamplingConfig(3.0, 41))
             z = [curved.eval_point(u, v)[0] for u, v in samples.tolist()]
             d = np.linalg.norm(np.column_stack([samples, z]) - anchor, axis=1)
             t_A = world_to_chart(curved.closest_point(anchor))
             z_d = float(d[rng.integers(len(d))])
-            for tol in (0.05, 1e-300):
-                t_m = samples[np.abs(d - z_d) <= tol]
-                proj = project_range(curved, z_d, 0.0025, anchor, IDENT,
+            for tol in (0.05, 1e-300, None):
+                t_m = samples[np.abs(d - z_d)
+                              <= (np.sqrt(R_d) if tol is None else tol)]
+                proj = project_range(curved, z_d, R_d, anchor, IDENT,
                                      state, SamplingConfig(3.0, 41, tol))
                 assert proj.z_dU == float(np.mean(np.linalg.norm(
                     t_A - t_m, axis=1)))
+            return samples
+
+        for _ in range(20):
+            state = FilterState(rng.uniform(-8.5, 8.5, size=2), 0.0,
+                                random_spd(rng, 3, 0.01))
+            anchor = np.concatenate([rng.uniform(-9, 9, size=2), [0.5]])
+            check(state, anchor)
+        P = np.array([[0.02, 0.005, 0.0], [0.005, 0.01, 0.0],
+                      [0.0, 0.0, 0.01]])
+        anchor = np.array([4.0, -3.0, 0.5])
+        # a cloud across the domain's corner (10, -10) loses samples
+        samples = check(FilterState(np.array([9.8, -9.85]), 0.0, P), anchor)
+        assert len(samples) < len(projection._whitened_grid(3.0, 41))
+        # a cloud across the knot lines u = 2, v = -6 takes
+        # elevation_many's path over several patches
+        samples = check(FilterState(np.array([2.0, -6.0]), 0.0, P), anchor)
+        for column, knot in zip(samples.T, (2.0, -6.0)):
+            assert column.min() < knot < column.max()
 
     def test_moving_anchor_equals_a_fresh_solve(self, monkeypatch,
                                                 surface_calls):

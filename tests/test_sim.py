@@ -316,6 +316,41 @@ class TestMetrics:
         assert m.n_excluded == 1
         np.testing.assert_allclose(m.exclusion_rate, 1 / 3)
 
+    def test_singular_covariance_trial_excluded(self):
+        # trial 1's covariance is zero at one step: its NEES cannot be
+        # formed, so it is scored as if it had diverged
+        rng = np.random.default_rng(3)
+        times = np.zeros(4)
+        errors = rng.normal(size=(3, 4, 3))
+        A = rng.normal(size=(3, 4, 3, 3))
+        covs = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(3)
+        covs[1, 2] = 0.0
+        m = metrics_from_arrays(times, errors, covs, np.zeros(3, bool), [])
+        assert m.n_excluded == 1
+        alone = metrics_from_arrays(times, errors[[0, 2]], covs[[0, 2]],
+                                    np.zeros(2, bool), [])
+        for name in ("rmse_pos", "rmse_head", "anees", "anees_bounds"):
+            np.testing.assert_array_equal(getattr(m, name),
+                                          getattr(alone, name))
+        covs[:, 0] = 0.0
+        m = metrics_from_arrays(times, errors, covs, np.zeros(3, bool), [])
+        assert m.n_excluded == 3
+        assert np.isnan(m.anees).all() and np.isnan(m.rmse_pos).all()
+
+    def test_anees_is_the_batched_solve_bit_for_bit(self):
+        # one solve per trial gives the bits of one batched solve over
+        # all trials: the gufunc solves each matrix on its own
+        rng = np.random.default_rng(4)
+        times = np.zeros(50)
+        errors = rng.normal(size=(6, 50, 3))
+        A = rng.normal(size=(6, 50, 3, 3))
+        covs = A @ np.swapaxes(A, -1, -2) + 1e-3 * np.eye(3)
+        diverged = np.array([False, True, False, False, False, False])
+        m = metrics_from_arrays(times, errors, covs, diverged, [])
+        e, P = errors[~diverged], covs[~diverged]
+        nees = np.sum(e * np.linalg.solve(P, e[..., None])[..., 0], axis=-1)
+        np.testing.assert_array_equal(m.anees, np.mean(nees, axis=0) / 3.0)
+
     def test_anees_bounds_match_scipy(self):
         # oracle: scipy.stats.chi2.ppf, exact down to a single trial and
         # up to 3000 degrees of freedom

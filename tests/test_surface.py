@@ -353,7 +353,12 @@ def test_elevation_many_is_eval_point_on_patch_clouds(make, where):
         for b in range(1, n_v - 1):
             t = knot_cloud(surface, where, a, b, rng)
             ref = [surface.eval_point(u, v)[0] for u, v in t.tolist()]
-            np.testing.assert_array_equal(surface.elevation_many(t), ref)
+            z = surface.elevation_many(t)
+            np.testing.assert_array_equal(z, ref)
+            # a column-major cloud, as sample_sigma_region stores it,
+            # gives the same bits
+            np.testing.assert_array_equal(
+                surface.elevation_many(np.asfortranarray(t)), z)
 
 
 def test_elevation_many_reports_non_finite_first(curved):
