@@ -11,6 +11,7 @@ error (m) and heading error (rad), which its ``to_eval`` maps it to.
 
 import math
 import os
+import pickle
 import time
 from dataclasses import dataclass
 
@@ -266,8 +267,12 @@ def run_campaign(scenario):
     this process runs trials 0, n, 2n, ... itself, and n - 1 workers
     forked from it run the rest. The workers inherit the filter, the
     truth and the noise-free measurements through the fork; only their
-    results are sent back. Every trial draws from its own stream and
-    the results are put back in trial order, so the outputs are bitwise
+    results come back, pickled, one pipe per worker, read in trial
+    order. A worker's exception is raised here; a worker killed before
+    it sent its results (SIGKILL, the out-of-memory killer) raises a
+    RuntimeError naming its first trial and the signal. No worker
+    outlives the call. Every trial draws from its own stream and the
+    results are put back in trial order, so the outputs are bitwise
     the same for any n. With n = 1 nothing is forked; to run serially
     from the command line, limit the affinity
     (``taskset -c 0 meskf simulate ...``). Where ``os.sched_getaffinity``
@@ -303,35 +308,105 @@ def _run_share(shared, first: int, step: int) -> list:
             for k in range(first, n_trials, step)]
 
 
-# The campaign a forked worker inherited; set in workers only.
-_inherited = None
-
-
-def _inherit(shared):
-    global _inherited
-    _inherited = shared
-
-
-def _worker_share(first: int, step: int) -> list:
-    return _run_share(_inherited, first, step)
-
-
 def _run_forked(shared, n: int) -> list:
     """The campaign's results on n processes: this one runs trials
-    0, n, 2n, ... while n - 1 forked workers run the others. The
-    benchmark's tracer wraps the layer functions in this process only,
-    so the caller's share is what it sees of a campaign."""
-    # imported here, not at module top, where every start-up would pay
-    # for them, serial or not
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    0, n, 2n, ... while n - 1 workers, each one ``os.fork`` with one
+    pipe, run trials j, j + n, ... for j = 1, ..., n - 1. A worker
+    pickles its results, or its exception, to its pipe and exits; this
+    process reads the pipes in trial order, reaps each worker with
+    ``os.waitpid`` (so the rusage of children counts their CPU) and
+    re-raises a worker's exception. A worker that ends without its
+    results, killed by a signal (SIGKILL from the out-of-memory killer,
+    say), raises a RuntimeError that names its first trial and its
+    wait status. On any error, its own included, this process kills the
+    workers it has not read, closes every pipe and reaps every worker:
+    none outlives the call. The benchmark's tracer wraps the layer
+    functions in this process only, so the caller's share is what it
+    sees of a campaign."""
     results = [None] * shared[-1]
-    with ProcessPoolExecutor(n - 1,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit,
-                             initargs=(shared,)) as pool:
-        shares = [pool.submit(_worker_share, j, n) for j in range(1, n)]
+    workers = {}                  # pid -> (first trial, read end), unreaped
+    try:
+        for j in range(1, n):
+            r, w = os.pipe()
+            others = [r] + [fd for _, fd in workers.values()]
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(shared, j, n, w, others)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            workers[pid] = (j, r)
         results[0::n] = _run_share(shared, 0, n)
-        for j, share in enumerate(shares, 1):
-            results[j::n] = share.result()
+        for pid in list(workers):
+            # until the worker closes its end
+            with open(workers[pid][1], "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            j, r = workers.pop(pid)
+            os.close(r)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise RuntimeError(
+                    f"the campaign worker from trial {j} ended without its "
+                    f"results: {_exit_reason(code)}")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                exc, trace = value
+                raise exc from RuntimeError(
+                    f"in the campaign worker from trial {j}:\n{trace}")
+            results[j::n] = value
+    finally:
+        if workers:
+            # only on an error: imported here, so that no campaign that
+            # succeeds pays for it
+            import signal
+            for pid in workers:
+                os.kill(pid, signal.SIGKILL)
+            for _, r in workers.values():
+                os.close(r)
+            for pid in workers:
+                os.waitpid(pid, 0)
     return results
+
+
+def _work(shared, first: int, step: int, w: int, others: list):
+    """A forked worker's whole life: trials first, first + step, ...
+    of ``shared``, pickled to the pipe end ``w`` as (True, results) or
+    (False, (exception, traceback text)). It closes the pipe ends
+    ``others``, which are not its own, and never returns: whatever
+    happens, it ends in ``os._exit``, so it cannot unwind into the
+    caller's stack. An exception that cannot be pickled is sent as a
+    RuntimeError with its type name and message."""
+    status = 1
+    try:
+        for fd in others:
+            os.close(fd)
+        try:
+            payload = pickle.dumps((True, _run_share(shared, first, step)))
+        except Exception as exc:
+            import traceback
+            trace = "".join(traceback.format_exception(exc))
+            try:
+                payload = pickle.dumps((False, (exc, trace)))
+                # one that pickles can still fail to load: an __init__
+                # whose arguments differ from its args
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((False, (RuntimeError(
+                    f"{type(exc).__name__}: {exc}"), trace)))
+        with open(w, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _exit_reason(code: int) -> str:
+    """A worker's exit code, as ``os.waitstatus_to_exitcode`` gives it,
+    in words."""
+    if code > 0:
+        return f"exit status {code}"
+    import signal                 # only on an error, like the kill above
+    return f"killed by signal {-code} ({signal.Signals(-code).name})"

@@ -1,6 +1,10 @@
 """Simulation harness: trajectories, sensor synthesis, metrics."""
-import multiprocessing
+import contextlib
 import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +506,124 @@ def run_on_cores(monkeypatch, sc, cores):
     return run_campaign(sc)
 
 
+# short_reference("M-ESEKF", 4) on two cores, in a fresh interpreter.
+# This module is not imported there: scipy imports concurrent.futures.
+_FORKED_CAMPAIGN = """
+import os
+import sys
+os.sched_getaffinity = lambda pid: {0, 1}
+forks = []
+real_fork = os.fork
+
+
+def fork():
+    forks.append(real_fork())
+    return forks[-1]
+
+
+os.fork = fork
+from meskf.sim.config import load_scenario
+from meskf.sim.runner import run_campaign
+from meskf.sim.sensors import SensorSchedule
+sc = load_scenario(sys.argv[1])
+sc.filter_kind, sc.n_trials = "M-ESEKF", 4
+sc.trajectory.duration = 3.0
+sc.schedule = SensorSchedule.always_on(3.0)
+run_campaign(sc)
+assert len(forks) == 1, forks
+loaded = [m for m in ("multiprocessing", "concurrent.futures")
+          if m in sys.modules]
+assert not loaded, loaded
+"""
+
+
+class TwoArgumentError(Exception):
+    def __init__(self, what, how):
+        super().__init__(f"{what} {how}")
+
+
+def fail_trials(monkeypatch, sc, failures):
+    """Patch run_trial, before any fork, so that trial k of ``sc`` with
+    an entry in ``failures`` raises it, or sleeps that many seconds
+    first when it is a number."""
+    real = runner.run_trial
+
+    def failing(filt, truth, streams, init):
+        failure = failures.get(trial_of(sc, streams))
+        if isinstance(failure, float):
+            time.sleep(failure)
+        elif failure is not None:
+            raise failure
+        return real(filt, truth, streams, init)
+
+    monkeypatch.setattr(runner, "run_trial", failing)
+
+
+def record_forks(monkeypatch):
+    """The pids of the workers that os.fork starts from this process (a
+    list that fills as they are forked)."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def record_waits(monkeypatch):
+    """pid -> wait status of every child that os.waitpid reaps."""
+    statuses = {}
+    real = os.waitpid
+
+    def waitpid(pid, options):
+        got = real(pid, options)
+        if got[0]:
+            statuses[got[0]] = got[1]
+        return got
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return statuses
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds``, so a campaign
+    that waits for a dead worker fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def forked_copies_stop():
+    """A forked worker that unwound out of the runner into this block
+    would go on to run the test suite: it ends here with status 99."""
+    caller = os.getpid()
+    try:
+        yield
+    finally:
+        if os.getpid() != caller:
+            os._exit(99)
+
+
 class TestParallelCampaign:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_outputs_do_not_depend_on_processes(self, kind, monkeypatch):
@@ -567,21 +689,93 @@ class TestParallelCampaign:
         assert seen == [0, 1, 2, 3]
 
     def test_no_worker_outlives_a_campaign(self, monkeypatch):
-        run_on_cores(monkeypatch, short_reference("M-ESEKF", 4), 2)
-        assert multiprocessing.active_children() == []
+        pids = record_forks(monkeypatch)
+        run_on_cores(monkeypatch, short_reference("M-ESEKF", 4), 3)
+        assert len(pids) == 2
+        assert_reaped(pids)
 
     def test_no_worker_outlives_a_failing_trial(self, monkeypatch):
         # patched before the fork, so the worker that runs trial 1
         # raises an error that is not the package's
         sc = short_reference("M-ESEKF", 4)
-        real = runner.run_trial
-
-        def failing(filt, truth, streams, init):
-            if trial_of(sc, streams) == 1:
-                raise RuntimeError("trial 1 failed")
-            return real(filt, truth, streams, init)
-
-        monkeypatch.setattr(runner, "run_trial", failing)
+        fail_trials(monkeypatch, sc, {1: RuntimeError("trial 1 failed")})
+        pids = record_forks(monkeypatch)
         with pytest.raises(RuntimeError, match="trial 1 failed"):
             run_on_cores(monkeypatch, sc, 2)
-        assert multiprocessing.active_children() == []
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_killed_worker_raises(self, monkeypatch):
+        # the worker that runs trial 1 dies as under the out-of-memory
+        # killer, with no result sent
+        sc = short_reference("M-ESEKF", 4)
+        real = runner.run_trial
+
+        def dying(filt, truth, streams, init):
+            if trial_of(sc, streams) == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(filt, truth, streams, init)
+
+        monkeypatch.setattr(runner, "run_trial", dying)
+        pids = record_forks(monkeypatch)
+        with deadline(60), pytest.raises(
+                RuntimeError, match=r"from trial 1 .*SIGKILL"):
+            run_on_cores(monkeypatch, sc, 2)
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_caller_error_kills_the_workers(self, monkeypatch):
+        # trial 0 fails in the caller while the worker still runs
+        # trial 1, which would take a minute
+        sc = short_reference("M-ESEKF", 4)
+        fail_trials(monkeypatch, sc, {0: RuntimeError("trial 0 failed"),
+                                      1: 60.0})
+        pids = record_forks(monkeypatch)
+        statuses = record_waits(monkeypatch)
+        # a caller that waited for the worker would take the minute
+        with forked_copies_stop(), deadline(30), pytest.raises(
+                RuntimeError, match="trial 0 failed"):
+            run_on_cores(monkeypatch, sc, 2)
+        assert len(pids) == 1
+        assert_reaped(pids)
+        status = statuses[pids[0]]
+        assert os.WIFSIGNALED(status)
+        assert os.WTERMSIG(status) == signal.SIGKILL
+
+    # a picklable error is test_no_worker_outlives_a_failing_trial's
+    @pytest.mark.parametrize("error, raised, match, exit_code", [
+        # a lambda cannot be pickled: sent as a RuntimeError with the
+        # type name and message
+        (ValueError("trial 1 failed", lambda: None), RuntimeError,
+         r"ValueError: \('trial 1 failed'", 0),
+        # pickles, but its __init__ cannot load it back
+        (TwoArgumentError("trial 1", "failed"), RuntimeError,
+         "TwoArgumentError: trial 1 failed", 0),
+        # not an Exception: the worker sends nothing and exits
+        (SystemExit(5), RuntimeError, r"from trial 1 .*exit status 1", 1),
+    ], ids=["unpicklable", "unloadable", "system_exit"])
+    def test_worker_error_reaches_the_caller(self, monkeypatch, error,
+                                             raised, match, exit_code):
+        sc = short_reference("M-ESEKF", 4)
+        fail_trials(monkeypatch, sc, {1: error})
+        pids = record_forks(monkeypatch)
+        statuses = record_waits(monkeypatch)
+        with forked_copies_stop(), deadline(60), pytest.raises(
+                raised, match=match):
+            run_on_cores(monkeypatch, sc, 2)
+        assert len(pids) == 1
+        assert_reaped(pids)
+        status = statuses[pids[0]]
+        assert os.WIFEXITED(status)
+        assert os.WEXITSTATUS(status) == exit_code
+
+    def test_forked_campaign_imports_no_pool(self):
+        # multiprocessing and concurrent.futures cost a forked campaign
+        # about 21 ms to import; none of its code needs them
+        src = str(Path(runner.__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _FORKED_CAMPAIGN, str(REFERENCE_SCENARIO)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
