@@ -8,9 +8,12 @@ import argparse
 import json
 import math
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.format import (header_data_from_array_1_0,
+                              write_array_header_1_0)
 
 from .errors import ConfigError
 from .sim.config import campaign_setting, load_scenario
@@ -80,7 +83,24 @@ def write_summary_json(path, metrics):
                                      sort_keys=True, allow_nan=False) + "\n")
 
 
+def write_npz(path, arrays):
+    """The named C-contiguous arrays as an uncompressed ``.npz``, the
+    file that ``np.savez(path, **arrays)`` writes (ZIP_STORED, one
+    member ``<name>.npy`` each, with a version 1.0 ``.npy`` header),
+    each written from the array's own buffer: ``np.savez`` copies each
+    array to bytes first."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED,
+                         allowZip64=True) as zf:
+        for name, arr in arrays.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                write_array_header_1_0(member,
+                                       header_data_from_array_1_0(arr))
+                member.write(arr)
+
+
 def _write_outputs(out_dir, metrics, errors=None, covs=None, diverged=None):
+    """metrics.csv, timings.csv and summary.json into ``out_dir``, and
+    ``trials.npz`` when the campaign's arrays are given."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_dir / "metrics.csv", metrics)
@@ -88,14 +108,13 @@ def _write_outputs(out_dir, metrics, errors=None, covs=None, diverged=None):
     write_summary_json(out_dir / "summary.json", metrics)
     if errors is not None:
         rows = metrics.timing_rows
-        np.savez(
-            out_dir / "trials.npz",
-            times=metrics.times, errors=errors, covariances=covs,
-            diverged=diverged,
-            timing_trial=np.array([r[0] for r in rows], dtype=int),
-            timing_kind=np.array([r[1] for r in rows], dtype=str),
-            timing_mean_us=np.array([r[2] for r in rows]),
-            timing_p99_us=np.array([r[3] for r in rows]))
+        write_npz(out_dir / "trials.npz", {
+            "times": metrics.times, "errors": errors, "covariances": covs,
+            "diverged": diverged,
+            "timing_trial": np.array([r[0] for r in rows], dtype=int),
+            "timing_kind": np.array([r[1] for r in rows], dtype=str),
+            "timing_mean_us": np.array([r[2] for r in rows]),
+            "timing_p99_us": np.array([r[3] for r in rows])})
 
 
 def cmd_simulate(args) -> int:

@@ -14,6 +14,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,14 @@ class TrialResult:
     timings: dict             # correction type -> list of seconds
     diverged: bool
     diverged_step: int | None = None
+
+
+class TrialOutcome(NamedTuple):
+    """What a campaign keeps of a trial besides its rows, which go into
+    the campaign's block; what a worker's header carries per trial."""
+    diverged: bool
+    diverged_step: int | None
+    timings: dict             # correction type -> list of seconds
 
 
 @dataclass
@@ -144,7 +153,9 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
     Each step propagates on the odometry, then applies the periodic
     correction if the filter has one, the pose event, and the range events of the
     step, timing each correction. A package error or a chart position
-    error above ``DIVERGENCE_LIMIT_M`` ends the trial as diverged.
+    error above ``DIVERGENCE_LIMIT_M`` ends the trial as diverged at
+    that step; a package error in the start or its scoring (a start off
+    the chart) ends it at step 0.
     """
     n = truth.n_steps
     errors = np.zeros((n + 1, 3))
@@ -166,11 +177,12 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
         covs[k] = P_eval
         return math.hypot(*e.tolist())
 
-    state = filt.start(truth.chart[0], truth.gamma[0], init,
-                       streams.initial_state_noise)
-    record(0, state)
-    for step in range(1, n + 1):
-        try:
+    step = 0
+    try:
+        state = filt.start(truth.chart[0], truth.gamma[0], init,
+                           streams.initial_state_noise)
+        record(0, state)
+        for step in range(1, n + 1):
             state = filt.propagate(state, streams.odometry[step - 1])
             if filt.periodic_label:
                 state = timed(filt.periodic_label, filt.correct_periodic,
@@ -183,8 +195,8 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
                               meas)
             if record(step, state) > DIVERGENCE_LIMIT_M:
                 return TrialResult(errors, covs, timings, True, step)
-        except MeskfError:
-            return TrialResult(errors, covs, timings, True, step)
+    except MeskfError:
+        return TrialResult(errors, covs, timings, True, step)
     return TrialResult(errors, covs, timings, False)
 
 
@@ -196,9 +208,16 @@ def metrics_from_arrays(times: np.ndarray, errors: np.ndarray,
     Diverged trials are excluded from the averages and reported through
     the exclusion rate; so is a trial with a covariance that is singular
     in floating point, whose NEES cannot be formed.
+
+    The kept trials are read one at a time, in place, and their squared
+    errors and NEES summed per step in trial order from zero. That is
+    the order in which ``np.mean(..., axis=0)`` over the stacked kept
+    trials sums them when a trial has more than one step, so the
+    results are its bits, without a copy of the kept trials.
     """
     keep = ~np.asarray(diverged, dtype=bool)
-    nees = []                           # one (K+1,) array per kept trial
+    n_steps = len(times)
+    sum_pos, sum_head, sum_nees = (np.zeros(n_steps) for _ in range(3))
     for k in np.flatnonzero(keep):
         e_k = errors[k]
         try:
@@ -206,18 +225,19 @@ def metrics_from_arrays(times: np.ndarray, errors: np.ndarray,
         except np.linalg.LinAlgError:
             keep[k] = False
             continue
-        nees.append(np.sum(e_k * x, axis=-1))
-    n_steps = len(times)
-    if np.any(keep):
-        e = errors[keep]                                # (N, K+1, 3)
-        rmse_pos = np.sqrt(np.mean(np.sum(e[:, :, 0:2] ** 2, axis=2), axis=0))
-        rmse_head = np.sqrt(np.mean(e[:, :, 2] ** 2, axis=0))
-        anees = np.mean(nees, axis=0) / 3.0
+        sum_nees += np.sum(e_k * x, axis=-1)
+        sum_pos += np.sum(e_k[:, 0:2] ** 2, axis=1)
+        sum_head += e_k[:, 2] ** 2
+    n_kept = int(np.sum(keep))
+    if n_kept:
+        rmse_pos = np.sqrt(sum_pos / n_kept)
+        rmse_head = np.sqrt(sum_head / n_kept)
+        anees = sum_nees / n_kept / 3.0
     else:
         rmse_pos = rmse_head = np.full(n_steps, np.nan)
         anees = np.full(n_steps, np.nan)
 
-    n_kept = max(int(np.sum(keep)), 1)
+    n_kept = max(n_kept, 1)
     return TrialMetrics(
         times=times,
         rmse_pos=rmse_pos, rmse_head=rmse_head,
@@ -240,18 +260,20 @@ def _percentile99(values) -> float:
     return upper - step * (1.0 - t) if t >= 0.5 else lower + step * t
 
 
-def stack_results(results: list):
-    """(errors, covariances, diverged, timing_rows) arrays from trials."""
-    errors = np.stack([r.errors for r in results])
-    covs = np.stack([r.covariances for r in results])
-    diverged = np.array([r.diverged for r in results], dtype=bool)
+def stack_results(outcomes: list):
+    """(diverged, timing_rows) from the trials' outcomes, in trial order:
+    the divergence flags as an array, and one (trial, correction type,
+    mean µs, p99 µs) row per trial and correction type. The trials'
+    errors and covariances are not here: they are already in the
+    campaign's block."""
+    diverged = np.array([r.diverged for r in outcomes], dtype=bool)
     timing_rows = []
-    for i, r in enumerate(results):
+    for i, r in enumerate(outcomes):
         for key, vals in sorted(r.timings.items()):
             arr = np.asarray(vals) * 1e6
             timing_rows.append((i, key, float(np.mean(arr)),
                                 _percentile99(arr)))
-    return errors, covs, diverged, timing_rows
+    return diverged, timing_rows
 
 
 def run_campaign(scenario):
@@ -259,25 +281,31 @@ def run_campaign(scenario):
 
     The ground truth and the noise-free measurements are built once;
     each trial then draws its measurement noise from (seed, trial) and
-    runs the scenario's filter.
+    runs the scenario's filter. The campaign's errors (N, K+1, 3) and
+    covariances (N, K+1, 3, 3) are allocated once, zero-filled, before
+    any fork, and every trial's rows land in that block; nothing else
+    holds a copy of them.
 
     The trials run on n = min(usable cores, trials) processes, the
     usable cores being those this process may run on
     (``os.sched_getaffinity``). The split is static and interleaved:
     this process runs trials 0, n, 2n, ... itself, and n - 1 workers
     forked from it run the rest. The workers inherit the filter, the
-    truth and the noise-free measurements through the fork; only their
-    results come back, pickled, one pipe per worker, read in trial
-    order. A worker's exception is raised here; a worker killed before
-    it sent its results (SIGKILL, the out-of-memory killer) raises a
-    RuntimeError naming its first trial and the signal. No worker
-    outlives the call. Every trial draws from its own stream and the
-    results are put back in trial order, so the outputs are bitwise
-    the same for any n. With n = 1 nothing is forked; to run serially
-    from the command line, limit the affinity
-    (``taskset -c 0 meskf simulate ...``). Where ``os.sched_getaffinity``
-    is missing (macOS, Windows: the platforms where forking is missing
-    or unsafe) the trials run serially.
+    truth and the noise-free measurements through the fork. Each sends
+    back, on its own pipe, a small pickled header (each trial's
+    divergence and timings, or its exception) and then the raw bytes of
+    its trials' rows, which this process reads straight into its block,
+    worker by worker in trial order (``_run_forked``). A worker's
+    exception is raised here; a worker killed before it sent all its
+    rows (SIGKILL, the out-of-memory killer) raises a RuntimeError
+    naming its first trial and the signal. No worker outlives the call.
+    Every trial draws from its own stream and its rows have their own
+    place in the block, so the outputs are bitwise the same for any n.
+    With n = 1 nothing is forked; to run serially from the command
+    line, limit the affinity (``taskset -c 0 meskf simulate ...``).
+    Where ``os.sched_getaffinity`` is missing (macOS, Windows: the
+    platforms where forking is missing or unsafe) the trials run
+    serially.
 
     Returns (metrics, errors, covariances, diverged), the last three
     stacked over trials as ``trials.npz`` stores them.
@@ -291,9 +319,12 @@ def run_campaign(scenario):
                                     sc.schedule, sc.extrinsics)
     filt = make_filter(sc.filter_kind, sc.surface, truth.dt, sc.extrinsics,
                        sc.sampling, sc.pseudo)
-    shared = (filt, truth, clean, sc.seed, sc.init, sc.n_trials)
-    results = _run_share(shared, 0, 1) if n == 1 else _run_forked(shared, n)
-    errors, covs, diverged, timing_rows = stack_results(results)
+    rows = (sc.n_trials, truth.n_steps + 1)
+    errors = np.zeros(rows + (3,))
+    covs = np.zeros(rows + (3, 3))
+    shared = (filt, truth, clean, sc.seed, sc.init, errors, covs)
+    outcomes = _run_share(shared, 0, 1) if n == 1 else _run_forked(shared, n)
+    diverged, timing_rows = stack_results(outcomes)
     metrics = metrics_from_arrays(truth.times, errors, covs, diverged,
                                   timing_rows)
     return metrics, errors, covs, diverged
@@ -301,29 +332,41 @@ def run_campaign(scenario):
 
 def _run_share(shared, first: int, step: int) -> list:
     """Trials first, first + step, ... of the campaign ``shared``, in
-    order."""
-    filt, truth, clean, seed, init, n_trials = shared
-    return [run_trial(filt, truth, synthesize_measurements(clean, seed, k),
-                      init)
-            for k in range(first, n_trials, step)]
+    order. Each trial's errors and covariances are stored into the
+    campaign's block (the last two items of ``shared``) as the trial
+    ends; the trials' ``TrialOutcome``s are returned."""
+    filt, truth, clean, seed, init, errors, covs = shared
+    outcomes = []
+    for k in range(first, len(errors), step):
+        res = run_trial(filt, truth, synthesize_measurements(clean, seed, k),
+                        init)
+        errors[k] = res.errors
+        covs[k] = res.covariances
+        outcomes.append(TrialOutcome(res.diverged, res.diverged_step,
+                                     res.timings))
+        del res                   # its arrays do not outlive the trial
+    return outcomes
 
 
 def _run_forked(shared, n: int) -> list:
-    """The campaign's results on n processes: this one runs trials
+    """The campaign's outcomes on n processes: this one runs trials
     0, n, 2n, ... while n - 1 workers, each one ``os.fork`` with one
     pipe, run trials j, j + n, ... for j = 1, ..., n - 1. A worker
-    pickles its results, or its exception, to its pipe and exits; this
-    process reads the pipes in trial order, reaps each worker with
+    sends its header, then its rows, or its exception alone, and exits
+    (``_work``); this process reads the pipes in trial order, the rows
+    into its own block (``_receive``), reaps each worker with
     ``os.waitpid`` (so the rusage of children counts their CPU) and
-    re-raises a worker's exception. A worker that ends without its
-    results, killed by a signal (SIGKILL from the out-of-memory killer,
-    say), raises a RuntimeError that names its first trial and its
-    wait status. On any error, its own included, this process kills the
-    workers it has not read, closes every pipe and reaps every worker:
-    none outlives the call. The benchmark's tracer wraps the layer
-    functions in this process only, so the caller's share is what it
-    sees of a campaign."""
-    results = [None] * shared[-1]
+    re-raises a worker's exception. A worker that ends before it sent
+    its header and all its rows, or with a nonzero status (killed by a
+    signal: SIGKILL from the out-of-memory killer, say), raises a
+    RuntimeError that names its first trial and its wait status, so
+    rows are never left silently zero. On any error, its own included,
+    this process kills the workers it has not read, closes every pipe
+    and reaps every worker: none outlives the call. The benchmark's
+    tracer wraps the layer functions in this process only, so the
+    caller's share is what it sees of a campaign."""
+    errors, covs = shared[-2:]
+    outcomes = [None] * len(errors)
     workers = {}                  # pid -> (first trial, read end), unreaped
     try:
         for j in range(1, n):
@@ -339,24 +382,25 @@ def _run_forked(shared, n: int) -> list:
             finally:
                 os.close(w)
             workers[pid] = (j, r)
-        results[0::n] = _run_share(shared, 0, n)
+        outcomes[0::n] = _run_share(shared, 0, n)
         for pid in list(workers):
+            j, r = workers[pid]
             # until the worker closes its end
-            with open(workers[pid][1], "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            j, r = workers.pop(pid)
+            with open(r, "rb", closefd=False) as pipe:
+                header = _receive(pipe, errors[j::n], covs[j::n])
+            del workers[pid]
             os.close(r)
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
+            if code or header is None:
                 raise RuntimeError(
                     f"the campaign worker from trial {j} ended without its "
                     f"results: {_exit_reason(code)}")
-            ok, value = pickle.loads(payload)
+            ok, value = header
             if not ok:
                 exc, trace = value
                 raise exc from RuntimeError(
                     f"in the campaign worker from trial {j}:\n{trace}")
-            results[j::n] = value
+            outcomes[j::n] = value
     finally:
         if workers:
             # only on an error: imported here, so that no campaign that
@@ -368,45 +412,69 @@ def _run_forked(shared, n: int) -> list:
                 os.close(r)
             for pid in workers:
                 os.waitpid(pid, 0)
-    return results
+    return outcomes
 
 
 def _work(shared, first: int, step: int, w: int, others: list):
     """A forked worker's whole life: trials first, first + step, ...
-    of ``shared``, pickled to the pipe end ``w`` as (True, results) or
-    (False, (exception, traceback text)). It closes the pipe ends
-    ``others``, which are not its own, and never returns: whatever
-    happens, it ends in ``os._exit``, so it cannot unwind into the
-    caller's stack. An exception that cannot be pickled is sent as a
-    RuntimeError with its type name and message."""
+    of ``shared``, sent on the pipe end ``w`` as the pickled header
+    (True, outcomes) followed by the raw bytes of each trial's errors
+    and then covariances, trial by trial, from the worker's copy of the
+    block; or as the header (False, (exception, traceback text)) alone.
+    No array is pickled. It closes the pipe ends ``others``, which are
+    not its own, and never returns: whatever happens, it ends in
+    ``os._exit``, so it cannot unwind into the caller's stack. An
+    exception that cannot be pickled is sent as a RuntimeError with its
+    type name and message."""
     status = 1
     try:
         for fd in others:
             os.close(fd)
+        errors, covs = shared[-2:]
         try:
-            payload = pickle.dumps((True, _run_share(shared, first, step)))
+            header = (True, _run_share(shared, first, step))
+            rows = range(first, len(errors), step)
         except Exception as exc:
             import traceback
             trace = "".join(traceback.format_exception(exc))
+            header, rows = (False, (exc, trace)), ()
             try:
-                payload = pickle.dumps((False, (exc, trace)))
                 # one that pickles can still fail to load: an __init__
                 # whose arguments differ from its args
-                pickle.loads(payload)
+                pickle.loads(pickle.dumps(header))
             except Exception:
-                payload = pickle.dumps((False, (RuntimeError(
-                    f"{type(exc).__name__}: {exc}"), trace)))
+                header = (False, (RuntimeError(
+                    f"{type(exc).__name__}: {exc}"), trace))
         with open(w, "wb") as pipe:
-            pipe.write(payload)
+            pickle.dump(header, pipe)
+            for k in rows:
+                pipe.write(errors[k])
+                pipe.write(covs[k])
         status = 0
     finally:
         os._exit(status)
 
 
+def _receive(pipe, errors, covs):
+    """A worker's header, read from the binary file ``pipe``; when it
+    holds results, their rows follow and are read in place into
+    ``errors`` and ``covs``, the worker's trials' rows of the block.
+    None when the pipe ends before the header or the last row does."""
+    try:
+        header = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    if header[0]:
+        for e, P in zip(errors, covs):
+            if pipe.readinto(e) < e.nbytes or pipe.readinto(P) < P.nbytes:
+                return None
+    return header
+
+
 def _exit_reason(code: int) -> str:
     """A worker's exit code, as ``os.waitstatus_to_exitcode`` gives it,
     in words."""
-    if code > 0:
+    if code >= 0:
         return f"exit status {code}"
     import signal                 # only on an error, like the kill above
     return f"killed by signal {-code} ({signal.Signals(-code).name})"

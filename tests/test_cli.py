@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 
 import meskf
 from meskf import FILTER_KINDS, flat_surface, save_surface
-from meskf.cli import main
+from meskf.cli import TRIALS_ARRAYS, _write_outputs, main
+from meskf.sim.config import load_scenario
+from meskf.sim.runner import run_campaign
 
 METRICS_HEADER = ["step", "time_s", "rmse_pos_m", "rmse_head_rad",
                   "anees", "anees_lo", "anees_hi"]
@@ -507,10 +510,9 @@ def test_bad_surface_is_config_error(scenario, tmp_path, spoil, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", FILTER_KINDS)
-def test_exit_code_divergence(tmp_path, kind):
-    # dead-reckoning near the chart boundary with a large seeded initial
-    # offset walks out of the domain: the trial is flagged diverged
+def divergence_scenario(tmp_path, pos_std):
+    """Dead-reckoning near the edge of a 5 m chart, no sensors, with the
+    start drawn ``pos_std`` m off the truth."""
     surf = tmp_path / "surf.json"
     save_surface(flat_surface(extent=5.0), surf)
     cfg = {
@@ -519,12 +521,20 @@ def test_exit_code_divergence(tmp_path, kind):
                                 "radius": 4.5},
                        "speed": 1.0, "duration": 20.0, "dt": 0.05},
         "schedule": [{"start": 0.0, "end": 20.0, "sensors": []}],
-        "init": {"pos_std": 2.0},
+        "init": {"pos_std": pos_std},
         "trials": 4,
         "seed": 1,
     }
     path = tmp_path / "div.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("kind", FILTER_KINDS)
+def test_exit_code_divergence(tmp_path, kind):
+    # dead-reckoning near the chart boundary with a large seeded initial
+    # offset walks out of the domain: the trial is flagged diverged
+    path = divergence_scenario(tmp_path, 2.0)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--filter", kind,
                  "--out", str(out)]) == 3
@@ -532,6 +542,50 @@ def test_exit_code_divergence(tmp_path, kind):
     summary = json.loads((out / "summary.json").read_text(),
                          parse_constant=_refuse_constant)
     assert summary["exclusion_rate"] > 0
+
+
+@pytest.mark.parametrize("kind", FILTER_KINDS)
+def test_start_off_the_chart_is_divergence(tmp_path, kind):
+    # a start drawn up to tens of metres off the chart ends its trial as
+    # diverged (at step 0 for the C-ESEKF, whose scoring reads the
+    # surface under the start), never in a traceback
+    path = divergence_scenario(tmp_path, 20.0)
+    assert main(["simulate", "--config", str(path), "--filter", kind,
+                 "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("diverging", [False, True],
+                         ids=["tracking", "all_diverge"])
+def test_trials_npz_is_what_savez_writes(scenario, tmp_path, diverging):
+    # trials.npz holds, member for member, the bytes that np.savez writes
+    # for the same eight arrays, so np.load(allow_pickle=False) reads each
+    # back bitwise with its dtype and shape; also when every trial
+    # diverged and the timing table has no row
+    sc = load_scenario(divergence_scenario(tmp_path, 20.0) if diverging
+                       else scenario)
+    metrics, errors, covs, diverged = run_campaign(sc)
+    rows = metrics.timing_rows
+    assert diverged.all() == diverging and (len(rows) == 0) == diverging
+    arrays = {"times": metrics.times, "errors": errors, "covariances": covs,
+              "diverged": diverged,
+              "timing_trial": np.array([r[0] for r in rows], dtype=int),
+              "timing_kind": np.array([r[1] for r in rows], dtype=str),
+              "timing_mean_us": np.array([r[2] for r in rows]),
+              "timing_p99_us": np.array([r[3] for r in rows])}
+    np.savez(tmp_path / "savez.npz", **arrays)
+    _write_outputs(tmp_path / "out", metrics, errors, covs, diverged)
+    with zipfile.ZipFile(tmp_path / "savez.npz") as ref, \
+            zipfile.ZipFile(tmp_path / "out" / "trials.npz") as got:
+        assert got.namelist() == ref.namelist() == [
+            f"{name}.npy" for name in TRIALS_ARRAYS]
+        for info in got.infolist():
+            assert info.compress_type == zipfile.ZIP_STORED
+            assert got.read(info) == ref.read(info.filename), info.filename
+    with np.load(tmp_path / "out" / "trials.npz", allow_pickle=False) as f:
+        for name, value in arrays.items():
+            assert f[name].dtype == value.dtype
+            assert f[name].shape == value.shape
+            assert f[name].tobytes() == value.tobytes(), name
 
 
 def _refuse_constant(name):

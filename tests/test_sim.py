@@ -1,10 +1,12 @@
 """Simulation harness: trajectories, sensor synthesis, metrics."""
 import contextlib
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from meskf import (FILTER_KINDS, ConfigError, FilterState,
                    InitialUncertainty, OdometryInput, PseudoMeasurementConfig,
                    RobotExtrinsics, SamplingConfig, flat_surface, make_filter,
                    propagate, quat)
+from meskf.cli import _write_outputs
 from meskf.sim import runner
 from meskf.sim.config import load_scenario, scenario_from_dict
 from meskf.sim.runner import (DIVERGENCE_LIMIT_M, _percentile99,
@@ -355,6 +358,32 @@ class TestMetrics:
         nees = np.sum(e * np.linalg.solve(P, e[..., None])[..., 0], axis=-1)
         np.testing.assert_array_equal(m.anees, np.mean(nees, axis=0) / 3.0)
 
+    def test_scores_are_the_stacked_means_bit_for_bit(self):
+        # the per-step sums over kept trials read in place give the bits
+        # of np.mean over the stacked kept trials; trial 1 diverged and
+        # trial 4's covariance is singular at one step, so both are out
+        rng = np.random.default_rng(6)
+        times = np.zeros(40)
+        errors = rng.normal(size=(9, 40, 3)) * rng.lognormal(0, 2, (9, 1, 3))
+        A = rng.normal(size=(9, 40, 3, 3))
+        covs = A @ np.swapaxes(A, -1, -2) + 1e-3 * np.eye(3)
+        covs[4, 17] = 0.0
+        diverged = np.zeros(9, bool)
+        diverged[1] = True
+        m = metrics_from_arrays(times, errors, covs, diverged, [])
+        keep = np.ones(9, bool)
+        keep[[1, 4]] = False
+        e, P = errors[keep], covs[keep]
+        nees = np.sum(e * np.linalg.solve(P, e[..., None])[..., 0], axis=-1)
+        expected = {
+            "rmse_pos": np.sqrt(np.mean(np.sum(e[:, :, 0:2] ** 2, axis=2),
+                                        axis=0)),
+            "rmse_head": np.sqrt(np.mean(e[:, :, 2] ** 2, axis=0)),
+            "anees": np.mean(nees, axis=0) / 3.0}
+        for name, value in expected.items():
+            assert getattr(m, name).tobytes() == value.tobytes(), name
+        assert m.n_excluded == 2
+
     def test_anees_bounds_match_scipy(self):
         # oracle: scipy.stats.chi2.ppf, exact down to a single trial and
         # up to 3000 degrees of freedom
@@ -459,6 +488,26 @@ class TestEndToEnd:
         assert res.diverged
         assert 0 < first < n
         assert res.diverged_step == first
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_start_off_the_chart_diverges(self, kind):
+        # the start is drawn 30 m off a 5 m chart: scoring step 0 reads
+        # the surface there for the C-ESEKF, which raises, so its trial
+        # ends at step 0; the chart-space filters score the start from
+        # the state alone and end at step 1, in propagation
+        s = flat_surface(extent=5.0)
+        n, dt = 20, 0.1
+        truth = GroundTruth(np.arange(n + 1) * dt, np.zeros((n + 1, 2)),
+                            np.zeros(n + 1), np.zeros((n, 2)), np.zeros(n),
+                            dt)
+        odo = OdometryInput(np.zeros(2), 0.0, np.eye(2) * 1e-4, 1e-6)
+        noise = np.zeros(6)
+        noise[0] = 30.0 / InitialUncertainty().pos_std
+        streams = MeasurementStreams([odo] * n, {}, {}, noise)
+        res = default_trial(s, truth, streams, kind)
+        assert res.diverged
+        assert res.diverged_step == (0 if kind == "C-ESEKF" else 1)
+        assert not res.errors[res.diverged_step + 1:].any()
 
 
 def short_reference(kind, trials, duration=3.0):
@@ -634,7 +683,9 @@ class TestParallelCampaign:
             m, errors, covs, diverged = run_on_cores(monkeypatch, sc, cores)
             runs[cores] = (errors.tobytes(), covs.tobytes(),
                            diverged.tobytes(),
-                           [row[:2] for row in m.timing_rows])
+                           [row[:2] for row in m.timing_rows],
+                           m.rmse_pos.tobytes(), m.rmse_head.tobytes(),
+                           m.anees.tobytes())
         assert runs[2] == runs[1]
         assert runs[3] == runs[1]
 
@@ -723,6 +774,49 @@ class TestParallelCampaign:
             run_on_cores(monkeypatch, sc, 2)
         assert len(pids) == 1
         assert_reaped(pids)
+
+    def test_worker_killed_mid_rows_raises(self, monkeypatch):
+        # the worker sends its header and part of its first row, then
+        # dies as under the out-of-memory killer: its rows must not be
+        # left as the block's zeros
+        sc = short_reference("M-ESEKF", 4)
+        caller = os.getpid()
+        real_dump = pickle.dump
+
+        def dump_then_die(obj, file):
+            real_dump(obj, file)
+            if os.getpid() != caller:
+                file.write(bytes(100))
+                file.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(pickle, "dump", dump_then_die)
+        pids = record_forks(monkeypatch)
+        with forked_copies_stop(), deadline(60), pytest.raises(
+                RuntimeError, match=r"from trial 1 .*SIGKILL"):
+            run_on_cores(monkeypatch, sc, 2)
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_caller_holds_the_results_once(self, monkeypatch, tmp_path):
+        # The caller's peak of traced allocations over a forked campaign
+        # and the writing of its outputs, against the bytes of its results
+        # (errors and covariances). The block that holds them is 1x. The
+        # rest (truth, noise-free measurements, one trial's draws and rows
+        # in flight, the timing lists) reads about 0.6x on this campaign;
+        # the bound allows it 1x, so that one more copy of the covariances
+        # alone (0.75x) fails. A caller that unpickled, stacked and
+        # serialised copies of the results read 3.0x here.
+        sc = short_reference("M-ESEKF", 20, duration=20.0)
+        tracemalloc.start()
+        try:
+            m, errors, covs, diverged = run_on_cores(monkeypatch, sc, 2)
+            _write_outputs(tmp_path, m, errors, covs, diverged)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result_bytes = errors.nbytes + covs.nbytes
+        assert peak <= 2.0 * result_bytes, peak / result_bytes
 
     def test_caller_error_kills_the_workers(self, monkeypatch):
         # trial 0 fails in the caller while the worker still runs
