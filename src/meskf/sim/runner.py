@@ -10,6 +10,7 @@ error (m) and heading error (rad), which its ``to_eval`` maps it to.
 """
 
 import math
+import mmap
 import os
 import pickle
 import time
@@ -39,8 +40,9 @@ class TrialResult:
 
 
 class TrialOutcome(NamedTuple):
-    """What a campaign keeps of a trial besides its rows, which go into
-    the campaign's block; what a worker's header carries per trial."""
+    """What a campaign keeps of a trial besides its rows, which the
+    process that runs it stores into the campaign's shared block; what
+    a worker's header carries per trial."""
     diverged: bool
     diverged_step: int | None
     timings: dict             # correction type -> list of seconds
@@ -282,23 +284,24 @@ def run_campaign(scenario):
     The ground truth and the noise-free measurements are built once;
     each trial then draws its measurement noise from (seed, trial) and
     runs the scenario's filter. The campaign's errors (N, K+1, 3) and
-    covariances (N, K+1, 3, 3) are allocated once, zero-filled, before
-    any fork, and every trial's rows land in that block; nothing else
-    holds a copy of them.
+    covariances (N, K+1, 3, 3) are two views of one anonymous shared
+    mapping, zero-filled, made once before any fork, and every trial's
+    rows are stored into it in place by the process that runs the
+    trial; nothing else holds a copy of them.
 
     The trials run on n = min(usable cores, trials) processes, the
     usable cores being those this process may run on
     (``os.sched_getaffinity``). The split is static and interleaved:
     this process runs trials 0, n, 2n, ... itself, and n - 1 workers
-    forked from it run the rest. The workers inherit the filter, the
-    truth and the noise-free measurements through the fork. Each sends
-    back, on its own pipe, a small pickled header (each trial's
-    divergence and timings, or its exception) and then the raw bytes of
-    its trials' rows, which this process reads straight into its block,
-    worker by worker in trial order (``_run_forked``). A worker's
-    exception is raised here; a worker killed before it sent all its
-    rows (SIGKILL, the out-of-memory killer) raises a RuntimeError
-    naming its first trial and the signal. No worker outlives the call.
+    forked from it run the rest (``_run_processes``). The workers
+    inherit the filter, the truth, the noise-free measurements and the
+    mapping through the fork. Each writes its trials' rows into the
+    mapping, then sends back, on its own pipe, a small pickled header
+    (each trial's divergence and timings, or its exception), the
+    record that its rows are all written. A worker's exception is
+    raised here; a worker that ends without its header (killed by
+    SIGKILL, the out-of-memory killer) raises a RuntimeError naming
+    its first trial and the signal. No worker outlives the call.
     Every trial draws from its own stream and its rows have their own
     place in the block, so the outputs are bitwise the same for any n.
     With n = 1 nothing is forked; to run serially from the command
@@ -320,11 +323,13 @@ def run_campaign(scenario):
     filt = make_filter(sc.filter_kind, sc.surface, truth.dt, sc.extrinsics,
                        sc.sampling, sc.pseudo)
     rows = (sc.n_trials, truth.n_steps + 1)
-    errors = np.zeros(rows + (3,))
-    covs = np.zeros(rows + (3, 3))
+    n_errors = math.prod(rows) * 3
+    # the errors, then three times as many covariance entries, float64
+    block = np.frombuffer(mmap.mmap(-1, 4 * n_errors * 8))
+    errors = block[:n_errors].reshape(rows + (3,))
+    covs = block[n_errors:].reshape(rows + (3, 3))
     shared = (filt, truth, clean, sc.seed, sc.init, errors, covs)
-    outcomes = _run_share(shared, 0, 1) if n == 1 else _run_forked(shared, n)
-    diverged, timing_rows = stack_results(outcomes)
+    diverged, timing_rows = stack_results(_run_processes(shared, n))
     metrics = metrics_from_arrays(truth.times, errors, covs, diverged,
                                   timing_rows)
     return metrics, errors, covs, diverged
@@ -348,25 +353,25 @@ def _run_share(shared, first: int, step: int) -> list:
     return outcomes
 
 
-def _run_forked(shared, n: int) -> list:
+def _run_processes(shared, n: int) -> list:
     """The campaign's outcomes on n processes: this one runs trials
     0, n, 2n, ... while n - 1 workers, each one ``os.fork`` with one
-    pipe, run trials j, j + n, ... for j = 1, ..., n - 1. A worker
-    sends its header, then its rows, or its exception alone, and exits
-    (``_work``); this process reads the pipes in trial order, the rows
-    into its own block (``_receive``), reaps each worker with
+    pipe, run trials j, j + n, ... for j = 1, ..., n - 1; with n = 1
+    nothing is forked. Every process stores its trials' rows into the
+    shared block itself. A worker sends its header once all its rows
+    are written, or its exception, and exits (``_work``); this process
+    reads the headers in trial order, reaps each worker with
     ``os.waitpid`` (so the rusage of children counts their CPU) and
-    re-raises a worker's exception. A worker that ends before it sent
-    its header and all its rows, or with a nonzero status (killed by a
-    signal: SIGKILL from the out-of-memory killer, say), raises a
-    RuntimeError that names its first trial and its wait status, so
-    rows are never left silently zero. On any error, its own included,
-    this process kills the workers it has not read, closes every pipe
-    and reaps every worker: none outlives the call. The benchmark's
-    tracer wraps the layer functions in this process only, so the
-    caller's share is what it sees of a campaign."""
-    errors, covs = shared[-2:]
-    outcomes = [None] * len(errors)
+    re-raises a worker's exception. A worker that ends without its
+    header, or with a nonzero status (killed by a signal: SIGKILL from
+    the out-of-memory killer, say), raises a RuntimeError that names
+    its first trial and its wait status, so its rows are never taken
+    as written. On any error, its own included, this process kills the
+    workers it has not read, closes every pipe and reaps every worker:
+    none outlives the call. The benchmark's tracer wraps the layer
+    functions in this process only, so the caller's share is what it
+    sees of a campaign."""
+    outcomes = [None] * len(shared[-2])
     workers = {}                  # pid -> (first trial, read end), unreaped
     try:
         for j in range(1, n):
@@ -385,9 +390,12 @@ def _run_forked(shared, n: int) -> list:
         outcomes[0::n] = _run_share(shared, 0, n)
         for pid in list(workers):
             j, r = workers[pid]
-            # until the worker closes its end
-            with open(r, "rb", closefd=False) as pipe:
-                header = _receive(pipe, errors[j::n], covs[j::n])
+            try:
+                # until the worker closes its end
+                with open(r, "rb", closefd=False) as pipe:
+                    header = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                header = None
             del workers[pid]
             os.close(r)
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -417,12 +425,11 @@ def _run_forked(shared, n: int) -> list:
 
 def _work(shared, first: int, step: int, w: int, others: list):
     """A forked worker's whole life: trials first, first + step, ...
-    of ``shared``, sent on the pipe end ``w`` as the pickled header
-    (True, outcomes) followed by the raw bytes of each trial's errors
-    and then covariances, trial by trial, from the worker's copy of the
-    block; or as the header (False, (exception, traceback text)) alone.
-    No array is pickled. It closes the pipe ends ``others``, which are
-    not its own, and never returns: whatever happens, it ends in
+    of ``shared``, their rows stored into the shared block, then the
+    pickled header (True, outcomes) sent on the pipe end ``w``; or the
+    header (False, (exception, traceback text)) if a trial raised. No
+    array crosses the pipe. It closes the pipe ends ``others``, which
+    are not its own, and never returns: whatever happens, it ends in
     ``os._exit``, so it cannot unwind into the caller's stack. An
     exception that cannot be pickled is sent as a RuntimeError with its
     type name and message."""
@@ -430,14 +437,12 @@ def _work(shared, first: int, step: int, w: int, others: list):
     try:
         for fd in others:
             os.close(fd)
-        errors, covs = shared[-2:]
         try:
             header = (True, _run_share(shared, first, step))
-            rows = range(first, len(errors), step)
         except Exception as exc:
             import traceback
             trace = "".join(traceback.format_exception(exc))
-            header, rows = (False, (exc, trace)), ()
+            header = (False, (exc, trace))
             try:
                 # one that pickles can still fail to load: an __init__
                 # whose arguments differ from its args
@@ -447,28 +452,9 @@ def _work(shared, first: int, step: int, w: int, others: list):
                     f"{type(exc).__name__}: {exc}"), trace))
         with open(w, "wb") as pipe:
             pickle.dump(header, pipe)
-            for k in rows:
-                pipe.write(errors[k])
-                pipe.write(covs[k])
         status = 0
     finally:
         os._exit(status)
-
-
-def _receive(pipe, errors, covs):
-    """A worker's header, read from the binary file ``pipe``; when it
-    holds results, their rows follow and are read in place into
-    ``errors`` and ``covs``, the worker's trials' rows of the block.
-    None when the pipe ends before the header or the last row does."""
-    try:
-        header = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):
-        return None
-    if header[0]:
-        for e, P in zip(errors, covs):
-            if pipe.readinto(e) < e.nbytes or pipe.readinto(P) < P.nbytes:
-                return None
-    return header
 
 
 def _exit_reason(code: int) -> str:
@@ -477,4 +463,7 @@ def _exit_reason(code: int) -> str:
     if code >= 0:
         return f"exit status {code}"
     import signal                 # only on an error, like the kill above
-    return f"killed by signal {-code} ({signal.Signals(-code).name})"
+    try:
+        return f"killed by signal {-code} ({signal.Signals(-code).name})"
+    except ValueError:            # a real-time signal has no name
+        return f"killed by signal {-code}"

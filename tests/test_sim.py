@@ -1,7 +1,7 @@
 """Simulation harness: trajectories, sensor synthesis, metrics."""
 import contextlib
+import mmap
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -608,6 +608,19 @@ def fail_trials(monkeypatch, sc, failures):
     monkeypatch.setattr(runner, "run_trial", failing)
 
 
+def kill_in_trial(monkeypatch, sc, trial, sig):
+    """Patch run_trial, before any fork, so that the process that runs
+    trial ``trial`` of ``sc`` sends itself the signal ``sig`` there."""
+    real = runner.run_trial
+
+    def dying(filt, truth, streams, init):
+        if trial_of(sc, streams) == trial:
+            os.kill(os.getpid(), sig)
+        return real(filt, truth, streams, init)
+
+    monkeypatch.setattr(runner, "run_trial", dying)
+
+
 def record_forks(monkeypatch):
     """The pids of the workers that os.fork starts from this process (a
     list that fills as they are forked)."""
@@ -732,12 +745,17 @@ class TestParallelCampaign:
         assert seen == [0, 2]
 
     def test_serial_without_affinity(self, monkeypatch):
-        # no os.sched_getaffinity (macOS, Windows): nothing is forked
+        # one usable core, or no os.sched_getaffinity (macOS, Windows):
+        # nothing is forked
         sc = short_reference("M-ESEKF", 4)
         seen = count_trials(monkeypatch, sc)
+        pids = record_forks(monkeypatch)
+        run_on_cores(monkeypatch, sc, 1)
+        assert seen == [0, 1, 2, 3]
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         run_campaign(sc)
-        assert seen == [0, 1, 2, 3]
+        assert seen == [0, 1, 2, 3] * 2
+        assert pids == []
 
     def test_no_worker_outlives_a_campaign(self, monkeypatch):
         pids = record_forks(monkeypatch)
@@ -760,14 +778,7 @@ class TestParallelCampaign:
         # the worker that runs trial 1 dies as under the out-of-memory
         # killer, with no result sent
         sc = short_reference("M-ESEKF", 4)
-        real = runner.run_trial
-
-        def dying(filt, truth, streams, init):
-            if trial_of(sc, streams) == 1:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(filt, truth, streams, init)
-
-        monkeypatch.setattr(runner, "run_trial", dying)
+        kill_in_trial(monkeypatch, sc, 1, signal.SIGKILL)
         pids = record_forks(monkeypatch)
         with deadline(60), pytest.raises(
                 RuntimeError, match=r"from trial 1 .*SIGKILL"):
@@ -775,25 +786,30 @@ class TestParallelCampaign:
         assert len(pids) == 1
         assert_reaped(pids)
 
-    def test_worker_killed_mid_rows_raises(self, monkeypatch):
-        # the worker sends its header and part of its first row, then
-        # dies as under the out-of-memory killer: its rows must not be
-        # left as the block's zeros
+    def test_worker_killed_before_its_header_raises(self, monkeypatch):
+        # the worker that runs trials 1 and 3 dies as under the
+        # out-of-memory killer during trial 3: trial 1's rows are in the
+        # block by then, but without the header they are not taken
         sc = short_reference("M-ESEKF", 4)
-        caller = os.getpid()
-        real_dump = pickle.dump
-
-        def dump_then_die(obj, file):
-            real_dump(obj, file)
-            if os.getpid() != caller:
-                file.write(bytes(100))
-                file.flush()
-                os.kill(os.getpid(), signal.SIGKILL)
-
-        monkeypatch.setattr(pickle, "dump", dump_then_die)
+        kill_in_trial(monkeypatch, sc, 3, signal.SIGKILL)
         pids = record_forks(monkeypatch)
-        with forked_copies_stop(), deadline(60), pytest.raises(
+        with deadline(60), pytest.raises(
                 RuntimeError, match=r"from trial 1 .*SIGKILL"):
+            run_on_cores(monkeypatch, sc, 2)
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGRTMIN"),
+                        reason="no real-time signals")
+    def test_worker_killed_by_a_realtime_signal_raises(self, monkeypatch):
+        # a real-time signal terminates by default and has no name in
+        # signal.Signals (SIGRTMIN + 6 is 40 on Linux)
+        sig = signal.SIGRTMIN + 6
+        sc = short_reference("M-ESEKF", 4)
+        kill_in_trial(monkeypatch, sc, 1, sig)
+        pids = record_forks(monkeypatch)
+        with deadline(60), pytest.raises(
+                RuntimeError, match=rf"from trial 1 .*signal {sig}$"):
             run_on_cores(monkeypatch, sc, 2)
         assert len(pids) == 1
         assert_reaped(pids)
@@ -801,12 +817,13 @@ class TestParallelCampaign:
     def test_caller_holds_the_results_once(self, monkeypatch, tmp_path):
         # The caller's peak of traced allocations over a forked campaign
         # and the writing of its outputs, against the bytes of its results
-        # (errors and covariances). The block that holds them is 1x. The
-        # rest (truth, noise-free measurements, one trial's draws and rows
-        # in flight, the timing lists) reads about 0.6x on this campaign;
-        # the bound allows it 1x, so that one more copy of the covariances
-        # alone (0.75x) fails. A caller that unpickled, stacked and
-        # serialised copies of the results read 3.0x here.
+        # (errors and covariances). The block that holds them is one
+        # mmap, which tracemalloc does not see. The rest (truth,
+        # noise-free measurements, one trial's draws and rows in flight,
+        # the timing lists) reads about 0.6x on this campaign; the bound
+        # allows it 1x, so that one more copy of the covariances (0.75x)
+        # held over the trials fails. A caller that unpickled, stacked
+        # and serialised copies of the results read 3.0x here.
         sc = short_reference("M-ESEKF", 20, duration=20.0)
         tracemalloc.start()
         try:
@@ -815,8 +832,11 @@ class TestParallelCampaign:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # both are views of one flat block over one mapping
+        assert covs.base is errors.base
+        assert isinstance(errors.base.base.obj, mmap.mmap)
         result_bytes = errors.nbytes + covs.nbytes
-        assert peak <= 2.0 * result_bytes, peak / result_bytes
+        assert peak <= 1.0 * result_bytes, peak / result_bytes
 
     def test_caller_error_kills_the_workers(self, monkeypatch):
         # trial 0 fails in the caller while the worker still runs
