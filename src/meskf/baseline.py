@@ -14,6 +14,7 @@ R = R_hat Exp(dtheta) (Sola, arXiv:1711.02508).
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -229,8 +230,49 @@ def range_update_3d(state: FullPoseState, extrinsics: RobotExtrinsics,
     return _correct_3d(state, innovation, H, np.array([[meas.R_d]]))
 
 
-def chart_errors(state: FullPoseState, surface: BSplineSurface):
-    """Map a 3-D pose estimate to (chart position, heading) for comparison.
+# What the chart map reads of a 6-dof state, one row per state: x, y,
+# the quaternion, and the entries of P on the rows and columns
+# (dp_x, dp_y, dtheta_y, dtheta_z) that its Jacobian reads, row by row.
+_CHART_P = np.array([6 * i + j for i in (0, 1, 4, 5) for j in (0, 1, 4, 5)])
+CHART_ROW = 6 + len(_CHART_P)
+# Rows that the chart map takes at a time: its temporaries, some 40
+# columns, then hold ~100 KB for a trial of any length, where a 60 s
+# trial's 1201 rows at once raised a campaign's peak RSS by ~0.3 MB.
+_CHART_BLOCK = 256
+
+
+def chart_row(state: FullPoseState, surface: BSplineSurface,
+              row: np.ndarray):
+    """Store what ``chart_errors`` reads of ``state`` into ``row``, of
+    ``CHART_ROW`` floats, and return the chart position (x, y) as floats.
+
+    The map reads the surface under the position, so a position off the
+    chart raises OutOfChartError here, as ``eval_point`` would there,
+    and nothing is stored.
+    """
+    x, y, _ = state.p.tolist()
+    surface._check_box(x, x, y, y)
+    row[0:2] = state.p[0:2]
+    row[2:6] = state.q
+    row[6:] = state.P.take(_CHART_P)
+    return x, y
+
+
+def _frame_terms(surface: BSplineSurface, x: list, y: list):
+    """Per chart point, S's first and second derivatives and the frame
+    angles' cos/sin: five and four floats, one point after another."""
+    for u, v in zip(x, y):
+        _, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
+        yield s_u, s_v, s_uu, s_uv, s_vv
+        yield frame_cos_sin(s_u, s_v)
+
+
+def chart_errors(rows: np.ndarray, surface: BSplineSurface):
+    """Map 3-D pose estimates to (chart position, heading) for comparison.
+
+    ``rows`` holds one state per row, as ``chart_row`` stores it; one
+    state is a batch of one. Returns the (N, 3) chart positions and
+    headings and their (N, 3, 3) covariances.
 
     Heading gamma = atan2(c_1, c_0) with c = F^T R e_1, the body x-axis
     in the tangent frame F. The covariance is pushed through the map by
@@ -240,13 +282,33 @@ def chart_errors(state: FullPoseState, surface: BSplineSurface):
     -F^T R [e_1]_x dtheta.
     The Jacobian's rows are e_1, e_2 and one heading row j that is zero
     in p_z and dtheta_x, so J P J^T is written out on those entries.
+
+    ``eval_point``, ``frame_cos_sin`` and the heading's ``math.atan2``
+    run per state, on floats: numpy's SIMD ``power`` and ``arctan2`` may
+    differ from libm in the last bit. Everything else runs on columns,
+    in the order of the float arithmetic, so each row has the bits that
+    the map of that one state on floats gives. The columns are taken
+    ``_CHART_BLOCK`` rows at a time.
     """
-    x, y = state.p.tolist()[0:2]
-    _, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(x, y)
-    ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
+    n = len(rows)
+    x, P_eval = np.empty((n, 3)), np.empty((n, 9))
+    for lo in range(0, n, _CHART_BLOCK):
+        block = slice(lo, lo + _CHART_BLOCK)
+        x[block], P_eval[block] = _chart_block(rows[block], surface)
+    return x, P_eval.reshape(n, 3, 3)
+
+
+def _chart_block(rows: np.ndarray, surface: BSplineSurface):
+    """``chart_errors`` on a block of rows, as (n, 3) and (n, 9) arrays."""
+    n = len(rows)
+    cols = rows.T
+    x, y = cols[0:2]
+    terms = np.fromiter(chain.from_iterable(
+        _frame_terms(surface, x.tolist(), y.tolist())), float, 9 * n)
+    s_u, s_v, s_uu, s_uv, s_vv, ca, sa, cb, sb = terms.reshape(n, 9).T
     # M = F^T R from the rows f_i of F^T and the body axes, R's columns
     f0, f1, f2 = zip(*frame_matrix(ca, sa, cb, sb))
-    bx, by, bz = zip(*quat.to_matrix(state.q))
+    bx, by, bz = zip(*quat.to_matrix_many(rows[:, 2:6]))
     c0, c1, c2 = _dot(f0, bx), _dot(f1, bx), _dot(f2, bx)
     m01, m02 = _dot(f0, by), _dot(f0, bz)
     m11, m12 = _dot(f1, by), _dot(f1, bz)
@@ -258,12 +320,13 @@ def chart_errors(state: FullPoseState, surface: BSplineSurface):
     # attitude columns: dc/dtheta = (0, -M e_3, M e_2)
     j4 = (c1 * m02 - c0 * m12) * inv
     j5 = (c0 * m11 - c1 * m01) * inv
-    P = state.P.tolist()
-    # P j on the rows that J reads
-    a0, a1, a4, a5 = [P[i][0] * j0 + P[i][1] * j1 + P[i][4] * j4
-                      + P[i][5] * j5 for i in (0, 1, 4, 5)]
+    # P j on the rows that J reads, each row P_i0, P_i1, P_i4, P_i5
+    P = cols[6:].reshape(4, 4, n)
+    a0, a1, a4, a5 = [p0 * j0 + p1 * j1 + p4 * j4 + p5 * j5
+                      for p0, p1, p4, p5 in P]
     jpj = j0 * a0 + j1 * a1 + j4 * a4 + j5 * a5
-    P_eval = np.array([P[0][0], P[0][1], a0,
-                       P[0][1], P[1][1], a1,
-                       a0, a1, jpj]).reshape(3, 3)
-    return np.array([x, y, math.atan2(c1, c0)]), P_eval
+    heading = np.fromiter(map(math.atan2, c1.tolist(), c0.tolist()),
+                          float, n)
+    (p00, p01, _, _), (_, p11, _, _) = P[0:2]
+    return (np.stack([x, y, heading], axis=1),
+            np.stack([p00, p01, a0, p01, p11, a1, a0, a1, jpj], axis=1))

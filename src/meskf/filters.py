@@ -4,9 +4,13 @@ A filter holds only its configuration, so one object serves every trial
 of a campaign. ``start`` offsets the true chart pose by the stds of
 ``InitialUncertainty`` times a trial's six standard-normal draws; a
 filter with a ``periodic_label`` applies ``correct_periodic`` after every
-propagation step; ``to_eval`` maps a state to the scoring space (chart
-position, heading, their covariance); ``*_label`` names each correction
-in timings.
+propagation step; ``*_label`` names each correction in timings.
+
+Scoring is in two parts. At every step ``record`` stores the
+``row_width`` floats that scoring reads of a state into that step's row
+and returns the chart position; once the trial ends, one ``score`` call
+maps all its rows to the scoring space (chart position, heading, their
+covariance).
 """
 
 from dataclasses import dataclass
@@ -44,6 +48,7 @@ class MESEKF:
     dt: float
     extrinsics: RobotExtrinsics
     pose_label, range_label, periodic_label = "pose", "range", None
+    row_width = 12            # u, v, gamma and P_x, row by row
 
     def start(self, t, gamma, init: InitialUncertainty, noise):
         P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2,
@@ -60,8 +65,14 @@ class MESEKF:
     def correct_range(self, state, meas):
         return s3d.range_update(state, self.surface, self.extrinsics, meas)
 
-    def to_eval(self, state):
-        return state.t_R, state.gamma_R, state.P_x
+    def record(self, state, row):
+        row[0:2] = state.t_R
+        row[2] = state.gamma_R
+        row[3:] = state.P_x.reshape(9)
+        return state.t_R.tolist()
+
+    def score(self, rows):
+        return rows[:, 0:2], rows[:, 2], rows[:, 3:].reshape(-1, 3, 3)
 
 
 @dataclass
@@ -95,6 +106,7 @@ class CESEKF:
     """Constrained 6-dof ESEKF: 3-D position and attitude, held to the
     surface by a pseudo-measurement after every propagation step."""
     pose_label, range_label, periodic_label = "pose", "range", "pseudo"
+    row_width = bl.CHART_ROW
 
     def __init__(self, surface, dt, extrinsics, pseudo):
         self.surface, self.dt, self.extrinsics = surface, dt, extrinsics
@@ -126,9 +138,12 @@ class CESEKF:
     def correct_periodic(self, state):
         return bl.pseudo_update(state, self.surface, self.pseudo)
 
-    def to_eval(self, state):
-        x, P_eval = bl.chart_errors(state, self.surface)
-        return x[0:2], x[2], P_eval
+    def record(self, state, row):
+        return bl.chart_row(state, self.surface, row)
+
+    def score(self, rows):
+        x, P_eval = bl.chart_errors(rows, self.surface)
+        return x[:, 0:2], x[:, 2], P_eval
 
 
 FILTERS = {"M-ESEKF": MESEKF, "MP-ESEKF": MPESEKF, "C-ESEKF": CESEKF}

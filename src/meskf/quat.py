@@ -10,7 +10,7 @@ ndarray) and returns plain Python floats: a quaternion (w, x, y, z) or
 a vector as a tuple, a matrix as a tuple of row tuples. These are
 single-rotation operations in the filters' inner loops, where numpy's
 per-call dispatch on a 4-vector costs several times the arithmetic.
-Only ``from_matrix_many`` works on arrays, over (N, 3, 3) stacks.
+Only the ``_many`` functions work on arrays, over stacks of N.
 """
 
 import math
@@ -86,6 +86,21 @@ def z_rotation(angle: float):
 def to_matrix(q):
     """Rotation matrix of q / |q|, as three row tuples."""
     w, x, y, z = normalize(q)
+    return ((1 - 2 * (y * y + z * z), 2 * (x * y - w * z),
+             2 * (x * z + w * y)),
+            (2 * (x * y + w * z), 1 - 2 * (x * x + z * z),
+             2 * (y * z - w * x)),
+            (2 * (x * z - w * y), 2 * (y * z + w * x),
+             1 - 2 * (x * x + y * y)))
+
+
+def to_matrix_many(q: np.ndarray):
+    """Rotation matrices of the (N, 4) quaternions q / |q|, as three row
+    tuples of (N,) arrays: ``to_matrix``'s arithmetic in its order, so
+    row by row its bits."""
+    w, x, y, z = q.T
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / n, x / n, y / n, z / n
     return ((1 - 2 * (y * y + z * z), 2 * (x * y - w * z),
              2 * (x * z + w * y)),
             (2 * (x * y + w * z), 1 - 2 * (x * x + z * z),

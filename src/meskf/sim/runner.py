@@ -6,7 +6,9 @@ runs the trials of the scenario with it, on every usable core, and
 scores them.
 
 Every filter is scored in the same evaluation space, chart position
-error (m) and heading error (rad), which its ``to_eval`` maps it to.
+error (m) and heading error (rad). A trial records each step's state
+as one row of floats (the filter's ``record``) and maps all its rows
+into that space once, after its loop (the filter's ``score``).
 """
 
 import math
@@ -37,6 +39,9 @@ class TrialResult:
     timings: dict             # correction type -> list of seconds
     diverged: bool
     diverged_step: int | None = None
+    # why it diverged: "<exception class>: <message>" for a package
+    # error, "chart position error <metres> m" for the limit
+    reason: str | None = None
 
 
 class TrialOutcome(NamedTuple):
@@ -46,6 +51,7 @@ class TrialOutcome(NamedTuple):
     diverged: bool
     diverged_step: int | None
     timings: dict             # correction type -> list of seconds
+    reason: str | None        # TrialResult.reason
 
 
 @dataclass
@@ -153,15 +159,24 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
     (``meskf.filters``), started from ``init`` and the trial's draws.
 
     Each step propagates on the odometry, then applies the periodic
-    correction if the filter has one, the pose event, and the range events of the
-    step, timing each correction. A package error or a chart position
-    error above ``DIVERGENCE_LIMIT_M`` ends the trial as diverged at
-    that step; a package error in the start or its scoring (a start off
-    the chart) ends it at step 0.
+    correction if the filter has one, the pose event, and the range
+    events of the step, timing each correction, and records the state:
+    ``filt.record`` stores the floats that scoring reads into the
+    step's row of one array, and returns the chart position, from which
+    the divergence test takes the chart position error. A package error
+    or a chart position error above ``DIVERGENCE_LIMIT_M`` ends the
+    trial as diverged at that step; a package error in the start or in
+    recording it (a start off the chart) ends it at step 0. The reason
+    is kept: the exception's class and message, or the chart error.
+
+    Once the loop ends, one ``filt.score`` call maps the recorded rows
+    to the scoring space, and the errors against the truth are formed
+    on those columns. The rows of the steps not recorded stay zero:
+    after the step that passed the limit, and from the step that
+    raised on.
     """
     n = truth.n_steps
-    errors = np.zeros((n + 1, 3))
-    covs = np.zeros((n + 1, 3, 3))
+    rows = np.zeros((n + 1, filt.row_width))
     timings = {}
 
     def timed(key, fn, *args):
@@ -171,15 +186,12 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
         return out
 
     def record(k, st):
-        """Store step k's errors; return the chart position error."""
-        t, gamma, P_eval = filt.to_eval(st)
-        e = t - truth.chart[k]
-        errors[k, 0:2] = e
-        errors[k, 2] = wrap_angle(gamma - truth.gamma[k])
-        covs[k] = P_eval
-        return math.hypot(*e.tolist())
+        """Store step k's row; return the chart position error."""
+        u, v = filt.record(st, rows[k])
+        tu, tv = truth.chart[k].tolist()
+        return math.hypot(u - tu, v - tv)
 
-    step = 0
+    step, recorded, reason = 0, n + 1, None
     try:
         state = filt.start(truth.chart[0], truth.gamma[0], init,
                            streams.initial_state_noise)
@@ -195,11 +207,25 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
             for meas in streams.range_events.get(step, ()):
                 state = timed(filt.range_label, filt.correct_range, state,
                               meas)
-            if record(step, state) > DIVERGENCE_LIMIT_M:
-                return TrialResult(errors, covs, timings, True, step)
-    except MeskfError:
-        return TrialResult(errors, covs, timings, True, step)
-    return TrialResult(errors, covs, timings, False)
+            err = record(step, state)
+            if err > DIVERGENCE_LIMIT_M:
+                recorded = step + 1
+                reason = f"chart position error {err} m"
+                break
+    except MeskfError as exc:
+        recorded = step
+        reason = f"{type(exc).__name__}: {exc}"
+    errors = np.zeros((n + 1, 3))
+    covs = np.zeros((n + 1, 3, 3))
+    if recorded:
+        t, gamma, P_eval = filt.score(rows[:recorded])
+        e = errors[:recorded]
+        np.subtract(t, truth.chart[:recorded], out=e[:, 0:2])
+        e[:, 2] = wrap_angle(gamma - truth.gamma[:recorded])
+        covs[:recorded] = P_eval
+    if reason is None:
+        return TrialResult(errors, covs, timings, False)
+    return TrialResult(errors, covs, timings, True, step, reason)
 
 
 def metrics_from_arrays(times: np.ndarray, errors: np.ndarray,
@@ -348,7 +374,7 @@ def _run_share(shared, first: int, step: int) -> list:
         errors[k] = res.errors
         covs[k] = res.covariances
         outcomes.append(TrialOutcome(res.diverged, res.diverged_step,
-                                     res.timings))
+                                     res.timings, res.reason))
         del res                   # its arrays do not outlive the trial
     return outcomes
 

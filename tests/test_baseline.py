@@ -11,6 +11,7 @@ from meskf.baseline import (_align_jacobian, _pseudo_residual_jacobian,
                             _sensor_model_3d, chart_errors, pose_update_3d,
                             propagate_3d, pseudo_update, range_update_3d)
 from meskf.sensors3d import _sensor_model, pose_residual, range_residual
+from oracles import chart_rows
 
 IDENT = RobotExtrinsics.identity()
 
@@ -108,10 +109,18 @@ def test_range_update_3d_moves_along_anchor_direction():
     np.testing.assert_allclose(s2.p[1:], s.p[1:], atol=1e-9)
 
 
+def one_state(state, surface):
+    """``chart_errors`` on the batch of the one state ``state``: its chart
+    position and heading (3,) and their covariance."""
+    x, P = chart_errors(chart_rows([state], surface), surface)
+    assert x.shape == (1, 3) and P.shape == (1, 3, 3)
+    return x[0], P[0]
+
+
 def test_chart_errors_flat_identity(flat):
     s = FullPoseState(np.array([1.5, -2.0, 0.0]), quat.z_rotation(0.6),
                       np.diag([0.01, 0.02, 0.03, 0.04, 0.05, 0.06]))
-    x, P = chart_errors(s, flat)
+    x, P = one_state(s, flat)
     np.testing.assert_allclose(x, [1.5, -2.0, 0.6], atol=1e-9)
     # flat surface: chart position and heading map straight through
     np.testing.assert_allclose(np.diag(P), [0.01, 0.02, 0.06], atol=1e-6)
@@ -125,7 +134,7 @@ def test_chart_errors_heading_consistent_with_manifold(curved):
     g = 0.8
     p, q = predict_pose(curved, FilterState(t, g, np.eye(3)), IDENT)
     s3 = FullPoseState(p, q, np.eye(6) * 0.01)
-    x, _ = chart_errors(s3, curved)
+    x, _ = one_state(s3, curved)
     np.testing.assert_allclose(x[0:2], t, atol=1e-12)
     np.testing.assert_allclose(x[2], g, atol=1e-9)
 
@@ -166,10 +175,10 @@ def check_baseline_jacobians(surface, s):
                                surface.tangent_frame(s.p[0:2])[:, 2],
                                atol=1e-12)
 
-    x0, P = chart_errors(s, surface)
+    x0, P = one_state(s, surface)
 
     def chart_map(x):
-        out = chart_errors(x, surface)[0] - x0
+        out = one_state(x, surface)[0] - x0
         out[2] = wrap_angle(float(out[2]))
         return out
     J_fd = central_difference_jacobian(chart_map, s)

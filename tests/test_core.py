@@ -35,6 +35,18 @@ def test_wrap_angle():
                                [0.0, 0.0], atol=1e-12)
 
 
+def test_wrap_angle_on_arrays_is_the_float_path():
+    # scoring wraps a trial's heading errors as one array; each entry
+    # must have the bits of the float path, the numpy-scalar one too
+    rng = np.random.default_rng(3)
+    a = np.concatenate([rng.uniform(-10, 10, 500),
+                        [np.pi, -np.pi, 3 * np.pi, 0.0, -0.0, 1e-300]])
+    want = [wrap_angle(x) for x in a.tolist()]
+    assert wrap_angle(a).tobytes() == np.array(want).tobytes()
+    assert wrap_angle(a).tobytes() == np.array(
+        [wrap_angle(x) for x in a]).tobytes()
+
+
 def test_propagate_flat_matches_unicycle(flat):
     # on a flat surface the model reduces to planar dead reckoning
     s = FilterState(np.array([1.0, 2.0]), 0.5, np.eye(3) * 1e-4)

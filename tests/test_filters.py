@@ -84,7 +84,9 @@ for kind in meskf.FILTER_KINDS:
                           meskf.PseudoMeasurementConfig())
     st = f.start(np.zeros(2), 0.0, meskf.InitialUncertainty(), np.zeros(6))
     st = f.correct_range(f.correct_pose(f.propagate(st, odom), pose), rng)
-    t, gamma, P = f.to_eval(st)
+    rows = np.zeros((1, f.row_width))
+    f.record(st, rows[0])
+    t, gamma, P = f.score(rows)
     assert np.all(np.isfinite(t)) and np.all(np.isfinite(P)), kind
 loaded = sorted(m for m in sys.modules if m.startswith("meskf.sim"))
 assert not loaded, loaded

@@ -67,6 +67,17 @@ def test_from_matrix_many_matches_scalar():
                                    atol=1e-9)
 
 
+def test_to_matrix_many_is_to_matrix_bit_for_bit():
+    # near-unit inputs too, as filters hand over: both normalise first
+    rng = np.random.default_rng(6)
+    qs = np.array([random_unit(rng) for _ in range(200)])
+    qs *= 1.0 + rng.uniform(-1e-15, 1e-15, size=(200, 1))
+    rows = quat.to_matrix_many(qs)
+    got = np.stack([np.stack(row, axis=-1) for row in rows], axis=1)
+    want = np.array([quat.to_matrix(q) for q in qs])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_z_rotation():
     q = quat.z_rotation(0.7)
     R = quat.to_matrix(q)

@@ -14,10 +14,12 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.stats import chi2
 
+from meskf import baseline as bl
 from meskf import (FILTER_KINDS, ConfigError, FilterState,
-                   InitialUncertainty, OdometryInput, PseudoMeasurementConfig,
+                   InitialUncertainty, OdometryInput, OutOfChartError,
+                   PoseMeasurement, PseudoMeasurementConfig,
                    RobotExtrinsics, SamplingConfig, flat_surface, make_filter,
-                   propagate, quat)
+                   propagate, quat, wrap_angle)
 from meskf.cli import _write_outputs
 from meskf.sim import runner
 from meskf.sim.config import load_scenario, scenario_from_dict
@@ -31,6 +33,7 @@ from meskf.sim.sensors import (MeasurementStreams, ScheduleSegment,
 from meskf.sensors3d import predict_pose, predict_range
 from meskf.sim.trajectory import (GroundTruth, TrajectorySpec,
                                   _cubic_spline, generate_ground_truth)
+from oracles import chart_map
 
 IDENT = RobotExtrinsics.identity()
 REFERENCE_SCENARIO = (Path(__file__).resolve().parents[1] / "scenarios"
@@ -488,6 +491,7 @@ class TestEndToEnd:
         assert res.diverged
         assert 0 < first < n
         assert res.diverged_step == first
+        assert res.reason == f"chart position error {dist[first]} m"
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_start_off_the_chart_diverges(self, kind):
@@ -508,6 +512,122 @@ class TestEndToEnd:
         assert res.diverged
         assert res.diverged_step == (0 if kind == "C-ESEKF" else 1)
         assert not res.errors[res.diverged_step + 1:].any()
+        assert res.reason == (
+            "OutOfChartError: chart point outside domain u:[-5.0,5.0] "
+            "v:[-5.0,5.0]")
+
+    @pytest.mark.parametrize("kind", ["M-ESEKF", "C-ESEKF"])
+    def test_refused_update_diverges(self, flat, kind):
+        # a pose whose covariance has a condition number of 1e13: the
+        # 6-row pose update refuses its innovation covariance at step 5
+        n, dt = 20, 0.1
+        truth = GroundTruth(np.arange(n + 1) * dt, np.zeros((n + 1, 2)),
+                            np.zeros(n + 1), np.zeros((n, 2)), np.zeros(n),
+                            dt)
+        odo = OdometryInput(np.zeros(2), 0.0, np.eye(2) * 1e-4, 1e-6)
+        P_m = np.diag([1e13, 1.0, 1.0, 1e13, 1.0, 1.0])
+        pose = {5: PoseMeasurement(np.zeros(3), (1.0, 0.0, 0.0, 0.0), P_m)}
+        streams = MeasurementStreams([odo] * n, pose, {}, np.zeros(6))
+        res = default_trial(flat, truth, streams, kind)
+        assert res.diverged
+        assert res.diverged_step == 5
+        assert res.reason == ("SingularUpdateError: innovation covariance "
+                              "is singular")
+        # the start is exact, so step 4's errors are zero; its
+        # covariance is not
+        assert res.covariances[4].any() and not res.covariances[5:].any()
+        assert not res.errors[5:].any()
+
+
+LEVER_SCENARIO = (Path(__file__).resolve().parents[1] / "bench"
+                  / "lever_curved.json")
+
+
+def recorded_states(monkeypatch, filt):
+    """The states that run_trial records with ``filt``, in step order (a
+    list that fills as they are recorded), each taken before ``record``
+    may refuse it."""
+    states = []
+    real = filt.record
+
+    def record(state, row):
+        states.append(state)
+        return real(state, row)
+
+    monkeypatch.setattr(filt, "record", record)
+    return states
+
+
+def partway_off_the_chart():
+    """(surface, truth, streams) of a C-ESEKF trial that leaves a 5 m
+    chart at step 10: a tight pose there puts the estimate 1.5 m past
+    the chart's edge, after that step's pseudo-measurement."""
+    n, dt = 20, 0.1
+    truth = GroundTruth(np.arange(n + 1) * dt,
+                        np.tile([4.5, 0.0], (n + 1, 1)), np.full(n + 1, 0.3),
+                        np.zeros((n, 2)), np.zeros(n), dt)
+    odo = OdometryInput(np.array([0.05, 0.0]), 0.01, np.eye(2) * 1e-4, 1e-6)
+    P_m = np.diag([1e-6] * 3 + [1e-4] * 3)
+    q = (np.cos(0.15), 0.0, 0.0, np.sin(0.15))
+    pose = {k: PoseMeasurement([4.5, 0.0, 0.0], q, P_m) for k in range(1, 10)}
+    pose[10] = PoseMeasurement([6.0, 0.0, 0.0], q, P_m)
+    noise = np.random.default_rng(4).standard_normal(6)
+    return (flat_surface(extent=5.0), truth,
+            MeasurementStreams([odo] * n, pose, {}, noise))
+
+
+class TestChartScoring:
+    """The C-ESEKF's rows are scored once per trial, by the batched
+    ``baseline.chart_errors``; each must have the bits of the per-state
+    map on floats (``oracles.chart_map``)."""
+
+    def check_rows(self, res, states, truth, surface):
+        """Every recorded state's rows against the oracle; a state that
+        the oracle refuses must be the step the trial diverged at."""
+        for k, state in enumerate(states):
+            try:
+                x, P = chart_map(state, surface)
+            except OutOfChartError:
+                assert res.diverged and k == res.diverged_step
+                assert k == len(states) - 1
+                break
+            e = np.append(x[0:2] - truth.chart[k],
+                          wrap_angle(x[2] - truth.gamma[k]))
+            assert res.errors[k].tobytes() == e.tobytes(), k
+            assert res.covariances[k].tobytes() == P.tobytes(), k
+
+    def test_rows_are_the_per_state_map_with_a_lever_arm(self, monkeypatch):
+        # the lever-arm, rotated-sensor scenario, every sensor on, long
+        # enough that the map takes its rows in more than one block
+        sc = load_scenario(LEVER_SCENARIO)
+        assert np.any(sc.extrinsics.r_RS) and sc.extrinsics.q_RS[0] < 1.0
+        sc.trajectory.duration = 20.0
+        sc.schedule = SensorSchedule.always_on(20.0)
+        truth = generate_ground_truth(sc.surface, sc.trajectory)
+        clean = noise_free_measurements(sc.surface, truth, sc.suite,
+                                        sc.schedule, sc.extrinsics)
+        filt = make_filter("C-ESEKF", sc.surface, truth.dt, sc.extrinsics,
+                           sc.sampling, sc.pseudo)
+        states = recorded_states(monkeypatch, filt)
+        res = run_trial(filt, truth, synthesize_measurements(clean, 1, 0),
+                        sc.init)
+        assert not res.diverged
+        assert len(states) == truth.n_steps + 1 > 1.5 * bl._CHART_BLOCK
+        self.check_rows(res, states, truth, sc.surface)
+
+    def test_leaving_the_chart_partway(self, monkeypatch):
+        surface, truth, streams = partway_off_the_chart()
+        filt = make_filter("C-ESEKF", surface, truth.dt, IDENT,
+                           SamplingConfig(), PseudoMeasurementConfig())
+        states = recorded_states(monkeypatch, filt)
+        res = run_trial(filt, truth, streams, InitialUncertainty())
+        # step 10, as when every step's state was mapped as it was made
+        assert res.diverged and res.diverged_step == 10
+        assert res.reason.startswith("OutOfChartError: ")
+        assert len(states) == 11
+        self.check_rows(res, states, truth, surface)
+        assert res.errors[9].any()
+        assert not res.errors[10:].any() and not res.covariances[10:].any()
 
 
 def short_reference(kind, trials, duration=3.0):
@@ -722,7 +842,8 @@ class TestParallelCampaign:
         real = runner.stack_results
 
         def stack(results):
-            stacked.append([(r.diverged, r.diverged_step) for r in results])
+            stacked.append([(r.diverged, r.diverged_step, r.reason)
+                            for r in results])
             return real(results)
 
         monkeypatch.setattr(runner, "stack_results", stack)
@@ -731,6 +852,8 @@ class TestParallelCampaign:
         assert stacked[1] == stacked[0]
         # trials 1 and 3 ran in the worker
         assert stacked[1][1][0] and stacked[1][3][0]
+        assert all(reason.startswith("OutOfChartError: ")
+                   for _, _, reason in stacked[1])
         np.testing.assert_array_equal(parallel[3], serial[3])
         np.testing.assert_array_equal(parallel[1], serial[1])
 
@@ -824,19 +947,43 @@ class TestParallelCampaign:
         # allows it 1x, so that one more copy of the covariances (0.75x)
         # held over the trials fails. A caller that unpickled, stacked
         # and serialised copies of the results read 3.0x here.
+        # The scoring and the writing come after the trials, when no
+        # draws are in flight, so each has a bound of its own: the peak
+        # of all traced allocations while it runs reads 0.16x for the
+        # scoring and 0.25x for the writing. A copy of the covariances
+        # held over the scoring (0.91x) or passed to the writing (0.84x)
+        # fails the 0.5x bound, as the 1x bound over the trials did not.
         sc = short_reference("M-ESEKF", 20, duration=20.0)
+        phases, peaks = {}, []
+        real = runner.metrics_from_arrays
+
+        def traced(name, fn, *args):
+            # the peak so far is kept before the phase's own is started
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            out = fn(*args)
+            phases[name] = tracemalloc.get_traced_memory()[1]
+            peaks.append(phases[name])
+            return out
+
+        monkeypatch.setattr(runner, "metrics_from_arrays",
+                            lambda *args: traced("scoring", real, *args))
         tracemalloc.start()
         try:
             m, errors, covs, diverged = run_on_cores(monkeypatch, sc, 2)
-            _write_outputs(tmp_path, m, errors, covs, diverged)
-            peak = tracemalloc.get_traced_memory()[1]
+            traced("writing", _write_outputs, tmp_path, m, errors, covs,
+                   diverged)
         finally:
             tracemalloc.stop()
         # both are views of one flat block over one mapping
         assert covs.base is errors.base
         assert isinstance(errors.base.base.obj, mmap.mmap)
         result_bytes = errors.nbytes + covs.nbytes
-        assert peak <= 1.0 * result_bytes, peak / result_bytes
+        assert sorted(phases) == ["scoring", "writing"]
+        assert max(peaks) <= 1.0 * result_bytes, max(peaks) / result_bytes
+        for name, phase_peak in phases.items():
+            assert phase_peak <= 0.5 * result_bytes, (
+                name, phase_peak / result_bytes)
 
     def test_caller_error_kills_the_workers(self, monkeypatch):
         # trial 0 fails in the caller while the worker still runs
