@@ -226,8 +226,9 @@ def range_update_3d(state: FullPoseState, extrinsics: RobotExtrinsics,
                     meas: RangeMeasurement) -> FullPoseState:
     """Tightly-coupled range update on ``sensors3d.range_residual``."""
     p, J, _, _ = _sensor_model_3d(state, extrinsics)
-    innovation, H = range_residual(p, J, meas)
-    return _correct_3d(state, innovation, H, np.array([[meas.R_d]]))
+    innovation, h = range_residual(p, J, meas)
+    return _correct_3d(state, np.array([innovation]), np.array([h]),
+                       np.array([[meas.R_d]]))
 
 
 # What the chart map reads of a 6-dof state, one row per state: x, y,

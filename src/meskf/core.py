@@ -1,10 +1,14 @@
 """Chart-space error-state filter core.
 
-State: chart position t_R (2,), heading gamma_R within the tangent
-plane, and the 3x3 error covariance P_x over (dt_R, dtheta_R). The
-nominal state propagates with the measured velocities mapped through
-the tangent frame; corrections are generic Kalman updates in Joseph
-form shared by all measurement models.
+State: chart position t_R = (u, v), heading gamma_R within the tangent
+plane, and the 3x3 error covariance P_x over (dt_R, dtheta_R).
+``FilterState`` holds them as plain floats, P_x as its six unique
+entries. Propagation and the one-row update (``correct_row``) read and
+write those floats and build no array. The nominal state propagates
+with the measured velocities mapped through the tangent frame;
+corrections are generic Kalman updates in Joseph form shared by all
+measurement models. An update of more rows (``correct``) reads P_x as
+a 3x3 array and returns to the floats after it.
 """
 
 import math
@@ -27,27 +31,72 @@ def wrap_angle(a):
     return np.pi - np.mod(np.pi - a, 2.0 * np.pi)
 
 
-@dataclass
 class FilterState:
-    t_R: np.ndarray          # chart position (2,), m
-    gamma_R: float           # heading, rad, wrapped to (-pi, pi]
-    P_x: np.ndarray          # 3x3 error covariance
+    """Chart position (u, v), m, heading gamma_R, rad, wrapped to
+    (-pi, pi], and the 3x3 error covariance P_x over (dt_R, dtheta_R),
+    all held as plain floats: ``P_upper`` is P_x's upper triangle row by
+    row, (p00, p01, p02, p11, p12, p22).
 
-    def __post_init__(self):
-        # copies: the state never shares its arrays with the caller
-        self.t_R = np.array(self.t_R, dtype=float)
-        self.gamma_R = wrap_angle(float(self.gamma_R))
-        self.P_x = np.array(self.P_x, dtype=float)
+    ``t_R`` and ``P_x`` build fresh arrays on every read, so a caller
+    that writes into them leaves the state as it was. The public
+    constructor takes t_R (two numbers) and P_x (3x3), copies them and
+    reads P_x's upper triangle; ``from_floats`` takes the floats as they
+    are.
+    """
+    __slots__ = ("u", "v", "gamma_R", "P_upper")
+
+    def __init__(self, t_R, gamma_R, P_x):
+        self.u, self.v = _floats(t_R, (2,), "t_R", "two numbers").tolist()
+        self.gamma_R = wrap_angle(float(gamma_R))
+        self.P_upper = _upper(_floats(P_x, (3, 3), "P_x", "a 3x3 matrix"))
 
     @classmethod
-    def _adopt(cls, t_R: np.ndarray, gamma_R: float,
-               P_x: np.ndarray) -> "FilterState":
-        """State over float arrays that the filter has just built and
-        hands over; they need no second, defensive copy."""
+    def from_floats(cls, u: float, v: float, gamma_R: float,
+                    P_upper: tuple) -> "FilterState":
+        """State over floats that the filter has just computed; only the
+        heading is wrapped."""
         state = cls.__new__(cls)
-        state.t_R, state.P_x = t_R, P_x
+        state.u, state.v, state.P_upper = u, v, P_upper
         state.gamma_R = wrap_angle(float(gamma_R))
         return state
+
+    @property
+    def t_R(self) -> np.ndarray:
+        """Chart position (2,), a fresh array."""
+        return np.array((self.u, self.v))
+
+    @property
+    def P_x(self) -> np.ndarray:
+        """Error covariance (3, 3), a fresh and exactly symmetric array."""
+        return _symmetric(self.P_upper)
+
+    def __repr__(self):
+        return (f"FilterState(t_R={[self.u, self.v]}, "
+                f"gamma_R={self.gamma_R}, P_upper={self.P_upper})")
+
+
+def _floats(x, shape, field, what):
+    try:
+        a = np.array(x, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"FilterState.{field} must be {what}: {e}") from e
+    if a.shape != shape:
+        raise ValueError(f"FilterState.{field} must be {what}, not of "
+                         f"shape {a.shape}")
+    return a
+
+
+def _upper(P: np.ndarray) -> tuple:
+    """The six unique entries of a 3x3 array, its upper triangle."""
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = P.tolist()
+    return p00, p01, p02, p11, p12, p22
+
+
+def _symmetric(P_upper) -> np.ndarray:
+    """The symmetric 3x3 array over six unique entries."""
+    p00, p01, p02, p11, p12, p22 = P_upper
+    return np.array((p00, p01, p02, p01, p11, p12,
+                     p02, p12, p22)).reshape(3, 3)
 
 
 @dataclass
@@ -96,8 +145,7 @@ def _motion_model(surface: BSplineSurface, state: FilterState,
     velocity block of G as four entries (G's only other entry is dt on
     the rate noise), and T as four entries, all row by row.
     """
-    u, v = state.t_R.tolist()
-    g = float(state.gamma_R)
+    u, v, g = state.u, state.v, state.gamma_R
     _, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
     c, s = math.cos(g), math.sin(g)
@@ -142,10 +190,9 @@ def propagate(surface: BSplineSurface, state: FilterState,
         raise ValueError("dt must be positive")
     (du, dv), (f00, f01, f02, f10, f11, f12), (g00, g01, g10, g11), _ = \
         _motion_model(surface, state, odom, dt)
-    u, v = state.t_R.tolist()
-    u, v = u + du, v + dv
+    u, v = state.u + du, state.v + dv
     surface._check_box(u, u, v, v)
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P_x.tolist()
+    p00, p01, p02, p11, p12, p22 = state.P_upper
     (q00, q01), (_, q11) = odom.sigma_v.tolist()
     # rows of F P, then of G_v Q_v; noise covariances are per-sample and
     # G already carries dt
@@ -161,9 +208,8 @@ def propagate(surface: BSplineSurface, state: FilterState,
     n01 = a00 * f10 + a01 * f11 + a02 * f12 + b00 * g10 + b01 * g11
     n11 = a10 * f10 + a11 * f11 + a12 * f12 + b10 * g10 + b11 * g11
     n22 = p22 + dt * dt * odom.sigma_omega
-    P = np.array([n00, n01, a02, n01, n11, a12, a02, a12, n22]).reshape(3, 3)
-    return FilterState._adopt(np.array([u, v]),
-                              state.gamma_R + odom.omega_m * dt, P)
+    return FilterState.from_floats(u, v, state.gamma_R + odom.omega_m * dt,
+                                   (n00, n01, a02, n11, a12, n22))
 
 
 def correct(state: FilterState, innovation: np.ndarray, H: np.ndarray,
@@ -175,10 +221,19 @@ def correct(state: FilterState, innovation: np.ndarray, H: np.ndarray,
     parameterization, so resetting the error is implicit.
     """
     dx, P_new = joseph_update(state.P_x, H, R, innovation)
-    u, v = state.t_R.tolist()
     du, dv, dg = dx.tolist()
-    return FilterState._adopt(np.array([u + du, v + dv]),
-                              state.gamma_R + dg, P_new)
+    return FilterState.from_floats(state.u + du, state.v + dv,
+                                   state.gamma_R + dg, _upper(P_new))
+
+
+def correct_row(state: FilterState, innovation: float, h0: float,
+                h1: float, h2: float, R: float) -> FilterState:
+    """``correct`` for one measurement row, on floats: the innovation,
+    the row (h0, h1, h2) of H and the variance R. Builds no array."""
+    (du, dv, dg), P_upper = _joseph_row3(state.P_upper, h0, h1, h2, R,
+                                         innovation)
+    return FilterState.from_floats(state.u + du, state.v + dv,
+                                   state.gamma_R + dg, P_upper)
 
 
 def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
@@ -203,7 +258,9 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     NaN it writes.
     """
     if H.shape[0] == 1 and P.shape[0] == 3:
-        return _joseph_row3(P, H, R, innovation)
+        dx, P_upper = _joseph_row3(_upper(P), *H[0].tolist(),
+                                   float(R[0, 0]), float(innovation[0]))
+        return np.array(dx), _symmetric(P_upper)
     # ndarray.dot: for these tiny operands its call overhead is well
     # below that of the matmul ufunc behind @
     A = P.dot(H.T)
@@ -232,26 +289,24 @@ def require_spd(S: np.ndarray, error: type, what: str) -> None:
         raise error(f"{what} is singular")
 
 
-def _joseph_row3(P, H, R, innovation):
+def _joseph_row3(P_upper, h0, h1, h2, r, y):
     """The one-row Joseph update of ``joseph_update`` for three states,
-    on the six unique entries of P."""
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = P.tolist()
-    h0, h1, h2 = H[0].tolist()
+    on floats: P's six unique entries, the row (h0, h1, h2) of H, the
+    variance r and the innovation y. Returns the correction dx and the
+    six unique entries of the new covariance."""
+    p00, p01, p02, p11, p12, p22 = P_upper
     a0 = p00 * h0 + p01 * h1 + p02 * h2
     a1 = p01 * h0 + p11 * h1 + p12 * h2
     a2 = p02 * h0 + p12 * h1 + p22 * h2
-    s = h0 * a0 + h1 * a1 + h2 * a2 + float(R[0, 0])
+    s = h0 * a0 + h1 * a1 + h2 * a2 + r
     if not 0.0 < s < math.inf:
         raise SingularUpdateError("innovation variance is not positive "
                                   "and finite")
     k0, k1, k2 = a0 / s, a1 / s, a2 / s
-    y = float(innovation[0])
     n00 = p00 - 2.0 * k0 * a0 + s * k0 * k0
     n01 = p01 - (k0 * a1 + a0 * k1) + s * k0 * k1
     n02 = p02 - (k0 * a2 + a0 * k2) + s * k0 * k2
     n11 = p11 - 2.0 * k1 * a1 + s * k1 * k1
     n12 = p12 - (k1 * a2 + a1 * k2) + s * k1 * k2
     n22 = p22 - 2.0 * k2 * a2 + s * k2 * k2
-    return (np.array([k0 * y, k1 * y, k2 * y]),
-            np.array([n00, n01, n02, n01, n11, n12,
-                      n02, n12, n22]).reshape(3, 3))
+    return (k0 * y, k1 * y, k2 * y), (n00, n01, n02, n11, n12, n22)

@@ -51,10 +51,12 @@ class MESEKF:
     row_width = 12            # u, v, gamma and P_x, row by row
 
     def start(self, t, gamma, init: InitialUncertainty, noise):
-        P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2,
-                      init.head_std ** 2])
-        return FilterState(t + init.pos_std * noise[0:2],
-                           gamma + init.head_std * noise[2], P0)
+        u, v = t.tolist()
+        n0, n1, n2 = noise[0:3].tolist()
+        pos, head = init.pos_std ** 2, init.head_std ** 2
+        return FilterState.from_floats(
+            u + init.pos_std * n0, v + init.pos_std * n1,
+            gamma + init.head_std * n2, (pos, 0.0, 0.0, pos, 0.0, head))
 
     def propagate(self, state, odom):
         return propagate(self.surface, state, odom, self.dt)
@@ -66,10 +68,11 @@ class MESEKF:
         return s3d.range_update(state, self.surface, self.extrinsics, meas)
 
     def record(self, state, row):
-        row[0:2] = state.t_R
-        row[2] = state.gamma_R
-        row[3:] = state.P_x.reshape(9)
-        return state.t_R.tolist()
+        u, v = state.u, state.v
+        p00, p01, p02, p11, p12, p22 = state.P_upper
+        row[:] = (u, v, state.gamma_R,
+                  p00, p01, p02, p01, p11, p12, p02, p12, p22)
+        return u, v
 
     def score(self, rows):
         return rows[:, 0:2], rows[:, 2], rows[:, 3:].reshape(-1, 3, 3)

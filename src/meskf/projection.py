@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FilterState, RobotExtrinsics, correct, require_spd
+from .core import (FilterState, RobotExtrinsics, correct, correct_row,
+                   require_spd)
 from .errors import (ConfigError, DegenerateCovarianceError,
                      DegenerateGeometryError, DegenerateSamplingError,
                      NoIntersectionError, number_fields)
@@ -179,13 +180,13 @@ def sample_sigma_region(state: FilterState, surface: BSplineSurface,
     column alone, which is several times cheaper than a row index of
     the (N, 2) array.
     """
-    P_pos = state.P_x[0:2, 0:2]
+    p00, p01, _, p11, _, _ = state.P_upper
     try:
-        L = np.linalg.cholesky(P_pos)
+        L = np.linalg.cholesky(np.array(((p00, p01), (p01, p11))))
     except np.linalg.LinAlgError as e:
         raise DegenerateSamplingError("position covariance not SPD") from e
     g = _whitened_grid(config.grid_half_width, config.grid_resolution)
-    pts = np.add(state.t_R, g @ L.T, order="F")
+    pts = np.add((state.u, state.v), g @ L.T, order="F")
     u, v = pts[:, 0], pts[:, 1]
     keep = surface.contains(pts)
     if not keep.any():
@@ -203,7 +204,7 @@ def project_range_variance(surface: BSplineSurface, R_d: float,
     J_lever (the J of ``_lever_arm``), stripped of its surface-normal
     component, and mapped through the chart. Floored at 1e-12.
     """
-    u, v = state.t_R.tolist()
+    u, v = state.u, state.v
     s, s_u, s_v = surface.eval_point(u, v)[:3]
     a_x, a_y, a_z = np.asarray(anchor_shifted, dtype=float).tolist()
     dx, dy, dz = u - a_x, v - a_y, s - a_z
@@ -256,10 +257,12 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
 
 def projected_range_update(state: FilterState,
                            proj: ProjectedRange) -> FilterState:
-    diff = proj.t_A_prime - state.t_R
-    dist = np.linalg.norm(diff)
+    diff = np.subtract(proj.t_A_prime, (state.u, state.v))
+    # the dot product of np.linalg.norm: BLAS may fuse its multiply-adds,
+    # so a sum of squares written out on floats can differ in the last bit
+    dist = math.sqrt(diff.dot(diff))
     if dist < 1e-6:
         raise DegenerateGeometryError("equivalent anchor at state position")
-    H = np.array([[-diff[0] / dist, -diff[1] / dist, 0.0]])
-    innovation = np.array([proj.z_dU - dist])
-    return correct(state, innovation, H, np.array([[proj.R_dU]]))
+    d_u, d_v = diff.tolist()
+    return correct_row(state, proj.z_dU - dist, -d_u / dist, -d_v / dist,
+                       0.0, proj.R_dU)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .core import FilterState, RobotExtrinsics, correct
+from .core import FilterState, RobotExtrinsics, correct, correct_row
 from .errors import DegenerateGeometryError
 from .surface import (BSplineSurface, frame_cos_sin, frame_matrix,
                       frame_rates)
@@ -70,8 +70,7 @@ def _sensor_model(surface: BSplineSurface, state: FilterState,
     q and W are None unless ``rotation`` is set; without ``lift``, p and J
     are those of the lever arm R_WR r_RS alone.
     """
-    u, v = state.t_R.tolist()
-    g = float(state.gamma_R)
+    u, v, g = state.u, state.v, state.gamma_R
     s, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
     cg, sg = math.cos(g), math.sin(g)
@@ -173,10 +172,11 @@ def predict_range(surface: BSplineSurface, state: FilterState,
 
 
 def range_residual(p, J, meas: RangeMeasurement):
-    """(innovation, H) of the range model from the sensor position p and
-    its Jacobian J, three rows of n error-state columns.
+    """(innovation, h) of the range model on floats, from the sensor
+    position p and its Jacobian J, three rows of n error-state columns:
+    h is the one row of H, n floats.
 
-    d = ||p - r_A|| and H = (p - r_A)^T J / d. Raises
+    d = ||p - r_A|| and h = (p - r_A)^T J / d. Raises
     DegenerateGeometryError when the anchor sits at the sensor.
     """
     a = meas.r_A.tolist()
@@ -184,9 +184,9 @@ def range_residual(p, J, meas: RangeMeasurement):
     d0 = math.dist(p, a)
     if d0 < 1e-6:
         raise DegenerateGeometryError("anchor coincides with sensor")
-    H = np.array([[(diff[0] * j0 + diff[1] * j1 + diff[2] * j2) / d0
-                   for j0, j1, j2 in zip(*J)]])
-    return np.array([meas.z_d - d0]), H
+    h = [(diff[0] * j0 + diff[1] * j1 + diff[2] * j2) / d0
+         for j0, j1, j2 in zip(*J)]
+    return meas.z_d - d0, h
 
 
 def range_update(state: FilterState, surface: BSplineSurface,
@@ -194,8 +194,8 @@ def range_update(state: FilterState, surface: BSplineSurface,
                  meas: RangeMeasurement) -> FilterState:
     """Scalar range correction with analytic Jacobian."""
     p, J, _, _ = _sensor_model(surface, state, extrinsics, rotation=False)
-    innovation, H = range_residual(p, J, meas)
-    return correct(state, innovation, H, np.array([[meas.R_d]]))
+    innovation, h = range_residual(p, J, meas)
+    return correct_row(state, innovation, *h, meas.R_d)
 
 
 def orientation_update(state: FilterState, surface: BSplineSurface,

@@ -330,8 +330,13 @@ def pose_3d(s, meas):
     return pose_residual(*_sensor_model_3d(s, EXT), meas)
 
 
+def as_arrays(y, h):
+    """A float range residual (innovation, h) as (y0, H) arrays."""
+    return np.array([y]), np.array([h])
+
+
 def range_3d(s, meas):
-    return range_residual(*_sensor_model_3d(s, EXT)[0:2], meas)
+    return as_arrays(*range_residual(*_sensor_model_3d(s, EXT)[0:2], meas))
 
 
 def test_pose_update_3d_jacobian_matches_central_differences(curved):
@@ -384,8 +389,9 @@ def test_pose_and_range_models_agree_across_manifolds(curved):
         for y_chart, y_3d in (
                 (pose_residual(*_sensor_model(curved, chart, EXT), pose),
                  pose_3d(full, pose)),
-                (range_residual(*_sensor_model(curved, chart, EXT)[0:2],
-                                range_meas), range_3d(full, range_meas))):
+                (as_arrays(*range_residual(
+                    *_sensor_model(curved, chart, EXT)[0:2], range_meas)),
+                 range_3d(full, range_meas))):
             np.testing.assert_allclose(y_chart[0], y_3d[0], rtol=0,
                                        atol=1e-12)
             np.testing.assert_allclose(y_chart[1], y_3d[1] @ L, rtol=0,

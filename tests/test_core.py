@@ -227,6 +227,22 @@ def test_update_matches_textbook_joseph(m, n):
         np.testing.assert_array_equal(P2, P2.T)
 
 
+def test_correct_row_is_correct_on_one_row():
+    # the range updates' float entry and the array entry reach the same
+    # one-row update: equal bits, and the same refusal
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        s = FilterState(rng.uniform(-5, 5, 2), rng.uniform(-3, 3),
+                        random_spd(rng, 3, 0.1))
+        h, r, y = rng.standard_normal(3), rng.uniform(1e-4, 1.0), rng.normal()
+        a = core.correct_row(s, y, *h.tolist(), r)
+        b = correct(s, np.array([y]), h[None, :], np.array([[r]]))
+        assert (a.u, a.v, a.gamma_R, a.P_upper) == (b.u, b.v, b.gamma_R,
+                                                    b.P_upper)
+    with pytest.raises(SingularUpdateError, match="not positive and finite"):
+        core.correct_row(s, 0.5, 0.0, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("n", [3, 6])
 @pytest.mark.parametrize("r", [-1.0, -0.1, np.nan, np.inf])
 def test_one_row_update_refuses_nonpositive_s(n, r):
@@ -281,6 +297,52 @@ def test_states_hand_out_independent_arrays():
                  np.array([[0.01]]))
     assert not np.shares_memory(s2.P_x, s.P_x)
     assert not np.shares_memory(s2.t_R, s.t_R)
+    # writing into what a state hands out leaves the state as it was
+    t_R, P_x = s2.t_R, s2.P_x
+    t_R[0], P_x[0, 1], P_x[2, 2] = 5.0, 5.0, 5.0
+    assert s2.t_R.tolist() == [s2.u, s2.v] and s2.t_R[0] != 5.0
+    assert s2.P_x[0, 1] != 5.0 and s2.P_x[2, 2] != 5.0
+    np.testing.assert_array_equal(s2.P_x, s2.P_x.T)
+
+
+def test_covariance_comes_back_exactly_symmetric(curved):
+    rng = np.random.default_rng(5)
+    s = FilterState(np.array([0.5, -0.5]), 0.3, random_spd(rng, 3, 0.01))
+    for _ in range(20):
+        s = propagate(curved, s, odom(vx=0.7, vy=0.1, w=0.3), 0.05)
+        s = correct(s, rng.standard_normal(2), rng.standard_normal((2, 3)),
+                    np.eye(2) * 0.1)
+        P = s.P_x
+        np.testing.assert_array_equal(P, P.T)
+    # the public constructor reads the upper triangle of what it is given
+    upper = np.triu(np.arange(1.0, 10.0).reshape(3, 3))
+    np.testing.assert_array_equal(FilterState(np.zeros(2), 0.0, upper).P_x,
+                                  upper + np.triu(upper, 1).T)
+
+
+@pytest.mark.parametrize("t_R, P_x, field", [
+    (np.zeros(3), np.eye(3), "t_R"),
+    (np.zeros((2, 1)), np.eye(3), "t_R"),
+    (0.0, np.eye(3), "t_R"),
+    ([0.0, [1.0, 2.0]], np.eye(3), "t_R"),
+    ("ab", np.eye(3), "t_R"),
+    (np.zeros(2), np.eye(2), "P_x"),
+    (np.zeros(2), np.eye(3)[0], "P_x"),
+    (np.zeros(2), np.eye(6), "P_x"),
+    (np.zeros(2), None, "P_x"),
+], ids=["three", "column", "scalar", "ragged", "text", "2x2", "row", "6x6",
+        "none"])
+def test_state_refuses_wrong_shapes(t_R, P_x, field):
+    # refused where it is built, not at the first propagation's unpacking
+    with pytest.raises(ValueError, match=f"FilterState.{field} must be"):
+        FilterState(t_R, 0.0, P_x)
+
+
+def test_state_does_not_check_finiteness(curved):
+    # a start off the chart ends its trial by OutOfChartError, as before
+    s = FilterState(np.array([np.nan, 0.0]), 0.0, np.eye(3))
+    with pytest.raises(OutOfChartError):
+        propagate(curved, s, odom(), 0.05)
 
 
 def test_covariance_psd_through_random_cycles(curved):

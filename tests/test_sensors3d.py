@@ -22,7 +22,8 @@ def pose_y0_H(s, surface, ext, meas):
 
 
 def range_y0_H(s, surface, ext, meas):
-    return range_residual(*_sensor_model(surface, s, ext)[0:2], meas)
+    y, h = range_residual(*_sensor_model(surface, s, ext)[0:2], meas)
+    return np.array([y]), np.array([h])
 
 
 def pose_meas(pos, q, std_p=0.05, std_r=0.01):

@@ -33,6 +33,7 @@ from meskf.sim.sensors import (MeasurementStreams, ScheduleSegment,
 from meskf.sensors3d import predict_pose, predict_range
 from meskf.sim.trajectory import (GroundTruth, TrajectorySpec,
                                   _cubic_spline, generate_ground_truth)
+import oracles
 from oracles import chart_map
 
 IDENT = RobotExtrinsics.identity()
@@ -628,6 +629,54 @@ class TestChartScoring:
         self.check_rows(res, states, truth, surface)
         assert res.errors[9].any()
         assert not res.errors[10:].any() and not res.covariances[10:].any()
+
+
+def test_float_step_is_the_array_step():
+    # 5 s of the lever-arm, rotated-sensor scenario with every sensor on,
+    # so that each step propagates and takes a pose and range updates:
+    # the M-ESEKF's state on floats has, after every operation, the bits
+    # of the array state (oracles.ArrayState) stepped by the array code
+    sc = load_scenario(LEVER_SCENARIO)
+    assert np.any(sc.extrinsics.r_RS) and sc.extrinsics.q_RS[0] < 1.0
+    sc.trajectory.duration = 5.0
+    sc.schedule = SensorSchedule.always_on(5.0)
+    truth = generate_ground_truth(sc.surface, sc.trajectory)
+    streams = synthesize_measurements(
+        noise_free_measurements(sc.surface, truth, sc.suite, sc.schedule,
+                                sc.extrinsics), 1, 0)
+    filt = make_filter("M-ESEKF", sc.surface, truth.dt, sc.extrinsics,
+                       sc.sampling, sc.pseudo)
+    init, noise = sc.init, streams.initial_state_noise
+    P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2, init.head_std ** 2])
+    ref = oracles.ArrayState(truth.chart[0] + init.pos_std * noise[0:2],
+                             truth.gamma[0] + init.head_std * noise[2], P0)
+    state = filt.start(truth.chart[0], truth.gamma[0], init, noise)
+    checked = []
+
+    def check(what):
+        assert state.t_R.tobytes() == ref.t_R.tobytes(), what
+        assert state.gamma_R == ref.gamma_R, what
+        assert state.P_x.tobytes() == ref.P_x.tobytes(), what
+        checked.append(what)
+
+    check("start")
+    for step in range(1, truth.n_steps + 1):
+        state = filt.propagate(state, streams.odometry[step - 1])
+        ref = oracles.propagate(sc.surface, ref, streams.odometry[step - 1],
+                                truth.dt)
+        check((step, "propagate"))
+        if step in streams.pose_events:
+            meas = streams.pose_events[step]
+            state = filt.correct_pose(state, meas)
+            ref = oracles.pose_update(ref, sc.surface, sc.extrinsics, meas)
+            check((step, "pose"))
+        for meas in streams.range_events.get(step, ()):
+            state = filt.correct_range(state, meas)
+            ref = oracles.range_update(ref, sc.surface, sc.extrinsics, meas)
+            check((step, "range"))
+    kinds = [c[1] for c in checked[1:]]
+    assert kinds.count("propagate") == truth.n_steps == 100
+    assert kinds.count("pose") >= 20 and kinds.count("range") >= 40
 
 
 def short_reference(kind, trials, duration=3.0):
