@@ -32,26 +32,16 @@ DIVERGENCE_LIMIT_M = 10.0
 ANEES_CONFIDENCE = 0.99
 
 
-@dataclass
-class TrialResult:
-    errors: np.ndarray        # (K+1, 3) chart position + heading error
-    covariances: np.ndarray   # (K+1, 3, 3) in the evaluation space
-    timings: dict             # correction type -> list of seconds
-    diverged: bool
-    diverged_step: int | None = None
-    # why it diverged: "<exception class>: <message>" for a package
-    # error, "chart position error <metres> m" for the limit
-    reason: str | None = None
-
-
 class TrialOutcome(NamedTuple):
-    """What a campaign keeps of a trial besides its rows, which the
-    process that runs it stores into the campaign's shared block; what
-    a worker's header carries per trial."""
+    """What ``run_trial`` returns of a trial besides its rows, which it
+    forms into the arrays it is given; what a worker's header carries
+    per trial."""
     diverged: bool
     diverged_step: int | None
     timings: dict             # correction type -> list of seconds
-    reason: str | None        # TrialResult.reason
+    # why it diverged: "<exception class>: <message>" for a package
+    # error, "chart position error <metres> m" for the limit
+    reason: str | None
 
 
 @dataclass
@@ -154,9 +144,14 @@ def anees_bounds(n_trials: int, m: int):
 
 
 def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
-              init: InitialUncertainty) -> TrialResult:
+              init: InitialUncertainty, errors: np.ndarray,
+              covs: np.ndarray) -> TrialOutcome:
     """Event-driven execution of one trial with the filter ``filt``
     (``meskf.filters``), started from ``init`` and the trial's draws.
+    Its chart position and heading errors are formed into ``errors``
+    (K+1, 3) and its covariances in the evaluation space into ``covs``
+    (K+1, 3, 3), in place: in a campaign, the trial's rows of the
+    shared block.
 
     Each step propagates on the odometry, then applies the periodic
     correction if the filter has one, the pose event, and the range
@@ -171,9 +166,10 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
 
     Once the loop ends, one ``filt.score`` call maps the recorded rows
     to the scoring space, and the errors against the truth are formed
-    on those columns. The rows of the steps not recorded stay zero:
-    after the step that passed the limit, and from the step that
-    raised on.
+    on those columns. The rows of the steps not recorded are left as
+    given (a campaign's block is zero-filled): after the step that
+    passed the limit, and from the step that raised on. Returns the
+    trial's ``TrialOutcome``.
     """
     n = truth.n_steps
     rows = np.zeros((n + 1, filt.row_width))
@@ -215,8 +211,6 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
     except MeskfError as exc:
         recorded = step
         reason = f"{type(exc).__name__}: {exc}"
-    errors = np.zeros((n + 1, 3))
-    covs = np.zeros((n + 1, 3, 3))
     if recorded:
         t, gamma, P_eval = filt.score(rows[:recorded])
         e = errors[:recorded]
@@ -224,8 +218,8 @@ def run_trial(filt, truth: GroundTruth, streams: MeasurementStreams,
         e[:, 2] = wrap_angle(gamma - truth.gamma[:recorded])
         covs[:recorded] = P_eval
     if reason is None:
-        return TrialResult(errors, covs, timings, False)
-    return TrialResult(errors, covs, timings, True, step, reason)
+        return TrialOutcome(False, None, timings, None)
+    return TrialOutcome(True, step, timings, reason)
 
 
 def metrics_from_arrays(times: np.ndarray, errors: np.ndarray,
@@ -311,9 +305,10 @@ def run_campaign(scenario):
     each trial then draws its measurement noise from (seed, trial) and
     runs the scenario's filter. The campaign's errors (N, K+1, 3) and
     covariances (N, K+1, 3, 3) are two views of one anonymous shared
-    mapping, zero-filled, made once before any fork, and every trial's
-    rows are stored into it in place by the process that runs the
-    trial; nothing else holds a copy of them.
+    mapping, zero-filled, made once before any fork. ``run_trial``
+    forms every trial's rows into it in place, in the process that runs
+    the trial, and nothing holds a copy of them; the rows after a
+    trial's divergence keep the block's zeros.
 
     The trials run on n = min(usable cores, trials) processes, the
     usable cores being those this process may run on
@@ -363,20 +358,14 @@ def run_campaign(scenario):
 
 def _run_share(shared, first: int, step: int) -> list:
     """Trials first, first + step, ... of the campaign ``shared``, in
-    order. Each trial's errors and covariances are stored into the
-    campaign's block (the last two items of ``shared``) as the trial
-    ends; the trials' ``TrialOutcome``s are returned."""
+    order. Each trial forms its errors and covariances into its own
+    rows of the campaign's block (the last two items of ``shared``);
+    the trials' ``TrialOutcome``s are returned. ``run_trial`` is called
+    through this module, where the benchmark's tracer wraps it."""
     filt, truth, clean, seed, init, errors, covs = shared
-    outcomes = []
-    for k in range(first, len(errors), step):
-        res = run_trial(filt, truth, synthesize_measurements(clean, seed, k),
-                        init)
-        errors[k] = res.errors
-        covs[k] = res.covariances
-        outcomes.append(TrialOutcome(res.diverged, res.diverged_step,
-                                     res.timings, res.reason))
-        del res                   # its arrays do not outlive the trial
-    return outcomes
+    return [run_trial(filt, truth, synthesize_measurements(clean, seed, k),
+                      init, errors[k], covs[k])
+            for k in range(first, len(errors), step)]
 
 
 def _run_processes(shared, n: int) -> list:

@@ -55,11 +55,20 @@ def synthesize(surface, truth, su, sched, seed, trial, extrinsics=IDENT):
     return synthesize_measurements(clean, seed, trial)
 
 
-def default_trial(surface, truth, streams, kind):
-    """One trial of the filter ``kind`` with its default tuning."""
+def trial_rows(filt, truth, streams, init, fill=0.0):
+    """run_trial on rows of its own, filled with ``fill`` as a campaign's
+    block is with zeros: (outcome, errors, covariances)."""
+    errors = np.full((truth.n_steps + 1, 3), fill)
+    covs = np.full((truth.n_steps + 1, 3, 3), fill)
+    return run_trial(filt, truth, streams, init, errors, covs), errors, covs
+
+
+def default_trial(surface, truth, streams, kind, fill=0.0):
+    """One trial of the filter ``kind`` with its default tuning:
+    (outcome, errors, covariances)."""
     filt = make_filter(kind, surface, truth.dt, IDENT, SamplingConfig(),
                        PseudoMeasurementConfig())
-    return run_trial(filt, truth, streams, InitialUncertainty())
+    return trial_rows(filt, truth, streams, InitialUncertainty(), fill)
 
 
 class TestGroundTruth:
@@ -423,18 +432,18 @@ class TestEndToEnd:
         for _ in range(2):
             st = synthesize(curved, truth, suite(), sched, 5, 0)
             results.append(default_trial(curved, truth, st, "M-ESEKF"))
-        np.testing.assert_array_equal(results[0].errors, results[1].errors)
-        np.testing.assert_array_equal(results[0].covariances,
-                                      results[1].covariances)
+        (_, errors0, covs0), (_, errors1, covs1) = results
+        np.testing.assert_array_equal(errors0, errors1)
+        np.testing.assert_array_equal(covs0, covs1)
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_each_filter_tracks(self, curved, kind):
         truth = generate_ground_truth(curved, circle_spec(duration=8.0))
         sched = SensorSchedule.always_on(8.0)
         st = synthesize(curved, truth, suite(), sched, 9, 0)
-        res = default_trial(curved, truth, st, kind)
+        res, errors, _ = default_trial(curved, truth, st, kind)
         assert not res.diverged
-        assert np.linalg.norm(res.errors[-1, 0:2]) < 0.3
+        assert np.linalg.norm(errors[-1, 0:2]) < 0.3
         assert res.timings
 
     def test_monte_carlo_aggregates(self, flat):
@@ -469,7 +478,7 @@ class TestEndToEnd:
         odo = OdometryInput(np.zeros(2), 0.0, np.eye(2) * 1e-4, 1e-6)
         streams = MeasurementStreams([odo] * n, {}, {}, np.zeros(6))
         for kind in FILTER_KINDS:
-            res = default_trial(flat, truth, streams, kind)
+            res = default_trial(flat, truth, streams, kind)[0]
             assert not res.diverged
             assert len(res.timings.get("pseudo", ())) == (
                 n if kind == "C-ESEKF" else 0)
@@ -486,8 +495,8 @@ class TestEndToEnd:
         odo = OdometryInput(np.array([0.3, 0.0]), 0.0, np.eye(2) * 1e-4,
                             1e-6)
         streams = MeasurementStreams([odo] * n, {}, {}, np.zeros(6))
-        res = default_trial(flat, truth, streams, kind)
-        dist = np.linalg.norm(res.errors[:, 0:2], axis=1)
+        res, errors, _ = default_trial(flat, truth, streams, kind)
+        dist = np.linalg.norm(errors[:, 0:2], axis=1)
         first = int(np.argmax(dist > DIVERGENCE_LIMIT_M))
         assert res.diverged
         assert 0 < first < n
@@ -509,10 +518,10 @@ class TestEndToEnd:
         noise = np.zeros(6)
         noise[0] = 30.0 / InitialUncertainty().pos_std
         streams = MeasurementStreams([odo] * n, {}, {}, noise)
-        res = default_trial(s, truth, streams, kind)
+        res, errors, _ = default_trial(s, truth, streams, kind)
         assert res.diverged
         assert res.diverged_step == (0 if kind == "C-ESEKF" else 1)
-        assert not res.errors[res.diverged_step + 1:].any()
+        assert not errors[res.diverged_step + 1:].any()
         assert res.reason == (
             "OutOfChartError: chart point outside domain u:[-5.0,5.0] "
             "v:[-5.0,5.0]")
@@ -529,15 +538,57 @@ class TestEndToEnd:
         P_m = np.diag([1e13, 1.0, 1.0, 1e13, 1.0, 1.0])
         pose = {5: PoseMeasurement(np.zeros(3), (1.0, 0.0, 0.0, 0.0), P_m)}
         streams = MeasurementStreams([odo] * n, pose, {}, np.zeros(6))
-        res = default_trial(flat, truth, streams, kind)
+        res, errors, covs = default_trial(flat, truth, streams, kind)
         assert res.diverged
         assert res.diverged_step == 5
         assert res.reason == ("SingularUpdateError: innovation covariance "
                               "is singular")
         # the start is exact, so step 4's errors are zero; its
         # covariance is not
-        assert res.covariances[4].any() and not res.covariances[5:].any()
-        assert not res.errors[5:].any()
+        assert covs[4].any() and not covs[5:].any()
+        assert not errors[5:].any()
+        # on rows filled with NaN, it forms the same bits into steps
+        # 0-4 and leaves steps 5 on as they were given
+        again, nan_errors, nan_covs = default_trial(flat, truth, streams,
+                                                    kind, fill=np.nan)
+        assert again.diverged_step == 5 and again.reason == res.reason
+        assert np.isnan(nan_errors[5:]).all() and np.isnan(nan_covs[5:]).all()
+        assert nan_errors[:5].tobytes() == errors[:5].tobytes()
+        assert nan_covs[:5].tobytes() == covs[:5].tobytes()
+
+    def test_trial_holds_its_rows_once(self):
+        # The traced peak of one run_trial call, a 60 s M-ESEKF trial of
+        # the reference scenario, against the bytes of the rows it
+        # records for scoring, (K+1) x row_width floats. The trial holds
+        # those rows (1x), and the score's temporaries and the timing
+        # lists (about 0.5x): it reads about 1.5x. Its errors and
+        # covariances go into the arrays it is given, made before
+        # tracing starts, as a campaign's block is. The bound allows 2x,
+        # so that one more copy of the results (errors and covariances,
+        # 1x: 12 floats a step, as many as a row) fails; a trial that
+        # formed them into zeros of its own, for the caller to copy,
+        # read 2.5x. The draws are synthesized, and one call made to
+        # warm the code's first-call caches, before tracing starts.
+        sc = load_scenario(REFERENCE_SCENARIO)
+        assert sc.filter_kind == "M-ESEKF"
+        truth = generate_ground_truth(sc.surface, sc.trajectory)
+        assert truth.n_steps == 1200
+        streams = synthesize(sc.surface, truth, sc.suite, sc.schedule,
+                             sc.seed, 0, sc.extrinsics)
+        filt = make_filter(sc.filter_kind, sc.surface, truth.dt,
+                           sc.extrinsics, sc.sampling, sc.pseudo)
+        errors = np.zeros((truth.n_steps + 1, 3))
+        covs = np.zeros((truth.n_steps + 1, 3, 3))
+        assert not run_trial(filt, truth, streams, sc.init, errors,
+                             covs).diverged
+        tracemalloc.start()
+        try:
+            run_trial(filt, truth, streams, sc.init, errors, covs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_bytes = (truth.n_steps + 1) * filt.row_width * 8
+        assert peak <= 2.0 * row_bytes, peak / row_bytes
 
 
 LEVER_SCENARIO = (Path(__file__).resolve().parents[1] / "bench"
@@ -582,7 +633,7 @@ class TestChartScoring:
     ``baseline.chart_errors``; each must have the bits of the per-state
     map on floats (``oracles.chart_map``)."""
 
-    def check_rows(self, res, states, truth, surface):
+    def check_rows(self, res, errors, covs, states, truth, surface):
         """Every recorded state's rows against the oracle; a state that
         the oracle refuses must be the step the trial diverged at."""
         for k, state in enumerate(states):
@@ -594,8 +645,8 @@ class TestChartScoring:
                 break
             e = np.append(x[0:2] - truth.chart[k],
                           wrap_angle(x[2] - truth.gamma[k]))
-            assert res.errors[k].tobytes() == e.tobytes(), k
-            assert res.covariances[k].tobytes() == P.tobytes(), k
+            assert errors[k].tobytes() == e.tobytes(), k
+            assert covs[k].tobytes() == P.tobytes(), k
 
     def test_rows_are_the_per_state_map_with_a_lever_arm(self, monkeypatch):
         # the lever-arm, rotated-sensor scenario, every sensor on, long
@@ -610,25 +661,26 @@ class TestChartScoring:
         filt = make_filter("C-ESEKF", sc.surface, truth.dt, sc.extrinsics,
                            sc.sampling, sc.pseudo)
         states = recorded_states(monkeypatch, filt)
-        res = run_trial(filt, truth, synthesize_measurements(clean, 1, 0),
-                        sc.init)
+        res, errors, covs = trial_rows(
+            filt, truth, synthesize_measurements(clean, 1, 0), sc.init)
         assert not res.diverged
         assert len(states) == truth.n_steps + 1 > 1.5 * bl._CHART_BLOCK
-        self.check_rows(res, states, truth, sc.surface)
+        self.check_rows(res, errors, covs, states, truth, sc.surface)
 
     def test_leaving_the_chart_partway(self, monkeypatch):
         surface, truth, streams = partway_off_the_chart()
         filt = make_filter("C-ESEKF", surface, truth.dt, IDENT,
                            SamplingConfig(), PseudoMeasurementConfig())
         states = recorded_states(monkeypatch, filt)
-        res = run_trial(filt, truth, streams, InitialUncertainty())
+        res, errors, covs = trial_rows(filt, truth, streams,
+                                       InitialUncertainty())
         # step 10, as when every step's state was mapped as it was made
         assert res.diverged and res.diverged_step == 10
         assert res.reason.startswith("OutOfChartError: ")
         assert len(states) == 11
-        self.check_rows(res, states, truth, surface)
-        assert res.errors[9].any()
-        assert not res.errors[10:].any() and not res.covariances[10:].any()
+        self.check_rows(res, errors, covs, states, truth, surface)
+        assert errors[9].any()
+        assert not errors[10:].any() and not covs[10:].any()
 
 
 def test_float_step_is_the_array_step():
@@ -708,9 +760,9 @@ def count_trials(monkeypatch, sc):
     seen = []
     real = runner.run_trial
 
-    def counted(filt, truth, streams, init):
+    def counted(filt, truth, streams, init, errors, covs):
         seen.append(trial_of(sc, streams))
-        return real(filt, truth, streams, init)
+        return real(filt, truth, streams, init, errors, covs)
 
     monkeypatch.setattr(runner, "run_trial", counted)
     return seen
@@ -766,13 +818,13 @@ def fail_trials(monkeypatch, sc, failures):
     first when it is a number."""
     real = runner.run_trial
 
-    def failing(filt, truth, streams, init):
+    def failing(filt, truth, streams, init, errors, covs):
         failure = failures.get(trial_of(sc, streams))
         if isinstance(failure, float):
             time.sleep(failure)
         elif failure is not None:
             raise failure
-        return real(filt, truth, streams, init)
+        return real(filt, truth, streams, init, errors, covs)
 
     monkeypatch.setattr(runner, "run_trial", failing)
 
@@ -782,10 +834,10 @@ def kill_in_trial(monkeypatch, sc, trial, sig):
     trial ``trial`` of ``sc`` sends itself the signal ``sig`` there."""
     real = runner.run_trial
 
-    def dying(filt, truth, streams, init):
+    def dying(filt, truth, streams, init, errors, covs):
         if trial_of(sc, streams) == trial:
             os.kill(os.getpid(), sig)
-        return real(filt, truth, streams, init)
+        return real(filt, truth, streams, init, errors, covs)
 
     monkeypatch.setattr(runner, "run_trial", dying)
 
@@ -904,7 +956,14 @@ class TestParallelCampaign:
         assert all(reason.startswith("OutOfChartError: ")
                    for _, _, reason in stacked[1])
         np.testing.assert_array_equal(parallel[3], serial[3])
-        np.testing.assert_array_equal(parallel[1], serial[1])
+        assert parallel[1].tobytes() == serial[1].tobytes()
+        assert parallel[2].tobytes() == serial[2].tobytes()
+        # a trial that raises at step d records steps 0 to d - 1; its
+        # rows from d on are the block's zero fill, in either run
+        for k, (_, d, _) in enumerate(stacked[1]):
+            for errors, covs in (serial[1:3], parallel[1:3]):
+                assert covs[k, d - 1].any(), k
+                assert not errors[k, d:].any() and not covs[k, d:].any(), k
 
     def test_caller_runs_its_share(self, monkeypatch):
         # The benchmark's tracer wraps the layer functions in the calling
