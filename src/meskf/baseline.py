@@ -75,7 +75,7 @@ def propagate_3d(state: FullPoseState, odom: OdometryInput,
         raise ValueError("dt must be positive")
     q = state.q.tolist()
     R = quat.to_matrix(q)
-    vx, vy = odom.v_m.tolist()
+    vx, vy = odom.v_m
     p_new = [p + (r0 * vx + r1 * vy) * dt
              for p, (r0, r1, _) in zip(state.p.tolist(), R)]
     dq = quat.z_rotation(odom.omega_m * dt)
@@ -87,7 +87,7 @@ def propagate_3d(state: FullPoseState, odom: OdometryInput,
     (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = [
         (r2 * vy * dt, -r2 * vx * dt, (r1 * vx - r0 * vy) * dt)
         for r0, r1, r2 in R]
-    (q00, q01), (q10, q11) = odom.sigma_v.tolist()
+    (q00, q01), (q10, q11) = odom.sigma_v
     F = np.array([1.0, 0.0, 0.0, a0, a1, a2,
                   0.0, 1.0, 0.0, a3, a4, a5,
                   0.0, 0.0, 1.0, a6, a7, a8,
@@ -206,7 +206,7 @@ def _sensor_model_3d(state: FullPoseState, ext: RobotExtrinsics):
     position, R_RS^T e_k from the attitude error dtheta_k.
     """
     R = quat.to_matrix(state.q)
-    r = ext.r_RS.tolist()
+    r = ext.r_RS
     p = [x + _dot(row, r) for x, row in zip(state.p.tolist(), R)]
     J = [[*e, *_cross(r, row)]
          for e, row in zip(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),

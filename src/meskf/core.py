@@ -3,12 +3,13 @@
 State: chart position t_R = (u, v), heading gamma_R within the tangent
 plane, and the 3x3 error covariance P_x over (dt_R, dtheta_R).
 ``FilterState`` holds them as plain floats, P_x as its six unique
-entries. Propagation and the one-row update (``correct_row``) read and
-write those floats and build no array. The nominal state propagates
-with the measured velocities mapped through the tangent frame;
-corrections are generic Kalman updates in Joseph form shared by all
-measurement models. An update of more rows (``correct``) reads P_x as
-a 3x3 array and returns to the floats after it.
+entries, as ``OdometryInput`` and ``RobotExtrinsics`` hold theirs.
+Propagation and the one-row update (``correct_row``) read and write
+floats and build no array. The nominal state propagates with the
+measured velocities mapped through the tangent frame; corrections are
+Kalman updates in Joseph form shared by all measurement models. An
+update of more rows (``correct``) reads P_x as a 3x3 array for the
+numpy ``joseph_update`` and returns to the floats after it.
 """
 
 import math
@@ -68,7 +69,9 @@ class FilterState:
     @property
     def P_x(self) -> np.ndarray:
         """Error covariance (3, 3), a fresh and exactly symmetric array."""
-        return _symmetric(self.P_upper)
+        p00, p01, p02, p11, p12, p22 = self.P_upper
+        return np.array((p00, p01, p02, p01, p11, p12,
+                         p02, p12, p22)).reshape(3, 3)
 
     def __repr__(self):
         return (f"FilterState(t_R={[self.u, self.v]}, "
@@ -92,45 +95,39 @@ def _upper(P: np.ndarray) -> tuple:
     return p00, p01, p02, p11, p12, p22
 
 
-def _symmetric(P_upper) -> np.ndarray:
-    """The symmetric 3x3 array over six unique entries."""
-    p00, p01, p02, p11, p12, p22 = P_upper
-    return np.array((p00, p01, p02, p01, p11, p12,
-                     p02, p12, p22)).reshape(3, 3)
-
-
 @dataclass
 class OdometryInput:
-    v_m: np.ndarray          # body-frame linear velocity (2,), m/s
+    """One odometry sample. Its pairs are read by unpacking: floats, as
+    the simulator builds them, and numpy arrays give the same bits."""
+    v_m: tuple               # body-frame linear velocity (vx, vy), m/s
     omega_m: float           # angular rate, rad/s
-    sigma_v: np.ndarray      # 2x2 velocity noise covariance
+    sigma_v: tuple           # 2x2 velocity noise covariance, two rows
     sigma_omega: float       # angular-rate noise variance
-
-    def __post_init__(self):
-        self.v_m = np.asarray(self.v_m, dtype=float)
-        self.sigma_v = np.asarray(self.sigma_v, dtype=float)
 
 
 @dataclass
 class RobotExtrinsics:
-    r_RS: np.ndarray         # sensor lever arm in robot frame (3,), m
-    q_RS: np.ndarray         # sensor orientation in robot frame, wxyz
+    """Sensor mounting in the robot frame: a finite 3-vector and a
+    non-zero 4-vector, q_RS normalised, stored as float tuples."""
+    r_RS: tuple              # sensor lever arm in robot frame (3,), m
+    q_RS: tuple              # sensor orientation in robot frame, wxyz
 
     def __post_init__(self):
-        self.r_RS = finite_array(self.r_RS, "extrinsics.r_RS")
-        self.q_RS = finite_array(self.q_RS, "extrinsics.q_RS")
-        if self.r_RS.shape != (3,):
+        r = finite_array(self.r_RS, "extrinsics.r_RS")
+        q = finite_array(self.q_RS, "extrinsics.q_RS")
+        if r.shape != (3,):
             raise ConfigError("must be a 3-vector", field="extrinsics.r_RS")
-        n = np.linalg.norm(self.q_RS)
-        if self.q_RS.shape != (4,) or n == 0.0:
+        n = np.linalg.norm(q)
+        if q.shape != (4,) or n == 0.0:
             raise ConfigError("must be a non-zero 4-vector",
                               field="extrinsics.q_RS")
         if abs(n - 1.0) > 1e-12:
-            self.q_RS = self.q_RS / n
+            q = q / n
+        self.r_RS, self.q_RS = tuple(r.tolist()), tuple(q.tolist())
 
     @staticmethod
     def identity() -> "RobotExtrinsics":
-        return RobotExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
+        return RobotExtrinsics((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
 
 
 def _motion_model(surface: BSplineSurface, state: FilterState,
@@ -149,7 +146,7 @@ def _motion_model(surface: BSplineSurface, state: FilterState,
     _, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
     c, s = math.cos(g), math.sin(g)
-    vx, vy = odom.v_m.tolist()
+    vx, vy = odom.v_m
     wx, wy = c * vx - s * vy, s * vx + c * vy          # R_z(gamma) v_m
     t10 = sa * sb
     (da_u, db_u), (da_v, db_v) = frame_angle_derivatives(
@@ -193,7 +190,7 @@ def propagate(surface: BSplineSurface, state: FilterState,
     u, v = state.u + du, state.v + dv
     surface._check_box(u, u, v, v)
     p00, p01, p02, p11, p12, p22 = state.P_upper
-    (q00, q01), (_, q11) = odom.sigma_v.tolist()
+    (q00, q01), (_, q11) = odom.sigma_v
     # rows of F P, then of G_v Q_v; noise covariances are per-sample and
     # G already carries dt
     a00 = f00 * p00 + f01 * p01 + f02 * p02
@@ -248,19 +245,16 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     (I - K H) P (I - K H)^T + K R K^T expands to
     P - K A^T - A K^T + K S K^T, an identity for any gain K (Bierman,
     "Factorization Methods for Discrete Sequential Estimation", 1977).
-    Every update takes this expanded form. One row on three states, where
-    S is a scalar and needs no factorization, is written out on floats.
+    Every update takes this expanded form: this function on arrays, and
+    ``correct_row`` on floats for one row on three states, where S is a
+    scalar.
 
-    Otherwise S is checked by ``require_spd`` and the gain solved by LU,
-    both through numpy's linalg gufuncs directly: for these few-row
-    systems the public wrappers cost more than the arithmetic. The
-    gufuncs report no error code, so a failed solve is refused by the
-    NaN it writes.
+    S is checked by ``require_spd`` and the gain solved by LU, both
+    through numpy's linalg gufuncs directly: for these few-row systems
+    the public wrappers cost more than the arithmetic. The gufuncs
+    report no error code, so a failed solve is refused by the NaN it
+    writes.
     """
-    if H.shape[0] == 1 and P.shape[0] == 3:
-        dx, P_upper = _joseph_row3(_upper(P), *H[0].tolist(),
-                                   float(R[0, 0]), float(innovation[0]))
-        return np.array(dx), _symmetric(P_upper)
     # ndarray.dot: for these tiny operands its call overhead is well
     # below that of the matmul ufunc behind @
     A = P.dot(H.T)
@@ -291,9 +285,10 @@ def require_spd(S: np.ndarray, error: type, what: str) -> None:
 
 def _joseph_row3(P_upper, h0, h1, h2, r, y):
     """The one-row Joseph update of ``joseph_update`` for three states,
-    on floats: P's six unique entries, the row (h0, h1, h2) of H, the
-    variance r and the innovation y. Returns the correction dx and the
-    six unique entries of the new covariance."""
+    written out on floats for ``correct_row``: P's six unique entries,
+    the row (h0, h1, h2) of H, the variance r and the innovation y.
+    Returns the correction dx and the six unique entries of the new
+    covariance."""
     p00, p01, p02, p11, p12, p22 = P_upper
     a0 = p00 * h0 + p01 * h1 + p02 * h2
     a1 = p01 * h0 + p11 * h1 + p12 * h2

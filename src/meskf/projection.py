@@ -71,23 +71,23 @@ class SamplingConfig:
 
 
 def _lever_arm(surface, state, extrinsics):
-    """World lever arm R_WR r_RS and its 3x3 error-state Jacobian.
-
-    Both come from the pose model without its chart lift; a zero r_RS
-    gives zeros without evaluating the surface.
+    """World lever arm R_WR r_RS as floats, and its 3x3 error-state
+    Jacobian as an array. Both come from the pose model without its
+    chart lift; a zero r_RS gives zeros without evaluating the surface.
     """
-    if not np.any(extrinsics.r_RS):
-        return np.zeros(3), np.zeros((3, 3))
+    if extrinsics.r_RS == (0.0, 0.0, 0.0):
+        return (0.0, 0.0, 0.0), np.zeros((3, 3))
     p, J, _, _ = _sensor_model(surface, state, extrinsics, rotation=False,
                                lift=False)
-    return np.array(p), np.array(J)
+    return p, np.array(J)
 
 
 def associate_to_surface(surface: BSplineSurface, r_Sm: np.ndarray,
-                         lever: np.ndarray) -> np.ndarray:
+                         lever) -> np.ndarray:
     """Closest surface point to the measurement less the world lever arm
     ``lever`` (the p of ``_lever_arm``)."""
-    return surface.closest_point(np.asarray(r_Sm, dtype=float) - lever)
+    (x, y, z), (l_x, l_y, l_z) = r_Sm, lever
+    return surface.closest_point((x - l_x, y - l_y, z - l_z))
 
 
 def _tangent_slice(P_M: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -206,7 +206,7 @@ def project_range_variance(surface: BSplineSurface, R_d: float,
     """
     u, v = state.u, state.v
     s, s_u, s_v = surface.eval_point(u, v)[:3]
-    a_x, a_y, a_z = np.asarray(anchor_shifted, dtype=float).tolist()
+    a_x, a_y, a_z = anchor_shifted
     dx, dy, dz = u - a_x, v - a_y, s - a_z
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist < 1e-6:
@@ -231,10 +231,10 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
     region entirely; callers fall back to the 3-D range update.
     """
     lever, J = _lever_arm(surface, state, extrinsics)
-    A_prime = np.asarray(anchor, dtype=float) - lever
+    (x, y, z), (l_x, l_y, l_z) = anchor, lever
+    A_prime = a_u, a_v, a_z = x - l_x, y - l_y, z - l_z
     samples = sample_sigma_region(state, surface, config)
     u, v = samples[:, 0], samples[:, 1]
-    a_u, a_v, a_z = A_prime.tolist()
     du = u - a_u
     dv = v - a_v
     dz = surface.elevation_many(samples) - a_z

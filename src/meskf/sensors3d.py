@@ -28,24 +28,22 @@ from .surface import (BSplineSurface, frame_cos_sin, frame_matrix,
 
 @dataclass
 class PoseMeasurement:
-    z_p: np.ndarray          # measured position (3,), m
-    z_q: np.ndarray          # measured orientation, wxyz unit quaternion
+    z_p: tuple               # measured position (3,), m, any sequence
+    z_q: tuple               # measured orientation, wxyz unit quaternion
     P_m: np.ndarray          # 6x6 covariance, (position, small-angle rot)
 
     def __post_init__(self):
-        self.z_p = np.asarray(self.z_p, dtype=float)
-        self.z_q = np.array(quat.normalize(self.z_q))
+        self.z_q = quat.normalize(self.z_q)
         self.P_m = np.asarray(self.P_m, dtype=float)
 
 
 @dataclass
 class RangeMeasurement:
-    r_A: np.ndarray          # anchor position in world (3,), m
+    r_A: tuple               # anchor position in world (3,), m, any sequence
     z_d: float               # measured distance, m
     R_d: float               # range variance, m^2
 
     def __post_init__(self):
-        self.r_A = np.asarray(self.r_A, dtype=float)
         if self.z_d < 0:
             raise ValueError("measured distance must be non-negative")
         if self.R_d <= 0:
@@ -74,8 +72,8 @@ def _sensor_model(surface: BSplineSurface, state: FilterState,
     s, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
     cg, sg = math.cos(g), math.sin(g)
-    r = ext.r_RS.tolist()
-    lever = r != [0.0, 0.0, 0.0]
+    r = ext.r_RS
+    lever = r != (0.0, 0.0, 0.0)
     c = 1.0 if lift else 0.0          # the chart lift (u, v, S) or none
     J = [[c, 0.0, 0.0], [0.0, c, 0.0], [c * s_u, c * s_v, 0.0]]
     p = [c * u, c * v, c * s]
@@ -112,8 +110,8 @@ def _sensor_model(surface: BSplineSurface, state: FilterState,
     xa, yb = 0.5 * sa / ha, 0.5 * sb / hb
     q = quat.multiply((ha * hb, xa * hb, ha * yb, xa * yb),
                       quat.z_rotation(g))
-    q_rs = ext.q_RS.tolist()
-    if q_rs != [1.0, 0.0, 0.0, 0.0]:
+    q_rs = ext.q_RS
+    if q_rs != (1.0, 0.0, 0.0, 0.0):
         q = quat.multiply(q, q_rs)
         # sensor-frame rates R_RS^T w = w0 R_RS[0] + w1 R_RS[1] + w2 R_RS[2]
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = quat.to_matrix(
@@ -144,7 +142,7 @@ def pose_residual(p, J, q, rates, meas: PoseMeasurement):
     """
     ew, ex, ey, ez = quat.canonicalize(
         quat.multiply(quat.conjugate(q), meas.z_q))
-    zp = meas.z_p.tolist()
+    zp = meas.z_p
     y0 = np.array([zp[0] - p[0], zp[1] - p[1], zp[2] - p[2],
                    2.0 * ex, 2.0 * ey, 2.0 * ez])
     # column k of the rotation rows, for the rate w_k
@@ -167,8 +165,7 @@ def pose_update(state: FilterState, surface: BSplineSurface,
 def predict_range(surface: BSplineSurface, state: FilterState,
                   extrinsics: RobotExtrinsics, anchor: np.ndarray) -> float:
     p, _, _, _ = _sensor_model(surface, state, extrinsics, rotation=False)
-    a = np.asarray(anchor, dtype=float).tolist()
-    return math.dist(p, a)
+    return math.dist(p, anchor)
 
 
 def range_residual(p, J, meas: RangeMeasurement):
@@ -179,7 +176,7 @@ def range_residual(p, J, meas: RangeMeasurement):
     d = ||p - r_A|| and h = (p - r_A)^T J / d. Raises
     DegenerateGeometryError when the anchor sits at the sensor.
     """
-    a = meas.r_A.tolist()
+    a = meas.r_A
     diff = (p[0] - a[0], p[1] - a[1], p[2] - a[2])
     d0 = math.dist(p, a)
     if d0 < 1e-6:

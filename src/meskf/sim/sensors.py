@@ -151,7 +151,7 @@ class NoiseFreeMeasurements:
     n_range_slots: int
     range_slots: np.ndarray
     range_steps: list
-    range_anchors: np.ndarray     # (m, 3) anchor of each enabled slot
+    range_anchors: list           # (m,) anchor of each, a shared tuple
     range_d: np.ndarray           # (m,) true distance to it
 
 
@@ -185,10 +185,10 @@ def noise_free_measurements(surface: BSplineSurface, truth: GroundTruth,
     poses = [predict_pose(surface, true_state(k), extrinsics)
              for k in pose_steps]
     n_range, range_slots, range_steps = enabled("range")
-    anchors = suite.anchors
-    if len(anchors) == 0:
+    anchors = [tuple(a) for a in suite.anchors.tolist()]
+    if not anchors:
         range_slots, range_steps = [], []
-    anchors = np.array([anchors[i % len(anchors)] for i in range_slots])
+    anchors = [anchors[i % len(anchors)] for i in range_slots]
     d = [predict_range(surface, true_state(k), extrinsics, a)
          for k, a in zip(range_steps, anchors)]
     return NoiseFreeMeasurements(
@@ -197,7 +197,7 @@ def noise_free_measurements(surface: BSplineSurface, truth: GroundTruth,
         np.array([p for p, _ in poses]).reshape(-1, 3),
         np.array([q for _, q in poses]).reshape(-1, 4),
         n_range, np.array(range_slots, dtype=int), range_steps,
-        anchors.reshape(-1, 3), np.array(d, dtype=float))
+        anchors, np.array(d, dtype=float))
 
 
 def synthesize_measurements(clean: NoiseFreeMeasurements, seed: int,
@@ -216,19 +216,20 @@ def synthesize_measurements(clean: NoiseFreeMeasurements, seed: int,
     n = truth.n_steps
     noise_v = rng.normal(0.0, suite.odometry_linear_std, size=(n, 2))
     noise_w = rng.normal(0.0, suite.odometry_angular_std, size=n)
-    sigma_v = np.eye(2) * suite.odometry_linear_std ** 2
+    var_v = suite.odometry_linear_std ** 2
+    sigma_v = ((var_v, 0.0), (0.0, var_v))
     sigma_w = suite.odometry_angular_std ** 2
-    v_m = truth.v_m + noise_v
+    vx, vy = (truth.v_m + noise_v).T.tolist()
     omega = (truth.omega + noise_w).tolist()
-    odometry = [OdometryInput(v_m[k], omega[k], sigma_v, sigma_w)
-                for k in range(n)]
+    odometry = [OdometryInput((x, y), w, sigma_v, sigma_w)
+                for x, y, w in zip(vx, vy, omega)]
 
     # pose: position noise added, Tait-Bryan orientation noise composed
     scale = ([suite.pose_position_std] * 3
              + [suite.pose_orientation_std] * 3)
     noise = _rng(seed, trial, "pose").normal(
         0.0, scale, size=(clean.n_pose_slots, 6))[clean.pose_slots]
-    z_p = clean.pose_p + noise[:, 0:3]
+    z_p = (clean.pose_p + noise[:, 0:3]).tolist()
     P_m = np.diag([suite.pose_position_std ** 2] * 3
                   + [suite.pose_orientation_std ** 2] * 3)
     pose_events = {}

@@ -96,7 +96,7 @@ def _motion_model(surface, state, odom, dt):
     _, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
     c, s = math.cos(g), math.sin(g)
-    vx, vy = odom.v_m.tolist()
+    vx, vy = odom.v_m
     wx, wy = c * vx - s * vy, s * vx + c * vy          # R_z(gamma) v_m
     t10 = sa * sb
     (da_u, db_u), (da_v, db_v) = frame_angle_derivatives(
@@ -123,7 +123,7 @@ def propagate(surface, state, odom, dt):
     u, v = u + du, v + dv
     surface._check_box(u, u, v, v)
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P_x.tolist()
-    (q00, q01), (_, q11) = odom.sigma_v.tolist()
+    (q00, q01), (_, q11) = odom.sigma_v
     # rows of F P, then of G_v Q_v; noise covariances are per-sample and
     # G already carries dt
     a00 = f00 * p00 + f01 * p01 + f02 * p02

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from meskf import (FilterState, OdometryInput, OutOfChartError,
                    RobotExtrinsics, SingularUpdateError, correct,
                    error_jacobians, propagate, wrap_angle)
-from meskf import core
+from meskf import core, quat
+from meskf.baseline import FullPoseState, propagate_3d
 from meskf.core import _motion_model, joseph_update
 
 from conftest import random_spd
@@ -126,6 +127,30 @@ def test_propagate_covariance_matches_matrix_form(curved, u, v, g, vx, vy,
     np.testing.assert_array_equal(P, P.T)
 
 
+def test_odometry_of_arrays_propagates_to_the_bits_of_floats(curved):
+    # public callers pass numpy arrays and scalars, the simulator pairs
+    # of floats: both are unpacked as they are, with the same bits, in
+    # the chart filters' propagation and in the C-ESEKF's
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        v, w = rng.normal(0, 0.5, 2), rng.normal(0, 0.3)
+        sv, sw = random_spd(rng, 2, 1e-4), rng.uniform(1e-6, 1e-4)
+        arrays = OdometryInput(v, np.float64(w), sv, np.float64(sw))
+        floats = OdometryInput(tuple(v.tolist()), w,
+                               tuple(map(tuple, sv.tolist())), sw)
+        s = FilterState(rng.uniform(-5, 5, 2), rng.uniform(-3, 3),
+                        random_spd(rng, 3, 0.01))
+        a, b = (propagate(curved, s, o, 0.05) for o in (arrays, floats))
+        assert (np.array((a.u, a.v, a.gamma_R, *a.P_upper)).tobytes()
+                == np.array((b.u, b.v, b.gamma_R, *b.P_upper)).tobytes())
+        full = FullPoseState(rng.normal(0, 1, 3),
+                             quat.from_rotvec(rng.normal(0, 0.3, 3)),
+                             random_spd(rng, 6, 0.01))
+        a, b = (propagate_3d(full, o, 0.05) for o in (arrays, floats))
+        for x, y in ((a.p, b.p), (a.q, b.q), (a.P, b.P)):
+            assert x.tobytes() == y.tobytes()
+
+
 def test_propagate_grows_covariance(curved):
     s = FilterState(np.array([0.5, -0.5]), 0.2, np.eye(3) * 1e-6)
     s2 = propagate(curved, s, odom(), 0.05)
@@ -209,8 +234,9 @@ def textbook_joseph(P, H, R, y):
 @pytest.mark.parametrize("n", [3, 6])
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
 def test_update_matches_textbook_joseph(m, n):
-    # every shape, the one-row float path and the numpy path alike, is
-    # the product form (I - K H) P (I - K H)^T + K R K^T
+    # every shape of joseph_update, and correct_row's float path for one
+    # row on three states, is the product form
+    # (I - K H) P (I - K H)^T + K R K^T
     rng = np.random.default_rng(20 + 10 * m + n)
     for _ in range(100):
         P = random_spd(rng, n, 0.1)
@@ -218,27 +244,28 @@ def test_update_matches_textbook_joseph(m, n):
         R = (np.array([[rng.uniform(1e-4, 1.0)]]) if m == 1
              else random_spd(rng, m, 1e-2))
         y = rng.standard_normal(m)
-        dx, P2 = joseph_update(P, H, R, y)
         dx_ref, P_ref = textbook_joseph(P, H, R, y)
         scale = np.abs(P_ref).max()
-        np.testing.assert_allclose(dx, dx_ref, rtol=1e-12,
-                                   atol=1e-12 * np.abs(dx_ref).max())
+        dx_tol = dict(rtol=1e-12, atol=1e-12 * np.abs(dx_ref).max())
+        dx, P2 = joseph_update(P, H, R, y)
+        np.testing.assert_allclose(dx, dx_ref, **dx_tol)
         np.testing.assert_allclose(P2, P_ref, rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_array_equal(P2, P2.T)
+        if (m, n) == (1, 3):
+            # from the origin the corrected state is dx, its heading wrapped
+            s = core.correct_row(FilterState(np.zeros(2), 0.0, P), y[0],
+                                 *H[0].tolist(), R[0, 0])
+            np.testing.assert_allclose(
+                (s.u, s.v, s.gamma_R),
+                (dx_ref[0], dx_ref[1], wrap_angle(dx_ref[2])), **dx_tol)
+            np.testing.assert_allclose(s.P_x, P_ref, rtol=1e-12,
+                                       atol=1e-12 * scale)
 
 
 def test_correct_row_is_correct_on_one_row():
-    # the range updates' float entry and the array entry reach the same
-    # one-row update: equal bits, and the same refusal
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        s = FilterState(rng.uniform(-5, 5, 2), rng.uniform(-3, 3),
-                        random_spd(rng, 3, 0.1))
-        h, r, y = rng.standard_normal(3), rng.uniform(1e-4, 1.0), rng.normal()
-        a = core.correct_row(s, y, *h.tolist(), r)
-        b = correct(s, np.array([y]), h[None, :], np.array([[r]]))
-        assert (a.u, a.v, a.gamma_R, a.P_upper) == (b.u, b.v, b.gamma_R,
-                                                    b.P_upper)
+    # the range updates' float entry refuses an innovation variance
+    # that is not positive
+    s = FilterState(np.zeros(2), 0.0, np.eye(3) * 0.1)
     with pytest.raises(SingularUpdateError, match="not positive and finite"):
         core.correct_row(s, 0.5, 0.0, 0.0, 0.0, 0.0)
 
@@ -247,15 +274,19 @@ def test_correct_row_is_correct_on_one_row():
 @pytest.mark.parametrize("r", [-1.0, -0.1, np.nan, np.inf])
 def test_one_row_update_refuses_nonpositive_s(n, r):
     # s = h^T P h + r = 0.1 + r: negative, zero, not a number or
-    # infinite. Six states take the numpy path, which checks the 1x1 S
-    # as it checks any S.
+    # infinite. joseph_update checks the 1x1 S as it checks any S;
+    # correct_row, on three states, checks the scalar s.
     P = np.eye(n) * 0.1
     H = np.zeros((1, n))
     H[0, 0] = 1.0
-    match = ("variance is not positive and finite" if n == 3
-             else "singular$" if np.isfinite(r) else "singular: not finite")
+    match = "singular$" if np.isfinite(r) else "singular: not finite"
     with pytest.raises(SingularUpdateError, match=match):
         joseph_update(P, H, np.array([[r]]), np.array([0.5]))
+    if n == 3:
+        with pytest.raises(SingularUpdateError,
+                           match="variance is not positive and finite"):
+            core.correct_row(FilterState(np.zeros(2), 0.0, P), 0.5,
+                             *H[0].tolist(), r)
 
 
 @pytest.mark.parametrize("n", [3, 6])

@@ -436,7 +436,8 @@ class TestProjectRange:
             lever = _lever_arm(surface, state, ext)[0]
             first = len(solved)
             proj = project(surface, z_d, R_d, anchor, ext, state, config)
-            projected.append((anchor - lever, solved[first:], proj))
+            projected.append((np.subtract(anchor, lever), solved[first:],
+                              proj))
             return proj
 
         monkeypatch.setattr(projection, "project_range", recorded)
@@ -475,6 +476,19 @@ class TestProjectedRangeUpdate:
         with pytest.raises(DegenerateGeometryError,
                            match="equivalent anchor"):
             projected_range_update(state, proj)
+
+
+def test_zero_lever_arm_skips_the_sensor_model(monkeypatch):
+    # the shortcut compares the extrinsics' float tuple with a zero tuple
+    def refuse(*args, **kwargs):
+        raise AssertionError("sensor model evaluated for a zero lever arm")
+
+    monkeypatch.setattr(projection, "_sensor_model", refuse)
+    state = FilterState(np.array([1.0, 2.0]), 0.3, np.eye(3) * 0.01)
+    for ext in (IDENT, RobotExtrinsics(np.zeros(3), [0.0, 0.0, 0.0, 1.0])):
+        p, J = _lever_arm(make_random_surface(77), state, ext)
+        assert p == (0.0, 0.0, 0.0)
+        np.testing.assert_array_equal(J, ZERO_J)
 
 
 def test_lever_arm_computed_once_per_measurement(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from meskf import (DegenerateGeometryError, FilterState, PoseMeasurement,
                    RangeMeasurement, RobotExtrinsics, pose_update,
                    predict_pose, predict_range, range_update)
-from meskf import quat
+from meskf import quat, sensors3d
 from meskf.sensors3d import (_sensor_model, orientation_update,
                              pose_residual, range_residual)
 
@@ -48,6 +48,26 @@ def test_predict_pose_lever_arm_flat(flat):
     Rz = quat.to_matrix(quat.z_rotation(g))
     np.testing.assert_allclose(pos, np.array([1.0, 1.0, 0.0]) + Rz @ r_RS,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("ext", [
+    IDENT, RobotExtrinsics([-0.0, 0.0, 0.0], [1, 0, 0, 0]),
+    RobotExtrinsics(np.zeros(3), np.array([2.0, 0.0, 0.0, 0.0]))],
+    ids=["identity", "signed-zero", "scaled"])
+def test_identity_extrinsics_skip_lever_and_rotation_terms(curved, ext,
+                                                           monkeypatch):
+    # no lever arm builds no frame matrix for R_WR r_RS, and no sensor
+    # rotation builds no R_RS; the extrinsics' float tuples must compare
+    # equal to the zero lever and the identity quaternion
+    def refuse(*args):
+        raise AssertionError("built a term that the extrinsics skip")
+
+    monkeypatch.setattr(sensors3d, "frame_matrix", refuse)
+    monkeypatch.setattr(quat, "to_matrix", refuse)
+    s = FilterState(np.array([1.0, -2.0]), 0.4, np.eye(3))
+    for rotation in (True, False):
+        p = _sensor_model(curved, s, ext, rotation)[0]
+        np.testing.assert_array_equal(p, curved.chart_to_world(s.t_R))
 
 
 def test_predict_pose_on_curved_surface(curved):

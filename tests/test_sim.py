@@ -168,6 +168,25 @@ class TestSensorSynthesis:
         assert not np.array_equal(a.pose_events[k].z_p, c.pose_events[k].z_p)
         np.testing.assert_array_equal(a.odometry[0].v_m, b.odometry[0].v_m)
 
+    def test_draws_hold_python_floats(self, curved):
+        # the filters unpack or index a trial's inputs as they are:
+        # floats, neither numpy rows nor numpy scalars
+        truth = generate_ground_truth(curved, circle_spec(duration=5.0))
+        ext = RobotExtrinsics(np.array([0.25, -0.1, 0.4]),
+                              np.array([0.99, 0.03, 0.045, 0.14]))
+        st = synthesize(curved, truth, suite([[8.0, 0.0, 0.5]]),
+                        SensorSchedule.always_on(5.0), 7, 3, ext)
+        assert st.pose_events and st.range_events
+        odometry = [x for o in st.odometry
+                    for x in (*o.v_m, o.omega_m, *o.sigma_v[0],
+                              *o.sigma_v[1], o.sigma_omega)]
+        poses = [x for m in st.pose_events.values() for x in (*m.z_p, *m.z_q)]
+        ranges = [x for events in st.range_events.values() for m in events
+                  for x in (*m.r_A, m.z_d)]
+        assert len(odometry) == 8 * truth.n_steps
+        for values in (odometry, poses, ranges):
+            assert {type(x) for x in values} == {float}
+
     def test_noise_statistics(self, flat):
         # empirical std of the injected noise matches the suite levels
         truth = generate_ground_truth(flat, circle_spec(duration=30.0))
