@@ -4,16 +4,18 @@ State: chart position t_R = (u, v), heading gamma_R within the tangent
 plane, and the 3x3 error covariance P_x over (dt_R, dtheta_R).
 ``FilterState`` holds them as plain floats, P_x as its six unique
 entries, as ``OdometryInput`` and ``RobotExtrinsics`` hold theirs.
-Propagation and the one-row update (``correct_row``) read and write
-floats and build no array. The nominal state propagates with the
-measured velocities mapped through the tangent frame; corrections are
-Kalman updates in Joseph form shared by all measurement models. An
-update of more rows (``correct``) reads P_x as a 3x3 array for the
-numpy ``joseph_update`` and returns to the floats after it.
+The nominal state propagates with the measured velocities mapped
+through the tangent frame; corrections are Kalman updates in Joseph
+form shared by all measurement models. Propagation, the one-row update
+(``correct_row``) and the update of two or three rows (``correct_rows``)
+read and write floats. An update of more rows (``correct``, the
+M-ESEKF's six-row pose) reads P_x as a 3x3 array for the numpy
+``joseph_update`` and returns to the floats after it.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 # the gufuncs behind np.linalg.eigvalsh and np.linalg.solve, without the
@@ -233,6 +235,15 @@ def correct_row(state: FilterState, innovation: float, h0: float,
                                    state.gamma_R + dg, P_upper)
 
 
+def correct_rows(state: FilterState, innovation, H, R) -> FilterState:
+    """``correct`` for two or three measurement rows, on floats: the
+    innovation (m floats), the m rows of H (three floats each) and the m
+    rows of R. Builds no array but the S that ``require_spd`` checks."""
+    (du, dv, dg), P_upper = _joseph_rows3(state.P_upper, H, R, innovation)
+    return FilterState.from_floats(state.u + du, state.v + dv,
+                                   state.gamma_R + dg, P_upper)
+
+
 def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
                   innovation: np.ndarray):
     """Shared gain/injection/Joseph-covariance core.
@@ -246,8 +257,9 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     P - K A^T - A K^T + K S K^T, an identity for any gain K (Bierman,
     "Factorization Methods for Discrete Sequential Estimation", 1977).
     Every update takes this expanded form: this function on arrays, and
-    ``correct_row`` on floats for one row on three states, where S is a
-    scalar.
+    on floats for three states ``correct_row`` for one row, where S is a
+    scalar, and ``correct_rows`` for two or three, with S's closed-form
+    inverse.
 
     S is checked by ``require_spd`` and the gain solved by LU, both
     through numpy's linalg gufuncs directly: for these few-row systems
@@ -268,17 +280,24 @@ def joseph_update(P: np.ndarray, H: np.ndarray, R: np.ndarray,
     return K.dot(innovation), 0.5 * (P_new + P_new.T)
 
 
-def require_spd(S: np.ndarray, error: type, what: str) -> None:
-    """Raise ``error`` unless the symmetric matrix S is finite, positive
-    definite and has a condition number of at most 1e12.
+def require_spd(S, error: type, what: str) -> None:
+    """Raise ``error`` unless the symmetric matrix S, an array or its
+    rows of floats, is finite, positive definite and has a condition
+    number of at most 1e12.
 
     The eigenvalues are read from S's lower triangle by numpy's
     eigvalsh gufunc, which reports no error code, so a non-finite S is
-    refused before it. The message names S as ``what``.
+    refused before it: every entry is checked, rows on their floats
+    before they are put in an array. The message names S as ``what``.
     """
-    if not np.isfinite(S).all():
+    if isinstance(S, np.ndarray):
+        finite = np.isfinite(S).all()
+    else:
+        finite = all(map(math.isfinite, chain.from_iterable(S)))
+        S = np.array(S)
+    if not finite:
         raise error(f"{what} is singular: not finite")
-    w = _umath_linalg.eigvalsh_lo(S)
+    w = _umath_linalg.eigvalsh_lo(S).tolist()
     if not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
         raise error(f"{what} is singular")
 
@@ -305,3 +324,114 @@ def _joseph_row3(P_upper, h0, h1, h2, r, y):
     n12 = p12 - (k1 * a2 + a1 * k2) + s * k1 * k2
     n22 = p22 - 2.0 * k2 * a2 + s * k2 * k2
     return (k0 * y, k1 * y, k2 * y), (n00, n01, n02, n11, n12, n22)
+
+
+def _joseph_rows3(P_upper, H, R, y):
+    """The Joseph update of ``joseph_update`` for two or three rows on
+    three states, written out on floats for ``correct_rows``: P's six
+    unique entries, the rows (three floats each) of H, the rows of R and
+    the innovation y. Returns the correction dx and the six unique
+    entries of the new covariance.
+
+    S = H A + R is refused by ``require_spd``, as in ``joseph_update``,
+    and the gain K = A S^-1 takes S's inverse in closed form, its
+    cofactors over its determinant. An S that passes but whose
+    determinant is not a positive finite float (for three rows, entries
+    all below about 1e-100 or above 1e100) is refused as a failed solve.
+
+    Two rows are taken as three, once their own 2x2 S has been checked,
+    with a third row that observes nothing (h = 0, r = 1, y = 0). Its
+    cofactors in S^-1, its gain column and every term it adds are exact
+    zeros, so the result has the bits of the update written out for two
+    rows.
+    """
+    p00, p01, p02, p11, p12, p22 = P_upper
+    if len(H) == 2:
+        (h00, h01, h02), (h10, h11, h12) = H
+        h20 = h21 = h22 = 0.0
+        (r00, r01), (r10, r11) = R
+        r02 = r12 = r20 = r21 = 0.0
+        r22 = 1.0
+        y0, y1 = y
+        y2 = 0.0
+    else:
+        (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = H
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+        y0, y1, y2 = y
+    # A = P H^T, column j (a_j0, a_j1, a_j2) for row j of H
+    a00 = p00 * h00 + p01 * h01 + p02 * h02
+    a01 = p01 * h00 + p11 * h01 + p12 * h02
+    a02 = p02 * h00 + p12 * h01 + p22 * h02
+    a10 = p00 * h10 + p01 * h11 + p02 * h12
+    a11 = p01 * h10 + p11 * h11 + p12 * h12
+    a12 = p02 * h10 + p12 * h11 + p22 * h12
+    a20 = p00 * h20 + p01 * h21 + p02 * h22
+    a21 = p01 * h20 + p11 * h21 + p12 * h22
+    a22 = p02 * h20 + p12 * h21 + p22 * h22
+    # S = H A + R, with H A symmetric
+    c01 = h00 * a10 + h01 * a11 + h02 * a12
+    c02 = h00 * a20 + h01 * a21 + h02 * a22
+    c12 = h10 * a20 + h11 * a21 + h12 * a22
+    s00 = h00 * a00 + h01 * a01 + h02 * a02 + r00
+    s11 = h10 * a10 + h11 * a11 + h12 * a12 + r11
+    s22 = h20 * a20 + h21 * a21 + h22 * a22 + r22
+    s01, s02, s12 = c01 + r01, c02 + r02, c12 + r12
+    s10, s20, s21 = c01 + r10, c02 + r20, c12 + r21
+    require_spd(((s00, s01), (s10, s11)) if len(H) == 2 else
+                ((s00, s01, s02), (s10, s11, s12), (s20, s21, s22)),
+                SingularUpdateError, "innovation covariance")
+    # W = S^-1: the cofactors, transposed, over the determinant
+    w00 = s11 * s22 - s12 * s21
+    w10 = s12 * s20 - s10 * s22
+    w20 = s10 * s21 - s11 * s20
+    det = s00 * w00 + s01 * w10 + s02 * w20
+    if not 0.0 < det < math.inf:
+        raise SingularUpdateError("solving S for the gain failed")
+    d = 1.0 / det
+    w00, w10, w20 = w00 * d, w10 * d, w20 * d
+    w01 = (s02 * s21 - s01 * s22) * d
+    w11 = (s00 * s22 - s02 * s20) * d
+    w21 = (s01 * s20 - s00 * s21) * d
+    w02 = (s01 * s12 - s02 * s11) * d
+    w12 = (s02 * s10 - s00 * s12) * d
+    w22 = (s00 * s11 - s01 * s10) * d
+    # K = A W, column j (k_j0, k_j1, k_j2)
+    k00 = a00 * w00 + a10 * w10 + a20 * w20
+    k01 = a01 * w00 + a11 * w10 + a21 * w20
+    k02 = a02 * w00 + a12 * w10 + a22 * w20
+    k10 = a00 * w01 + a10 * w11 + a20 * w21
+    k11 = a01 * w01 + a11 * w11 + a21 * w21
+    k12 = a02 * w01 + a12 * w11 + a22 * w21
+    k20 = a00 * w02 + a10 * w12 + a20 * w22
+    k21 = a01 * w02 + a11 * w12 + a21 * w22
+    k22 = a02 * w02 + a12 * w12 + a22 * w22
+    # B = K S, column j (b_j0, b_j1, b_j2)
+    b00 = k00 * s00 + k10 * s10 + k20 * s20
+    b01 = k01 * s00 + k11 * s10 + k21 * s20
+    b02 = k02 * s00 + k12 * s10 + k22 * s20
+    b10 = k00 * s01 + k10 * s11 + k20 * s21
+    b11 = k01 * s01 + k11 * s11 + k21 * s21
+    b12 = k02 * s01 + k12 * s11 + k22 * s21
+    b20 = k00 * s02 + k10 * s12 + k20 * s22
+    b21 = k01 * s02 + k11 * s12 + k21 * s22
+    b22 = k02 * s02 + k12 * s12 + k22 * s22
+    # E = K A^T, entry (r, c)
+    e00 = k00 * a00 + k10 * a10 + k20 * a20
+    e01 = k00 * a01 + k10 * a11 + k20 * a21
+    e02 = k00 * a02 + k10 * a12 + k20 * a22
+    e10 = k01 * a00 + k11 * a10 + k21 * a20
+    e11 = k01 * a01 + k11 * a11 + k21 * a21
+    e12 = k01 * a02 + k11 * a12 + k21 * a22
+    e20 = k02 * a00 + k12 * a10 + k22 * a20
+    e21 = k02 * a01 + k12 * a11 + k22 * a21
+    e22 = k02 * a02 + k12 * a12 + k22 * a22
+    # P - (K A^T + A K^T) + (K S) K^T
+    return ((k00 * y0 + k10 * y1 + k20 * y2,
+             k01 * y0 + k11 * y1 + k21 * y2,
+             k02 * y0 + k12 * y1 + k22 * y2),
+            (p00 - (e00 + e00) + (b00 * k00 + b10 * k10 + b20 * k20),
+             p01 - (e01 + e10) + (b00 * k01 + b10 * k11 + b20 * k21),
+             p02 - (e02 + e20) + (b00 * k02 + b10 * k12 + b20 * k22),
+             p11 - (e11 + e11) + (b01 * k01 + b11 * k11 + b21 * k21),
+             p12 - (e12 + e21) + (b01 * k02 + b11 * k12 + b21 * k22),
+             p22 - (e22 + e22) + (b02 * k02 + b12 * k12 + b22 * k22)))

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .core import FilterState, RobotExtrinsics, correct, correct_row
+from .core import (FilterState, RobotExtrinsics, correct, correct_row,
+                   correct_rows)
 from .errors import DegenerateGeometryError
 from .surface import (BSplineSurface, frame_cos_sin, frame_matrix,
                       frame_rates)
@@ -138,20 +139,26 @@ def pose_residual(p, J, q, rates, meas: PoseMeasurement):
     q_e = q* ⊗ z_q sign-flipped to a non-negative scalar part, and
     H = -dy0/dx. A body-frame rate w_k moves the residual by
     d vec(q_e) = -(0, w_k) ⊗ q_e / 2, so the rotation rows of column k
-    are w_e w_k + w_k x vec(q_e).
+    are w_e w_k + w_k x vec(q_e) (``_rotation_rows``).
     """
-    ew, ex, ey, ez = quat.canonicalize(
-        quat.multiply(quat.conjugate(q), meas.z_q))
+    y_rot, H_rot = _rotation_rows(q, rates, meas.z_q)
     zp = meas.z_p
-    y0 = np.array([zp[0] - p[0], zp[1] - p[1], zp[2] - p[2],
-                   2.0 * ex, 2.0 * ey, 2.0 * ez])
+    y0 = np.array([zp[0] - p[0], zp[1] - p[1], zp[2] - p[2], *y_rot])
+    # built flat: np.array on nested lists costs twice as much
+    H = np.array(J[0] + J[1] + J[2]
+                 + [h for row in H_rot for h in row]).reshape(6, -1)
+    return y0, H
+
+
+def _rotation_rows(q, rates, z_q):
+    """The three rotation rows of ``pose_residual`` on floats: the
+    residual 2 vec(q_e) and the rows of H, each over the n rates."""
+    ew, ex, ey, ez = quat.canonicalize(
+        quat.multiply(quat.conjugate(q), z_q))
     # column k of the rotation rows, for the rate w_k
     cols = [(ew * w0 + (w1 * ez - w2 * ey), ew * w1 + (w2 * ex - w0 * ez),
              ew * w2 + (w0 * ey - w1 * ex)) for w0, w1, w2 in rates]
-    # built flat: np.array on nested lists costs twice as much
-    H = np.array(J[0] + J[1] + J[2]
-                 + [c[i] for i in range(3) for c in cols]).reshape(6, -1)
-    return y0, H
+    return (2.0 * ex, 2.0 * ey, 2.0 * ez), list(zip(*cols))
 
 
 def pose_update(state: FilterState, surface: BSplineSurface,
@@ -202,7 +209,9 @@ def orientation_update(state: FilterState, surface: BSplineSurface,
 
     Used by the chart-projected filter variant, which replaces the
     position rows with projected chart measurements but still needs the
-    orientation rows to keep the heading observable.
+    orientation rows to keep the heading observable. Three rows on
+    floats, through ``core.correct_rows``.
     """
-    y0, H = pose_residual(*_sensor_model(surface, state, extrinsics), meas)
-    return correct(state, y0[3:], H[3:], meas.P_m[3:6, 3:6])
+    _, _, q, rates = _sensor_model(surface, state, extrinsics)
+    y, H = _rotation_rows(q, rates, meas.z_q)
+    return correct_rows(state, y, H, meas.P_m[3:6, 3:6].tolist())

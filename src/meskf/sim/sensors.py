@@ -178,8 +178,12 @@ def noise_free_measurements(surface: BSplineSurface, truth: GroundTruth,
                  if schedule.enabled(sensor, truth.times[k])]
         return len(steps), slots, [steps[i] for i in slots]
 
+    chart, gamma = truth.chart.tolist(), truth.gamma.tolist()
+
     def true_state(k):
-        return FilterState(truth.chart[k], truth.gamma[k], np.eye(3))
+        # the models read u, v and gamma alone; P is the identity's
+        return FilterState.from_floats(*chart[k], gamma[k],
+                                       (1.0, 0.0, 0.0, 1.0, 0.0, 1.0))
 
     n_pose, pose_slots, pose_steps = enabled("pose")
     poses = [predict_pose(surface, true_state(k), extrinsics)

@@ -276,7 +276,7 @@ class BSplineSurface:
         NumericalFailureError (carrying the best iterate) if none of this
         happens within CLOSEST_POINT_MAX_ITER iterations.
         """
-        rx, ry, rz = np.asarray(r, dtype=float).tolist()
+        rx, ry, rz = map(float, r)
         if not all(map(math.isfinite, (rx, ry, rz))):
             raise ValueError("query point must be finite")
         u0, u1, v0, v1 = self._bounds

@@ -1,5 +1,5 @@
-"""Reference implementations that the package's faster paths must match
-bit for bit."""
+"""Reference implementations that the package's faster paths must match,
+bit for bit or, where a reference says so, to rounding."""
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -9,9 +9,10 @@ import numpy as np
 from meskf import core, quat, sensors3d
 from meskf.baseline import CHART_ROW, chart_row
 from meskf.core import wrap_angle
-from meskf.errors import SingularUpdateError
+from meskf.errors import DegenerateCovarianceError, SingularUpdateError
+from meskf.projection import associate_to_surface
 from meskf.surface import (frame_angle_derivatives, frame_cos_sin,
-                           frame_matrix, frame_rates)
+                           frame_matrix, frame_rates, world_to_chart)
 
 
 def _dot(a, b):
@@ -203,3 +204,49 @@ def range_update(state, surface, extrinsics, meas):
     innovation, h = sensors3d.range_residual(p, J, meas)
     return correct(state, np.array([innovation]), np.array([h]),
                    np.array([[meas.R_d]]))
+
+
+# The MP-ESEKF's pose event on numpy arrays, as the package had it before
+# its small linear algebra moved to floats: the projected position (the
+# lever arm's Jacobian as an array, P_M = P_m + J P J^T, the tangent
+# slice's Schur complement, T_c slice T_c^T) and its update, then the
+# orientation update, both through ``core.correct``. The float event must
+# agree with it to rounding.
+
+
+def _tangent_slice(P_M, frame):
+    core.require_spd(P_M, DegenerateCovarianceError, "covariance")
+    G = frame.T.dot(P_M).dot(frame)
+    b = G[0:2, 2]
+    return G[0:2, 0:2] - np.outer(b, b) / G[2, 2]
+
+
+def project_position(surface, r_Sm, P_m, extrinsics, state):
+    """(z_t, P_t, P_M) of the projected position, on arrays."""
+    if extrinsics.r_RS == (0.0, 0.0, 0.0):
+        lever, J = (0.0, 0.0, 0.0), np.zeros((3, 3))
+    else:
+        lever, J, _, _ = sensors3d._sensor_model(
+            surface, state, extrinsics, rotation=False, lift=False)
+        J = np.array(J)
+    z_t = world_to_chart(associate_to_surface(surface, r_Sm, lever))
+    P_M = np.asarray(P_m, dtype=float) + J @ state.P_x @ J.T
+    frame = surface.tangent_frame(z_t)
+    T_c = frame[0:2, 0:2]
+    return z_t, T_c.dot(_tangent_slice(P_M, frame)).dot(T_c.T), P_M
+
+
+def mp_pose_event(surface, extrinsics, state, meas):
+    """The MP-ESEKF's pose event: the corrected state, and the matrices
+    whose condition bounds the event's rounding: P_M and the innovation
+    covariances S of the position and of the orientation update."""
+    z_t, P_t, P_M = project_position(surface, meas.z_p, meas.P_m[0:3, 0:3],
+                                     extrinsics, state)
+    H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    S_pos = H @ state.P_x @ H.T + P_t
+    state = core.correct(state, z_t - state.t_R, H, P_t)
+    y0, H = sensors3d.pose_residual(
+        *sensors3d._sensor_model(surface, state, extrinsics), meas)
+    R = meas.P_m[3:6, 3:6]
+    S_rot = H[3:] @ state.P_x @ H[3:].T + R
+    return core.correct(state, y0[3:], H[3:], R), (P_M, S_pos, S_rot)

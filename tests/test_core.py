@@ -234,9 +234,9 @@ def textbook_joseph(P, H, R, y):
 @pytest.mark.parametrize("n", [3, 6])
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
 def test_update_matches_textbook_joseph(m, n):
-    # every shape of joseph_update, and correct_row's float path for one
-    # row on three states, is the product form
-    # (I - K H) P (I - K H)^T + K R K^T
+    # every shape of joseph_update, and on three states the float paths,
+    # correct_row for one row and correct_rows for two or three, is the
+    # product form (I - K H) P (I - K H)^T + K R K^T
     rng = np.random.default_rng(20 + 10 * m + n)
     for _ in range(100):
         P = random_spd(rng, n, 0.1)
@@ -251,10 +251,12 @@ def test_update_matches_textbook_joseph(m, n):
         np.testing.assert_allclose(dx, dx_ref, **dx_tol)
         np.testing.assert_allclose(P2, P_ref, rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_array_equal(P2, P2.T)
-        if (m, n) == (1, 3):
+        if n == 3 and m <= 3:
             # from the origin the corrected state is dx, its heading wrapped
-            s = core.correct_row(FilterState(np.zeros(2), 0.0, P), y[0],
-                                 *H[0].tolist(), R[0, 0])
+            start = FilterState(np.zeros(2), 0.0, P)
+            s = (core.correct_row(start, y[0], *H[0].tolist(), R[0, 0])
+                 if m == 1 else core.correct_rows(start, y.tolist(),
+                                                  H.tolist(), R.tolist()))
             np.testing.assert_allclose(
                 (s.u, s.v, s.gamma_R),
                 (dx_ref[0], dx_ref[1], wrap_angle(dx_ref[2])), **dx_tol)
@@ -316,6 +318,46 @@ def test_multi_row_update_refusals(n, r, match, monkeypatch):
             solve=lambda a, b: np.full_like(b, np.nan)))
     with pytest.raises(SingularUpdateError, match=match):
         joseph_update(P, H, R, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("r, match", [
+    (-1.0, "singular$"),          # S not positive definite
+    (0.0, "singular$"),           # S singular
+    (1e-14, "singular$"),         # condition number about 3e13 > 1e12
+    (np.nan, "singular: not finite$"),
+    ("nan-off-diagonal", "singular: not finite$"),
+], ids=["indefinite", "zero", "ill-conditioned", "nan", "nan-off-diagonal"])
+def test_float_multi_row_update_refusals(m, r, match):
+    # correct_rows refuses what joseph_update refuses, with its messages:
+    # m rows observing the same state give S = p 1 1^T + r I, p = 0.1,
+    # with the eigenvalues r and m p + r
+    P = np.eye(3) * 0.1
+    H = np.zeros((m, 3))
+    H[:, 0] = 1.0
+    R = np.eye(m) * (0.01 if r == "nan-off-diagonal" else r)
+    if r == "nan-off-diagonal":
+        # above the diagonal, where eigvalsh_lo does not read
+        R[0, 1] = np.nan
+    y = np.full(m, 0.5)
+    match = "^innovation covariance is " + match
+    with pytest.raises(SingularUpdateError, match=match):
+        joseph_update(P, H, R, y)
+    with pytest.raises(SingularUpdateError, match=match):
+        core.correct_rows(FilterState(np.zeros(2), 0.0, P), y.tolist(),
+                          H.tolist(), R.tolist())
+
+
+def test_float_update_refuses_a_determinant_out_of_range():
+    # S = 2e-111 I passes require_spd (condition number 1), but its
+    # determinant underflows to zero: the closed-form gain is refused as
+    # a failed solve, where joseph_update's LU solve goes on
+    P, R = np.eye(3) * 1e-111, np.eye(3) * 1e-111
+    dx, _ = joseph_update(P, np.eye(3), R, np.ones(3))
+    np.testing.assert_allclose(dx, 0.5)
+    with pytest.raises(SingularUpdateError, match="gain failed"):
+        core.correct_rows(FilterState(np.zeros(2), 0.0, P), (1.0,) * 3,
+                          np.eye(3).tolist(), R.tolist())
 
 
 def test_states_hand_out_independent_arrays():

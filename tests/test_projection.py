@@ -1,4 +1,5 @@
 """Chart projection of position and range measurements."""
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,13 @@ IDENT = RobotExtrinsics.identity()
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_SCENARIO = ROOT / "scenarios" / "reference_curved.json"
 LEVER_SCENARIO = ROOT / "bench" / "lever_curved.json"
-ZERO_J = np.zeros((3, 3))   # lever-arm Jacobian of IDENT
+ZERO_J = np.zeros((3, 3))   # a zero lever-arm Jacobian, as an array
+
+
+def lever_jpjt(J, P):
+    """J P J^T of ``_lever_arm``'s J (rows, or None for no lever arm)."""
+    J = ZERO_J if J is None else np.array(J)
+    return J @ P @ J.T
 
 
 def test_lever_arm_jacobian_matches_central_differences():
@@ -58,7 +65,7 @@ def test_lever_arm_jacobian_matches_central_differences():
     p, J = _lever_arm(surface, FilterState(np.array([50.0, 50.0]), 0.3,
                                            np.eye(3)), IDENT)
     np.testing.assert_array_equal(p, np.zeros(3))
-    np.testing.assert_array_equal(J, np.zeros((3, 3)))
+    assert J is None
 
 
 def small_state(t=(0.0, 0.0), g=0.0, var=1e-4):
@@ -150,7 +157,7 @@ class TestProjectPosition:
                 proj = project_position(curved, r_Sm, P_m, ext, state)
             lever_p, J = _lever_arm(curved, state, ext)
             z_t = world_to_chart(associate_to_surface(curved, r_Sm, lever_p))
-            expected = paper_P_t(P_m + J @ state.P_x @ J.T,
+            expected = paper_P_t(P_m + lever_jpjt(J, state.P_x),
                                  curved.tangent_frame(z_t))
             np.testing.assert_array_equal(proj.z_t, z_t)
             np.testing.assert_allclose(proj.P_t, expected, rtol=1e-12,
@@ -255,6 +262,41 @@ class TestSampling:
         with pytest.raises(ValueError):
             grid[0, 0] = 1.0
 
+    def test_float_cholesky_is_numpys(self):
+        # LAPACK's 2x2 potrf arithmetic, bit for bit, on SPD blocks over
+        # 8 decades of scale and correlations up to 1 - 1e-6
+        rng = np.random.default_rng(41)
+        n = 20000
+        scale = 10.0 ** rng.uniform(-8.0, 0.0, size=n)
+        rho = rng.uniform(-1.0, 1.0, size=n) * (1.0 - 10.0 ** rng.uniform(
+            -6.0, 0.0, size=n))
+        s0, s1 = np.sqrt(scale * rng.uniform(0.1, 10.0, size=(2, n)))
+        P = np.empty((n, 2, 2))
+        P[:, 0, 0], P[:, 1, 1] = s0 * s0, s1 * s1
+        P[:, 0, 1] = P[:, 1, 0] = rho * s0 * s1
+        L = np.linalg.cholesky(P)
+        got = np.array([projection._cholesky2(p00, p01, p11)
+                        for (p00, p01), (_, p11) in P.tolist()])
+        assert got.tobytes() == L.tobytes()
+
+    @pytest.mark.parametrize("block", [
+        (0.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 2.0, 1.0),
+        (1.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (1.0, np.nan, 1.0),
+        (1.0, 0.0, np.nan)], ids=["zero-pivot", "negative-pivot",
+                                  "singular", "indefinite", "zero-second",
+                                  "nan-p00", "nan-p01", "nan-p11"])
+    def test_float_cholesky_refuses_quietly(self, flat, block):
+        # LAPACK's test, "not d > 0", on each pivot, NaN included; numpy
+        # is not reached, so nothing warns
+        p00, p01, p11 = block
+        state = FilterState(np.zeros(2), 0.0, [[p00, p01, 0.0],
+                                              [p01, p11, 0.0],
+                                              [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSamplingError, match="not SPD"):
+                sample_sigma_region(state, flat, SamplingConfig())
+
     def test_determinism(self, curved):
         state = small_state((0.5, 0.5), var=0.01)
         cfg = SamplingConfig()
@@ -315,7 +357,7 @@ class TestProjectRangeVariance:
             _, J = _lever_arm(surface, state, ext)
             d = surface.chart_to_world(state.t_R) - anchor
             n_AS = d / np.linalg.norm(d)
-            p_d = n_AS * 0.0025 + (J @ state.P_x @ J.T) @ n_AS
+            p_d = n_AS * 0.0025 + lever_jpjt(J, state.P_x) @ n_AS
             normal = surface.tangent_frame(state.t_R)[:, 2]
             p_dT = p_d - normal * (normal @ p_d)
             np.testing.assert_allclose(
@@ -487,8 +529,7 @@ def test_zero_lever_arm_skips_the_sensor_model(monkeypatch):
     state = FilterState(np.array([1.0, 2.0]), 0.3, np.eye(3) * 0.01)
     for ext in (IDENT, RobotExtrinsics(np.zeros(3), [0.0, 0.0, 0.0, 1.0])):
         p, J = _lever_arm(make_random_surface(77), state, ext)
-        assert p == (0.0, 0.0, 0.0)
-        np.testing.assert_array_equal(J, ZERO_J)
+        assert p == (0.0, 0.0, 0.0) and J is None
 
 
 def test_lever_arm_computed_once_per_measurement(monkeypatch):

@@ -750,6 +750,67 @@ def test_float_step_is_the_array_step():
     assert kinds.count("pose") >= 20 and kinds.count("range") >= 40
 
 
+@pytest.mark.parametrize("path", [REFERENCE_SCENARIO, LEVER_SCENARIO],
+                         ids=["reference", "lever"])
+def test_float_pose_event_is_the_numpy_pose_event(path):
+    # 5 s of each MP-ESEKF scenario, every sensor on. At each pose event
+    # the filter's float event (projection, 2-row and 3-row updates) and
+    # the numpy one of oracles.mp_pose_event start from the same state.
+    #
+    # Tolerance, from the condition numbers. Both paths evaluate the
+    # same formulas in another order, and invert S in closed form against
+    # LU. With u = 2^-53, a sum of three products errs by at most about 3u
+    # of the magnitudes summed (Higham, "Accuracy and Stability of
+    # Numerical Algorithms", 2002, sec. 3.1), and a solve with S loses at
+    # most a factor kappa(S) more (sec. 7.1). So the position update's
+    # gain errs by ~ c kappa(S_pos) u relative, and its R = P_t, the
+    # Schur complement of P_M, by ~ c kappa(P_M) u, which the gain
+    # amplifies by kappa(S_pos) again. The orientation update adds
+    # c kappa(S_rot) u and carries the first update's error. Every term
+    # of P - K A^T - A K^T + K S K^T is bounded by |P|, and the state
+    # moves by dx, so with
+    #   k = kappa(S_pos) (1 + kappa(P_M)) + kappa(S_rot)
+    # each covariance entry must agree to c k u max|P| and each of u, v
+    # and gamma to c k u (|x| + |dx|). The longest chain of roundings, the
+    # projection and the closed-form inverse, is about 30 steps: c = 64.
+    sc = load_scenario(path)
+    sc.trajectory.duration = 5.0
+    sc.schedule = SensorSchedule.always_on(5.0)
+    truth = generate_ground_truth(sc.surface, sc.trajectory)
+    streams = synthesize_measurements(
+        noise_free_measurements(sc.surface, truth, sc.suite, sc.schedule,
+                                sc.extrinsics), 1, 0)
+    filt = make_filter("MP-ESEKF", sc.surface, truth.dt, sc.extrinsics,
+                       sc.sampling, sc.pseudo)
+    state = filt.start(truth.chart[0], truth.gamma[0], sc.init,
+                       streams.initial_state_noise)
+    events = 0
+    for step in range(1, truth.n_steps + 1):
+        state = filt.propagate(state, streams.odometry[step - 1])
+        if step in streams.pose_events:
+            meas = streams.pose_events[step]
+            ref, (P_M, S_pos, S_rot) = oracles.mp_pose_event(
+                sc.surface, sc.extrinsics, state, meas)
+            new = filt.correct_pose(state, meas)
+            k = (np.linalg.cond(S_pos) * (1.0 + np.linalg.cond(P_M))
+                 + np.linalg.cond(S_rot))
+            tol = 64 * k * 2.0 ** -53
+            x = np.array([state.u, state.v, state.gamma_R])
+            got = np.array([new.u, new.v, new.gamma_R])
+            want = np.array([ref.u, ref.v, ref.gamma_R])
+            diff = got - want
+            diff[2] = wrap_angle(diff[2])
+            dx = np.abs(got - x)
+            dx[2] = abs(wrap_angle(dx[2]))
+            assert np.all(np.abs(diff) <= tol * (np.abs(x) + dx)), step
+            assert np.all(np.abs(new.P_x - ref.P_x)
+                          <= tol * np.abs(state.P_x).max()), step
+            events += 1
+        for meas in streams.range_events.get(step, ()):
+            state = filt.correct_range(state, meas)
+    assert events >= 20
+
+
 def short_reference(kind, trials, duration=3.0):
     """The reference scenario cut to ``duration`` s, every sensor on."""
     sc = load_scenario(REFERENCE_SCENARIO)

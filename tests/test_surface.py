@@ -514,8 +514,16 @@ class TestClosestPoint:
     def test_non_finite_query_raises(self, curved):
         for bad in ([np.nan, 0.0, 1.0], [0.0, np.inf, 1.0],
                     [0.0, 0.0, -np.inf]):
-            with pytest.raises(ValueError, match="finite"):
-                curved.closest_point(np.array(bad))
+            for query in (np.array(bad), tuple(bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    curved.closest_point(query)
+
+    def test_query_of_any_sequence(self, curved):
+        # the query's three numbers are read as floats: an array, a list,
+        # a tuple of floats or of ints give the same bits
+        p = curved.closest_point(np.array([1.0, -2.0, 3.0]))
+        for query in ([1.0, -2.0, 3.0], (1.0, -2.0, 3.0), (1, -2, 3)):
+            assert curved.closest_point(query).tobytes() == p.tobytes()
 
     def test_no_convergence_raises_with_best_iterate(self, curved,
                                                      monkeypatch):
