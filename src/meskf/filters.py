@@ -83,7 +83,13 @@ class MPESEKF(MESEKF):
     """The M-ESEKF with chart-projected corrections. A range with no
     projection (no shell points, degenerate samples or geometry, an
     anchor whose closest point does not converge) falls back to the
-    M-ESEKF's 3-D range update, under the same label."""
+    M-ESEKF's 3-D range update, under the same label.
+
+    Of a pose's 6x6 covariance P_m it reads only the two diagonal
+    blocks: P_m[0:3, 0:3] for the projected position and P_m[3:6, 3:6]
+    for the orientation update. A position-rotation cross block is
+    ignored, where the M-ESEKF (and the C-ESEKF) update on the whole
+    P_m."""
     sampling: prj.SamplingConfig
     pose_label, range_label = "projected_position", "projected_range"
 

@@ -27,14 +27,28 @@ from .surface import (BSplineSurface, frame_cos_sin, frame_matrix,
                       frame_rates)
 
 
+def _require_finite(values, field):
+    """A ValueError naming ``field`` unless every float of ``values`` is
+    finite. An ordering check alone lets a NaN through: every comparison
+    with it is False."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{field} must be finite, not {values!r}")
+
+
 @dataclass
 class PoseMeasurement:
+    """A measured sensor pose: z_p and z_q must be finite, z_q non-zero.
+    P_m is not checked here; a non-finite one is refused where it is
+    used, by the check of the update's innovation covariance or of the
+    projection's P_M, and the trial ends as diverged."""
     z_p: tuple               # measured position (3,), m, any sequence
     z_q: tuple               # measured orientation, wxyz unit quaternion
     P_m: np.ndarray          # 6x6 covariance, (position, small-angle rot)
 
     def __post_init__(self):
+        _require_finite(self.z_p, "PoseMeasurement.z_p")
         self.z_q = quat.normalize(self.z_q)
+        _require_finite(self.z_q, "PoseMeasurement.z_q")
         self.P_m = np.asarray(self.P_m, dtype=float)
 
 
@@ -45,10 +59,13 @@ class RangeMeasurement:
     R_d: float               # range variance, m^2
 
     def __post_init__(self):
-        if self.z_d < 0:
-            raise ValueError("measured distance must be non-negative")
-        if self.R_d <= 0:
-            raise ValueError("range variance must be positive")
+        _require_finite(self.r_A, "RangeMeasurement.r_A")
+        if not 0.0 <= self.z_d < math.inf:
+            raise ValueError("RangeMeasurement.z_d must be finite and "
+                             f"non-negative, not {self.z_d!r}")
+        if not 0.0 < self.R_d < math.inf:
+            raise ValueError("RangeMeasurement.R_d must be finite and "
+                             f"positive, not {self.R_d!r}")
 
 
 def _cross(a, b):

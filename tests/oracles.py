@@ -1,18 +1,31 @@
-"""Reference implementations that the package's faster paths must match,
-bit for bit or, where a reference says so, to rounding."""
+"""Reference implementations that the tests compare the package with.
+
+``chart_map`` is the C-ESEKF's chart map of one 6-dof state on floats:
+the batched scoring map ``baseline.chart_errors`` must have its bits.
+
+``reference_step`` is one slow textbook filter event in numpy matrices,
+on the chart state (u, v, gamma) of the M-ESEKF and MP-ESEKF and the
+6-dof state (p, q) of the C-ESEKF. F, G and every H are central
+differences of the package's nominal propagation (``core.propagate``,
+``baseline.propagate_3d``) and measurement predictions (``predict_pose``,
+the pseudo-measurement's residual, and the 6-dof sensor pose and the
+rotation residual written with scipy's ``Rotation``);
+the MP-ESEKF's projections come from the package, with its fallback.
+Every update is K = P H^T (H P H^T + R)^-1 and
+P' = (I - K H) P (I - K H)^T + K R K^T.
+"""
 import math
-from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
-from meskf import core, quat, sensors3d
-from meskf.baseline import CHART_ROW, chart_row
-from meskf.core import wrap_angle
-from meskf.errors import DegenerateCovarianceError, SingularUpdateError
-from meskf.projection import associate_to_surface
-from meskf.surface import (frame_angle_derivatives, frame_cos_sin,
-                           frame_matrix, frame_rates, world_to_chart)
+from meskf import baseline, core, projection, quat
+from meskf.baseline import CHART_ROW, FullPoseState, chart_row
+from meskf.core import FilterState, OdometryInput
+from meskf.errors import (DegenerateGeometryError, DegenerateSamplingError,
+                          NoIntersectionError, NumericalFailureError)
+from meskf.sensors3d import predict_pose
+from meskf.surface import frame_cos_sin, frame_matrix, frame_rates
 
 
 def _dot(a, b):
@@ -62,191 +75,156 @@ def chart_rows(states, surface):
     return rows
 
 
-# The M-ESEKF's step on arrays: a state of numpy arrays, its propagation,
-# its correction and the one-row Joseph update, as the package had them
-# before ``core.FilterState`` held its floats. The float step must have
-# their bits.
+# the central differences' step in every error and input coordinate (m,
+# rad, m/s, rad/s): a power of two, so that x +- STEP is exact
+STEP = 2.0 ** -14
+# what makes the MP-ESEKF's range fall back to the 3-D range update
+FALLBACK = (NoIntersectionError, DegenerateSamplingError,
+            DegenerateGeometryError, NumericalFailureError)
 
 
-@dataclass
-class ArrayState:
-    t_R: np.ndarray          # chart position (2,), m
-    gamma_R: float           # heading, rad, wrapped to (-pi, pi]
-    P_x: np.ndarray          # 3x3 error covariance
-
-    def __post_init__(self):
-        # copies: the state never shares its arrays with the caller
-        self.t_R = np.array(self.t_R, dtype=float)
-        self.gamma_R = wrap_angle(float(self.gamma_R))
-        self.P_x = np.array(self.P_x, dtype=float)
-
-    @classmethod
-    def _adopt(cls, t_R: np.ndarray, gamma_R: float,
-               P_x: np.ndarray) -> "ArrayState":
-        """State over float arrays that the filter has just built and
-        hands over; they need no second, defensive copy."""
-        state = cls.__new__(cls)
-        state.t_R, state.P_x = t_R, P_x
-        state.gamma_R = wrap_angle(float(gamma_R))
-        return state
+def _rotation(q):
+    return Rotation.from_quat(q, scalar_first=True)
 
 
-def _motion_model(surface, state, odom, dt):
-    u, v = state.t_R.tolist()
-    g = float(state.gamma_R)
-    _, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
-    ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
-    c, s = math.cos(g), math.sin(g)
-    vx, vy = odom.v_m
-    wx, wy = c * vx - s * vy, s * vx + c * vy          # R_z(gamma) v_m
-    t10 = sa * sb
-    (da_u, db_u), (da_v, db_v) = frame_angle_derivatives(
-        s_u, s_uu, s_uv, s_vv, ca, sa, cb)
-    # dT = [[-sin b db, 0], [cos a sin b da + sin a cos b db, -sin a da]]
-    F = (1.0 - dt * sb * db_u * wx, -dt * sb * db_v * wx, -dt * cb * wy,
-         dt * ((ca * sb * da_u + sa * cb * db_u) * wx - sa * da_u * wy),
-         1.0 + dt * ((ca * sb * da_v + sa * cb * db_v) * wx
-                     - sa * da_v * wy),
-         dt * (ca * wx - t10 * wy))
-    # G: minus T R_z(gamma) dt on the velocity noise
-    G = (-dt * cb * c, dt * cb * s,
-         -dt * (t10 * c + ca * s), dt * (t10 * s - ca * c))
-    disp = (dt * cb * wx, dt * (t10 * wx + ca * wy))
-    return disp, F, G, (cb, 0.0, t10, ca)
+def plus(state, d, P=None):
+    """``state`` moved by the error d, (du, dv, dgamma) or (dp, dtheta)
+    with q (x) Exp(dtheta), and given the covariance P if there is one."""
+    if isinstance(state, FullPoseState):
+        q = _rotation(state.q) * Rotation.from_rotvec(d[3:6])
+        return FullPoseState(state.p + d[0:3], q.as_quat(scalar_first=True),
+                             state.P if P is None else P)
+    return FilterState((state.u + d[0], state.v + d[1]), state.gamma_R + d[2],
+                       state.P_x if P is None else P)
 
 
-def propagate(surface, state, odom, dt):
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    (du, dv), (f00, f01, f02, f10, f11, f12), (g00, g01, g10, g11), _ = \
-        _motion_model(surface, state, odom, dt)
-    u, v = state.t_R.tolist()
-    u, v = u + du, v + dv
-    surface._check_box(u, u, v, v)
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.P_x.tolist()
-    (q00, q01), (_, q11) = odom.sigma_v
-    # rows of F P, then of G_v Q_v; noise covariances are per-sample and
-    # G already carries dt
-    a00 = f00 * p00 + f01 * p01 + f02 * p02
-    a01 = f00 * p01 + f01 * p11 + f02 * p12
-    a02 = f00 * p02 + f01 * p12 + f02 * p22
-    a10 = f10 * p00 + f11 * p01 + f12 * p02
-    a11 = f10 * p01 + f11 * p11 + f12 * p12
-    a12 = f10 * p02 + f11 * p12 + f12 * p22
-    b00, b01 = g00 * q00 + g01 * q01, g00 * q01 + g01 * q11
-    b10, b11 = g10 * q00 + g11 * q01, g10 * q01 + g11 * q11
-    n00 = a00 * f00 + a01 * f01 + a02 * f02 + b00 * g00 + b01 * g01
-    n01 = a00 * f10 + a01 * f11 + a02 * f12 + b00 * g10 + b01 * g11
-    n11 = a10 * f10 + a11 * f11 + a12 * f12 + b10 * g10 + b11 * g11
-    n22 = p22 + dt * dt * odom.sigma_omega
-    P = np.array([n00, n01, a02, n01, n11, a12, a02, a12, n22]).reshape(3, 3)
-    return ArrayState._adopt(np.array([u, v]),
-                             state.gamma_R + odom.omega_m * dt, P)
+def minus(a, b):
+    """The error that moves the state b to a."""
+    if isinstance(a, FullPoseState):
+        turn = _rotation(b.q).inv() * _rotation(a.q)
+        return np.concatenate([a.p - b.p, turn.as_rotvec()])
+    return np.array([a.u - b.u, a.v - b.v,
+                     math.remainder(a.gamma_R - b.gamma_R, 2 * math.pi)])
 
 
-def correct(state, innovation, H, R):
-    dx, P_new = joseph_update(state.P_x, H, R, innovation)
-    u, v = state.t_R.tolist()
-    du, dv, dg = dx.tolist()
-    return ArrayState._adopt(np.array([u + du, v + dv]),
-                             state.gamma_R + dg, P_new)
+def covariance(state):
+    return state.P if isinstance(state, FullPoseState) else state.P_x
 
 
-def joseph_update(P, H, R, innovation):
-    """The one-row update below for one row on three states, otherwise
-    ``core.joseph_update``, whose numpy path is unchanged."""
-    if H.shape[0] == 1 and P.shape[0] == 3:
-        return _joseph_row3(P, H, R, innovation)
-    return core.joseph_update(P, H, R, innovation)
+def floats(state):
+    """Every float of a state, its position first."""
+    if isinstance(state, FullPoseState):
+        return np.concatenate([state.p, state.q, state.P.ravel()])
+    return np.array([state.u, state.v, state.gamma_R, *state.P_upper])
 
 
-def _joseph_row3(P, H, R, innovation):
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = P.tolist()
-    h0, h1, h2 = H[0].tolist()
-    a0 = p00 * h0 + p01 * h1 + p02 * h2
-    a1 = p01 * h0 + p11 * h1 + p12 * h2
-    a2 = p02 * h0 + p12 * h1 + p22 * h2
-    s = h0 * a0 + h1 * a1 + h2 * a2 + float(R[0, 0])
-    if not 0.0 < s < math.inf:
-        raise SingularUpdateError("innovation variance is not positive "
-                                  "and finite")
-    k0, k1, k2 = a0 / s, a1 / s, a2 / s
-    y = float(innovation[0])
-    n00 = p00 - 2.0 * k0 * a0 + s * k0 * k0
-    n01 = p01 - (k0 * a1 + a0 * k1) + s * k0 * k1
-    n02 = p02 - (k0 * a2 + a0 * k2) + s * k0 * k2
-    n11 = p11 - 2.0 * k1 * a1 + s * k1 * k1
-    n12 = p12 - (k1 * a2 + a1 * k2) + s * k1 * k2
-    n22 = p22 - 2.0 * k2 * a2 + s * k2 * k2
-    return (np.array([k0 * y, k1 * y, k2 * y]),
-            np.array([n00, n01, n02, n01, n11, n12,
-                      n02, n12, n22]).reshape(3, 3))
+def _jacobian(f, n):
+    """Columns (f(STEP e_k) - f(-STEP e_k)) / (2 STEP), k < n, of a
+    vector function f of an n-vector."""
+    cols = []
+    for k in range(n):
+        d = np.zeros(n)
+        d[k] = STEP
+        cols.append((f(d) - f(-d)) / (2.0 * STEP))
+    return np.column_stack(cols)
 
 
-def _sensor_model(surface, state, ext, rotation=True):
-    """``sensors3d._sensor_model`` at an array state, which it reads as
-    the floats u, v and gamma_R (as they are: a second wrap of the
-    heading may move its last bit)."""
-    u, v = state.t_R.tolist()
-    return sensors3d._sensor_model(
-        surface, SimpleNamespace(u=u, v=v, gamma_R=state.gamma_R), ext,
-        rotation)
+def _propagate(filt, state, odom):
+    """P' = F P F^T + G Q G^T about the package's nominal step: F over
+    the state's error, G over the odometry's velocity and rate, whose
+    per-sample noise covariance is Q."""
+    def mean(s, o):
+        if isinstance(s, FullPoseState):
+            return baseline.propagate_3d(s, o, filt.dt)
+        return core.propagate(filt.surface, s, o, filt.dt)
+
+    m, P, (vx, vy) = mean(state, odom), covariance(state), odom.v_m
+    F = _jacobian(lambda d: minus(mean(plus(state, d), odom), m), len(P))
+    G = _jacobian(lambda d: minus(mean(state, OdometryInput(
+        (vx + d[0], vy + d[1]), odom.omega_m + d[2], odom.sigma_v,
+        odom.sigma_omega)), m), 3)
+    Q = np.diag([0.0, 0.0, odom.sigma_omega])
+    Q[0:2, 0:2] = odom.sigma_v
+    return (plus(m, np.zeros(len(P)), F @ P @ F.T + G @ Q @ G.T),
+            {"P": P, "F": F, "G": G, "Q": Q})
 
 
-def pose_update(state, surface, extrinsics, meas):
-    y0, H = sensors3d.pose_residual(
-        *_sensor_model(surface, state, extrinsics), meas)
-    return correct(state, y0, H, meas.P_m)
+def _update(state, residual, R):
+    """The Kalman update on the residual y = z - h(x), a function of the
+    state, with the noise covariance R, and H = dh/dx = -dy/dx."""
+    y = residual(state)
+    P = covariance(state)
+    H = -_jacobian(lambda d: residual(plus(state, d)), len(P))
+    S = H @ P @ H.T + R
+    K = P @ H.T @ np.linalg.inv(S)
+    I_KH = np.eye(len(P)) - K @ H
+    P_new = I_KH @ P @ I_KH.T + K @ R @ K.T
+    return (plus(state, K @ y, P_new),
+            {"P": P, "H": H, "R": R, "y": y, "K": K, "S": S})
 
 
-def range_update(state, surface, extrinsics, meas):
-    p, J, _, _ = _sensor_model(surface, state, extrinsics, rotation=False)
-    innovation, h = sensors3d.range_residual(p, J, meas)
-    return correct(state, np.array([innovation]), np.array([h]),
-                   np.array([[meas.R_d]]))
+def reference_step(filt, event, state, meas=None):
+    """One event of ``run_trial`` with the filter ``filt``, from the
+    package's state before it: (state after, its linearization's matrices
+    and, for a correction, under ``"event"`` the one applied).
 
+    ``event`` is ``"propagate"`` (``meas`` the odometry sample) or a
+    correction label of the filter; the MP-ESEKF's pose event is
+    ``"projected_position"``, then ``"orientation"`` from the state between
+    them. Its ``"projected_range"`` falls back to the 3-D ``"range"`` where
+    ``project_range`` refuses it.
+    """
+    surface, ext = filt.surface, filt.extrinsics
+    if event == "propagate":
+        return _propagate(filt, state, meas)
+    if event == "projected_range":
+        try:
+            proj = projection.project_range(surface, meas.z_d, meas.R_d,
+                                            meas.r_A, ext, state,
+                                            filt.sampling)
+        except FALLBACK:
+            event = "range"
+        else:
+            R = [[proj.R_dU]]
+    elif event == "projected_position":
+        proj = projection.project_position(surface, meas.z_p,
+                                           meas.P_m[0:3, 0:3], ext, state)
+        R = proj.P_t
+    if event == "range":
+        R = [[meas.R_d]]
+    elif event == "pseudo":
+        vz, vrp = filt.pseudo.sigma_z ** 2, filt.pseudo.sigma_rp ** 2
+        R = np.diag([vz, vrp, vrp])
+    elif event in ("pose", "orientation"):
+        R = meas.P_m if event == "pose" else meas.P_m[3:6, 3:6]
 
-# The MP-ESEKF's pose event on numpy arrays, as the package had it before
-# its small linear algebra moved to floats: the projected position (the
-# lever arm's Jacobian as an array, P_M = P_m + J P J^T, the tangent
-# slice's Schur complement, T_c slice T_c^T) and its update, then the
-# orientation update, both through ``core.correct``. The float event must
-# agree with it to rounding.
+    def sensor(s):
+        # world position and orientation; of a 6-dof state p + R r_RS and
+        # q (x) q_RS
+        if isinstance(s, FilterState):
+            return predict_pose(surface, s, ext)
+        body = _rotation(s.q)
+        return (s.p + body.apply(ext.r_RS),
+                (body * _rotation(ext.q_RS)).as_quat(scalar_first=True))
 
+    def residual(s):
+        """The event's y = z - h(x) at the state s."""
+        if event == "pseudo":
+            return baseline._pseudo_residual_jacobian(s, surface)[0]
+        if event == "projected_position":
+            return np.subtract(proj.z_t, (s.u, s.v))
+        if event == "projected_range":
+            return np.array([proj.z_dU - math.dist(proj.t_A_prime,
+                                                   (s.u, s.v))])
+        if event == "range":
+            return np.array([meas.z_d
+                             - np.linalg.norm(sensor(s)[0] - meas.r_A)])
+        # 2 vec(q_e), q_e = q^-1 z_q with a non-negative scalar part
+        q_e = _rotation(sensor(s)[1]).inv() * _rotation(meas.z_q)
+        rotation = q_e.as_quat(canonical=True)[0:3] * 2.0
+        if event == "orientation":
+            return rotation
+        return np.concatenate([np.subtract(meas.z_p, sensor(s)[0]), rotation])
 
-def _tangent_slice(P_M, frame):
-    core.require_spd(P_M, DegenerateCovarianceError, "covariance")
-    G = frame.T.dot(P_M).dot(frame)
-    b = G[0:2, 2]
-    return G[0:2, 0:2] - np.outer(b, b) / G[2, 2]
-
-
-def project_position(surface, r_Sm, P_m, extrinsics, state):
-    """(z_t, P_t, P_M) of the projected position, on arrays."""
-    if extrinsics.r_RS == (0.0, 0.0, 0.0):
-        lever, J = (0.0, 0.0, 0.0), np.zeros((3, 3))
-    else:
-        lever, J, _, _ = sensors3d._sensor_model(
-            surface, state, extrinsics, rotation=False, lift=False)
-        J = np.array(J)
-    z_t = world_to_chart(associate_to_surface(surface, r_Sm, lever))
-    P_M = np.asarray(P_m, dtype=float) + J @ state.P_x @ J.T
-    frame = surface.tangent_frame(z_t)
-    T_c = frame[0:2, 0:2]
-    return z_t, T_c.dot(_tangent_slice(P_M, frame)).dot(T_c.T), P_M
-
-
-def mp_pose_event(surface, extrinsics, state, meas):
-    """The MP-ESEKF's pose event: the corrected state, and the matrices
-    whose condition bounds the event's rounding: P_M and the innovation
-    covariances S of the position and of the orientation update."""
-    z_t, P_t, P_M = project_position(surface, meas.z_p, meas.P_m[0:3, 0:3],
-                                     extrinsics, state)
-    H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    S_pos = H @ state.P_x @ H.T + P_t
-    state = core.correct(state, z_t - state.t_R, H, P_t)
-    y0, H = sensors3d.pose_residual(
-        *sensors3d._sensor_model(surface, state, extrinsics), meas)
-    R = meas.P_m[3:6, 3:6]
-    S_rot = H[3:] @ state.P_x @ H[3:].T + R
-    return core.correct(state, y0[3:], H[3:], R), (P_M, S_pos, S_rot)
+    new, matrices = _update(state, residual, np.array(R))
+    return new, {**matrices, "event": event}

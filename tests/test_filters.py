@@ -1,5 +1,5 @@
-"""The filter objects: the MP-ESEKF's range fallback, the C-ESEKF's
-cadence, the registry, and the library's independence from ``meskf.sim``."""
+"""The filter objects: the MP-ESEKF's range fallback and what it reads of
+P_m, the registry, and the library's independence from ``meskf.sim``."""
 import os
 import subprocess
 import sys
@@ -12,10 +12,11 @@ import meskf
 from meskf import (CESEKF, FILTER_KINDS, FILTERS, MESEKF, MPESEKF,
                    DegenerateGeometryError,
                    DegenerateSamplingError, NoIntersectionError,
-                   NumericalFailureError, PseudoMeasurementConfig,
-                   RangeMeasurement, RobotExtrinsics, SamplingConfig,
-                   make_filter, predict_range, project_range,
-                   projected_range_update, range_update)
+                   NumericalFailureError, PoseMeasurement,
+                   PseudoMeasurementConfig, RangeMeasurement,
+                   RobotExtrinsics, SamplingConfig, make_filter,
+                   predict_pose, predict_range, project_range,
+                   projected_range_update, quat, range_update)
 from meskf import projection
 
 LEVER = RobotExtrinsics([0.1, -0.05, 0.2], [1.0, 0.0, 0.0, 0.0])
@@ -57,6 +58,30 @@ def test_mp_range_is_projected_when_it_can_be(curved, state):
     mp = MPESEKF(curved, 0.05, LEVER, sampling)
     assert_same_state(mp.correct_range(state, meas),
                       projected_range_update(state, pr))
+
+
+def test_mp_pose_reads_only_the_diagonal_blocks_of_P_m(curved, state):
+    # the M-ESEKF updates on the whole 6x6 P_m; the MP-ESEKF projects the
+    # position with P_m[0:3, 0:3] and updates the orientation with
+    # P_m[3:6, 3:6], so a position-rotation cross block moves only the
+    # M-ESEKF's update
+    p, q = predict_pose(curved, state, LEVER)
+    z_q = quat.multiply(q, quat.from_rotvec((0.01, -0.02, 0.015)))
+    P_m = np.diag([1e-3] * 3 + [1e-4] * 3)
+    crossed = P_m.copy()
+    crossed[0:3, 3:6] = [[1e-4, 5e-5, 0.0], [0.0, 1e-4, 3e-5],
+                         [2e-5, 0.0, 1e-4]]
+    crossed[3:6, 0:3] = crossed[0:3, 3:6].T
+    assert np.linalg.eigvalsh(crossed)[0] > 0.0
+    z_p = p + (0.02, -0.01, 0.03)
+    plain, cross = (PoseMeasurement(z_p, z_q, P) for P in (P_m, crossed))
+    mp = MPESEKF(curved, 0.05, LEVER, SamplingConfig())
+    assert_same_state(mp.correct_pose(state, plain),
+                      mp.correct_pose(state, cross))
+    m = MESEKF(curved, 0.05, LEVER)
+    a, b = m.correct_pose(state, plain), m.correct_pose(state, cross)
+    assert not np.array_equal(a.t_R, b.t_R)
+    assert not np.array_equal(a.P_x, b.P_x)
 
 
 def test_registry_builds_each_kind_with_its_tuning(curved):

@@ -13,6 +13,10 @@ A function or method passes when any of these holds:
 
 What fails is code that nothing runs; the fix is to delete it, or to
 move a test oracle into the tests.
+
+The test oracles in ``tests/oracles.py`` are held to the same rule:
+every function there is referenced from a test module, or from an
+oracle function that is, so a deleted oracle leaves no orphan helper.
 """
 import ast
 import importlib
@@ -20,7 +24,8 @@ from pathlib import Path
 
 from test_bench_boundaries import bench_module
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "meskf"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "meskf"
 
 
 def _module_name(path):
@@ -77,3 +82,36 @@ def test_every_function_has_a_caller():
             and (modname, name) not in traced
             and not _is_hook(modname, cls, name)]
     assert not dead, f"defined in src/meskf but never called: {dead}"
+
+
+def _oracle_uses(tree):
+    """The names that a test module takes from the oracles:
+    ``oracles.<name>`` and ``from oracles import <name>``."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "oracles"):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "oracles":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_oracle_is_used_by_a_test():
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    # what each top-level function or class calls in the module: bare
+    # names, not attributes such as projection.project_position
+    bodies = {node.name: {n.id for n in ast.walk(node)
+                          if isinstance(n, ast.Name)}
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = set().union(*(_oracle_uses(ast.parse(p.read_text()))
+                         for p in TESTS.glob("test_*.py")))
+    reached, todo = set(), used & bodies.keys()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= (bodies[name] & bodies.keys()) - reached
+    unused = sorted(bodies.keys() - reached)
+    assert not unused, f"in tests/oracles.py but used by no test: {unused}"

@@ -220,3 +220,30 @@ def test_measurement_validation():
         RangeMeasurement(np.zeros(3), -1.0, 1e-4)
     with pytest.raises(ValueError):
         RangeMeasurement(np.zeros(3), 1.0, 0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+POSE = {"z_p": (1.0, 2.0, 0.5), "z_q": (1.0, 0.0, 0.0, 0.0),
+        "P_m": np.eye(6) * 1e-4}
+RANGE = {"r_A": (9.5, -1.0, 0.1), "z_d": 4.0, "R_d": 0.0025}
+
+
+@pytest.mark.parametrize("cls, fields, field, bad", [
+    (PoseMeasurement, POSE, "z_p", (1.0, NAN, 0.5)),
+    (PoseMeasurement, POSE, "z_p", [INF, 2.0, 0.5]),
+    (PoseMeasurement, POSE, "z_q", (NAN, 0.0, 0.0, 0.0)),
+    (PoseMeasurement, POSE, "z_q", (1.0, -INF, 0.0, 0.0)),
+    (RangeMeasurement, RANGE, "r_A", np.array([9.5, NAN, 0.1])),
+    (RangeMeasurement, RANGE, "z_d", NAN),
+    (RangeMeasurement, RANGE, "z_d", INF),
+    (RangeMeasurement, RANGE, "R_d", NAN),
+    (RangeMeasurement, RANGE, "R_d", INF),
+    (RangeMeasurement, RANGE, "R_d", -INF),
+])
+def test_measurements_refuse_non_finite_fields(cls, fields, field, bad):
+    # a NaN fails every comparison, so only a finiteness check refuses
+    # it. Taken in, it ends a trial a step late, falls back silently or,
+    # projected, raises closest_point's bare ValueError out of a campaign
+    cls(**fields)
+    with pytest.raises(ValueError, match=f"{cls.__name__}.{field} must be"):
+        cls(**{**fields, field: bad})

@@ -1,5 +1,6 @@
 """Simulation harness: trajectories, sensor synthesis, metrics."""
 import contextlib
+import functools
 import mmap
 import os
 import signal
@@ -30,6 +31,7 @@ from meskf.sim.sensors import (MeasurementStreams, ScheduleSegment,
                                SensorSchedule, SensorSuite,
                                _rng, noise_free_measurements,
                                synthesize_measurements)
+from meskf import sensors3d as s3d
 from meskf.sensors3d import predict_pose, predict_range
 from meskf.sim.trajectory import (GroundTruth, TrajectorySpec,
                                   _cubic_spline, generate_ground_truth)
@@ -702,118 +704,137 @@ class TestChartScoring:
         assert not errors[10:].any() and not covs[10:].any()
 
 
-def test_float_step_is_the_array_step():
-    # 5 s of the lever-arm, rotated-sensor scenario with every sensor on,
-    # so that each step propagates and takes a pose and range updates:
-    # the M-ESEKF's state on floats has, after every operation, the bits
-    # of the array state (oracles.ArrayState) stepped by the array code
-    sc = load_scenario(LEVER_SCENARIO)
-    assert np.any(sc.extrinsics.r_RS) and sc.extrinsics.q_RS[0] < 1.0
-    sc.trajectory.duration = 5.0
-    sc.schedule = SensorSchedule.always_on(5.0)
+# The reference step's tolerance, derived before the test first ran.
+# A reference Jacobian's column is a central difference, of step h =
+# oracles.STEP = 2^-14, of a function f evaluated in floats. It errs by
+# at most h^2 M3 / 6 + e / h (Press et al., Numerical Recipes, 3rd ed.,
+# 5.7), with u = 2^-53 and
+# - e = 64 u 32 = 2.3e-13 bounding one evaluation's rounding, x +- h's
+#   included: at most 64 roundings in a chain, on magnitudes below 32 m,
+#   m/s or rad (Higham, Accuracy and Stability of Num. Alg., 2002, 3.1);
+# - M3 = 10 bounding f's third derivative: f composes the surface (below
+#   1 m^-2, a control net within 0.7 m over 3.4 m knot spans), rotations
+#   (1 rad^-3) of offsets under 1 m and distances over 3 m (3 / d^2).
+#   The surface's third derivatives jump across its knot lines, which no
+#   stencil may straddle.
+# An m x n Jacobian errs by at most sqrt(m n) ETA in the 2-norm, ETA =
+# h^2 M3 / 6 + e / h = 1.0e-8. To first order, in 2-norms, that moves
+# - a propagation's P' = F P F^T + G Q G^T, about the package's own mean,
+#   by at most 2 |dF| |P| |F| + 2 |dG| |Q| |G|;
+# - an update's gain K = P H^T S^-1, S = H P H^T + R, by at most |dK| =
+#   |dH| |S^-1| (|P| + 2 |K| |P H^T|); its correction by |dK| |y| + |K| |dy|,
+#   dy <= 2e a row (each side's residual rounds); and its Joseph form,
+#   stationary in K at the optimal gain, by 2 |dH| |K| (|P| + |K| |P H^T|).
+# Each side's own rounding adds 64 n u (|F|^2 |P| + |G|^2 |Q|) to P' in a
+# propagation, 256 u kappa(S) times |K| |y| and |P| + |K|^2 |S| in an
+# update (Higham, 7.1), and 8 u (|x| + pi) to the state.
+U = 2.0 ** -53
+E = 64 * U * 32
+ETA = oracles.STEP ** 2 * 10 / 6 + E / oracles.STEP
+
+
+def reference_tolerance(lin, x):
+    """Bounds on the 2-norm of a reference event's state error and on each
+    covariance entry's, from its matrices and the largest coordinate x."""
+    norm = functools.partial(np.linalg.norm, ord=2)
+    P = lin["P"]
+    n, wrap = len(P), 8 * U * (x + np.pi)
+    if "F" in lin:
+        F, G, Q = lin["F"], lin["G"], lin["Q"]
+        return wrap, (2 * ETA * (n * norm(P) * norm(F) + np.sqrt(3 * n)
+                                 * norm(Q) * norm(G)) + 64 * n * U
+                      * (norm(F) ** 2 * norm(P) + norm(G) ** 2 * norm(Q)))
+    H, y, K, S = lin["H"], lin["y"], lin["K"], lin["S"]
+    dH, PH = np.sqrt(len(y) * n) * ETA, norm(P @ H.T)
+    kappa = np.linalg.cond(S)
+    dK = dH * norm(np.linalg.inv(S)) * (norm(P) + 2 * norm(K) * PH)
+    return (dK * norm(y) + norm(K) * 2 * E * np.sqrt(len(y)) + wrap
+            + 256 * U * kappa * norm(K) * norm(y),
+            2 * dH * norm(K) * (norm(P) + norm(K) * PH)
+            + 256 * U * kappa * (norm(P) + norm(K) ** 2 * norm(S)))
+
+
+@pytest.mark.parametrize("kind", FILTER_KINDS)
+def test_every_event_is_the_reference_step(monkeypatch, kind):
+    # 10 s of the lever-arm, rotated-sensor scenario, every sensor on,
+    # through run_trial. Each event, the MP-ESEKF's pose in two parts, is
+    # checked against the reference step from the package's state before
+    # it: errors do not build up, and the projection samples alike.
+    sc = short_reference(kind, 1, 10.0, LEVER_SCENARIO)
     truth = generate_ground_truth(sc.surface, sc.trajectory)
-    streams = synthesize_measurements(
-        noise_free_measurements(sc.surface, truth, sc.suite, sc.schedule,
-                                sc.extrinsics), 1, 0)
-    filt = make_filter("M-ESEKF", sc.surface, truth.dt, sc.extrinsics,
+    streams = synthesize(sc.surface, truth, sc.suite, sc.schedule, 1, 0,
+                         sc.extrinsics)
+    filt = make_filter(kind, sc.surface, truth.dt, sc.extrinsics,
                        sc.sampling, sc.pseudo)
-    init, noise = sc.init, streams.initial_state_noise
-    P0 = np.diag([init.pos_std ** 2, init.pos_std ** 2, init.head_std ** 2])
-    ref = oracles.ArrayState(truth.chart[0] + init.pos_std * noise[0:2],
-                             truth.gamma[0] + init.head_std * noise[2], P0)
-    state = filt.start(truth.chart[0], truth.gamma[0], init, noise)
-    checked = []
+    events, mids = [], []   # (label, measurement, before, after, bits)
 
-    def check(what):
-        assert state.t_R.tobytes() == ref.t_R.tobytes(), what
-        assert state.gamma_R == ref.gamma_R, what
-        assert state.P_x.tobytes() == ref.P_x.tobytes(), what
-        checked.append(what)
+    def recorded(label, name):
+        method = getattr(filt, name)
 
-    check("start")
+        def call(state, *meas):
+            bits = oracles.floats(state).tobytes()
+            after = method(state, *meas)
+            events.append((label, *(meas or [None]), state, after, bits))
+            return after
+        return call
+
+    for name, label in [("propagate", "propagate"),
+                        ("correct_periodic", filt.periodic_label),
+                        ("correct_pose", filt.pose_label),
+                        ("correct_range", filt.range_label)]:
+        if label:
+            monkeypatch.setattr(filt, name, recorded(label, name))
+    real = s3d.orientation_update
+    monkeypatch.setattr(s3d, "orientation_update", lambda state, *args: (
+        mids.append(state) or real(state, *args)))
+    outcome = trial_rows(filt, truth, streams, sc.init)[0]
+
+    applied, mids = set(), iter(mids)
+    for label, meas, before, after, _ in events:
+        parts = [(label, before, after)]
+        if label == "projected_position":
+            mid = next(mids)
+            parts = [(label, before, mid), ("orientation", mid, after)]
+        for part, prior, got in parts:
+            x = oracles.floats(prior)
+            assert not any(np.abs(sc.surface.knots_u - x[0]) < oracles.STEP)
+            assert not any(np.abs(sc.surface.knots_v - x[1]) < oracles.STEP)
+            ref, lin = oracles.reference_step(filt, part, prior, meas)
+            tol_x, tol_P = reference_tolerance(lin, np.abs(x[0:3]).max())
+            err = np.linalg.norm(oracles.minus(got, ref))
+            P_err = np.abs(oracles.covariance(got)
+                           - oracles.covariance(ref)).max()
+            assert err <= tol_x and P_err <= tol_P, (part, err, P_err)
+            applied.add(lin.get("event"))
+    assert not outcome.diverged, outcome.reason
+    if kind == "MP-ESEKF":
+        assert {"projected_range", "range"} <= applied
+
+    # each step: propagate, pseudo, pose, ranges; each event starts from
+    # the bits that the one before returned
+    order = []
     for step in range(1, truth.n_steps + 1):
-        state = filt.propagate(state, streams.odometry[step - 1])
-        ref = oracles.propagate(sc.surface, ref, streams.odometry[step - 1],
-                                truth.dt)
-        check((step, "propagate"))
+        order += [("propagate", streams.odometry[step - 1])]
+        order += [("pseudo", None)] * (filt.periodic_label is not None)
         if step in streams.pose_events:
-            meas = streams.pose_events[step]
-            state = filt.correct_pose(state, meas)
-            ref = oracles.pose_update(ref, sc.surface, sc.extrinsics, meas)
-            check((step, "pose"))
-        for meas in streams.range_events.get(step, ()):
-            state = filt.correct_range(state, meas)
-            ref = oracles.range_update(ref, sc.surface, sc.extrinsics, meas)
-            check((step, "range"))
-    kinds = [c[1] for c in checked[1:]]
-    assert kinds.count("propagate") == truth.n_steps == 100
-    assert kinds.count("pose") >= 20 and kinds.count("range") >= 40
+            order += [(filt.pose_label, streams.pose_events[step])]
+        order += [(filt.range_label, m)
+                  for m in streams.range_events.get(step, ())]
+    assert [(e[0], id(e[1])) for e in events] == [(k, id(m))
+                                                 for k, m in order]
+    for prev, event in zip(events, events[1:]):
+        assert oracles.floats(prev[3]).tobytes() == event[4]
+    kinds = [e[0] for e in events]
+    assert kinds.count("propagate") == truth.n_steps == 200
+    assert kinds.count(filt.pose_label) >= 50
+    assert kinds.count(filt.range_label) >= 100
+    assert kinds.count("pseudo") == (200 if kind == "C-ESEKF" else 0)
 
 
-@pytest.mark.parametrize("path", [REFERENCE_SCENARIO, LEVER_SCENARIO],
-                         ids=["reference", "lever"])
-def test_float_pose_event_is_the_numpy_pose_event(path):
-    # 5 s of each MP-ESEKF scenario, every sensor on. At each pose event
-    # the filter's float event (projection, 2-row and 3-row updates) and
-    # the numpy one of oracles.mp_pose_event start from the same state.
-    #
-    # Tolerance, from the condition numbers. Both paths evaluate the
-    # same formulas in another order, and invert S in closed form against
-    # LU. With u = 2^-53, a sum of three products errs by at most about 3u
-    # of the magnitudes summed (Higham, "Accuracy and Stability of
-    # Numerical Algorithms", 2002, sec. 3.1), and a solve with S loses at
-    # most a factor kappa(S) more (sec. 7.1). So the position update's
-    # gain errs by ~ c kappa(S_pos) u relative, and its R = P_t, the
-    # Schur complement of P_M, by ~ c kappa(P_M) u, which the gain
-    # amplifies by kappa(S_pos) again. The orientation update adds
-    # c kappa(S_rot) u and carries the first update's error. Every term
-    # of P - K A^T - A K^T + K S K^T is bounded by |P|, and the state
-    # moves by dx, so with
-    #   k = kappa(S_pos) (1 + kappa(P_M)) + kappa(S_rot)
-    # each covariance entry must agree to c k u max|P| and each of u, v
-    # and gamma to c k u (|x| + |dx|). The longest chain of roundings, the
-    # projection and the closed-form inverse, is about 30 steps: c = 64.
+def short_reference(kind, trials, duration=3.0, path=REFERENCE_SCENARIO):
+    """The scenario of ``path``, the reference scenario by default, cut to
+    ``duration`` s, every sensor on."""
     sc = load_scenario(path)
-    sc.trajectory.duration = 5.0
-    sc.schedule = SensorSchedule.always_on(5.0)
-    truth = generate_ground_truth(sc.surface, sc.trajectory)
-    streams = synthesize_measurements(
-        noise_free_measurements(sc.surface, truth, sc.suite, sc.schedule,
-                                sc.extrinsics), 1, 0)
-    filt = make_filter("MP-ESEKF", sc.surface, truth.dt, sc.extrinsics,
-                       sc.sampling, sc.pseudo)
-    state = filt.start(truth.chart[0], truth.gamma[0], sc.init,
-                       streams.initial_state_noise)
-    events = 0
-    for step in range(1, truth.n_steps + 1):
-        state = filt.propagate(state, streams.odometry[step - 1])
-        if step in streams.pose_events:
-            meas = streams.pose_events[step]
-            ref, (P_M, S_pos, S_rot) = oracles.mp_pose_event(
-                sc.surface, sc.extrinsics, state, meas)
-            new = filt.correct_pose(state, meas)
-            k = (np.linalg.cond(S_pos) * (1.0 + np.linalg.cond(P_M))
-                 + np.linalg.cond(S_rot))
-            tol = 64 * k * 2.0 ** -53
-            x = np.array([state.u, state.v, state.gamma_R])
-            got = np.array([new.u, new.v, new.gamma_R])
-            want = np.array([ref.u, ref.v, ref.gamma_R])
-            diff = got - want
-            diff[2] = wrap_angle(diff[2])
-            dx = np.abs(got - x)
-            dx[2] = abs(wrap_angle(dx[2]))
-            assert np.all(np.abs(diff) <= tol * (np.abs(x) + dx)), step
-            assert np.all(np.abs(new.P_x - ref.P_x)
-                          <= tol * np.abs(state.P_x).max()), step
-            events += 1
-        for meas in streams.range_events.get(step, ()):
-            state = filt.correct_range(state, meas)
-    assert events >= 20
-
-
-def short_reference(kind, trials, duration=3.0):
-    """The reference scenario cut to ``duration`` s, every sensor on."""
-    sc = load_scenario(REFERENCE_SCENARIO)
     sc.filter_kind, sc.n_trials = kind, trials
     sc.trajectory.duration = duration
     sc.schedule = SensorSchedule.always_on(duration)
