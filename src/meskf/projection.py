@@ -109,11 +109,11 @@ def _jpjt(J, P_upper):
 
 
 def associate_to_surface(surface: BSplineSurface, r_Sm: np.ndarray,
-                         lever) -> np.ndarray:
-    """Closest surface point to the measurement less the world lever arm
-    ``lever`` (the p of ``_lever_arm``)."""
+                         lever) -> tuple:
+    """Closest surface point (u, v, S) and its gradient (S_u, S_v), as
+    floats, to the measurement less the world lever arm ``lever``."""
     (x, y, z), (l_x, l_y, l_z) = r_Sm, lever
-    return surface.closest_point((x - l_x, y - l_y, z - l_z))
+    return surface._closest_point((x - l_x, y - l_y, z - l_z))
 
 
 def _tangent_slice(P_M, frame):
@@ -183,7 +183,7 @@ def project_position(surface: BSplineSurface, r_Sm: np.ndarray,
     chart map drops z. Every step is written out on floats.
     """
     lever, J = _lever_arm(surface, state, extrinsics)
-    u, v, _ = associate_to_surface(surface, r_Sm, lever).tolist()
+    u, v, _, s_u, s_v = associate_to_surface(surface, r_Sm, lever)
     P_M = np.asarray(P_m, dtype=float).tolist()
     if J is not None:
         c00, c01, c02, c11, c12, c22 = _jpjt(J, state.P_upper)
@@ -191,7 +191,6 @@ def project_position(surface: BSplineSurface, r_Sm: np.ndarray,
         P_M = ((m00 + c00, m01 + c01, m02 + c02),
                (m10 + c01, m11 + c11, m12 + c12),
                (m20 + c02, m21 + c12, m22 + c22))
-    _, s_u, s_v = surface.eval_point(u, v)[:3]
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
     (s00, s01), (_, s11) = _tangent_slice(P_M, frame_matrix(ca, sa, cb, sb))
     # T_c S T_c^T, with T_c's zero entry left out; (e0, e1) is row 1 of
@@ -233,26 +232,27 @@ def sample_sigma_region(state: FilterState, surface: BSplineSurface,
 
     A square grid in whitened coordinates is mapped through the Cholesky
     factor of the position covariance block (``_cholesky2``); grid nodes
-    outside the Mahalanobis radius or the chart domain are discarded.
-    The odd grid's middle node is the state itself (to
-    ``np.linspace``'s rounding), so only a state off the chart leaves no
-    sample.
+    outside the Mahalanobis radius or the chart domain
+    (``BSplineSurface.contains``) are discarded. The odd grid's middle
+    node is the state itself (to ``np.linspace``'s rounding), so only a
+    state off the chart leaves no sample.
 
     The (N, 2) samples are stored column-major, so that each coordinate
     is one contiguous array: the domain filter, ``elevation_many`` and
     ``project_range`` run on whole columns, and the filter indexes each
     column alone, which is several times cheaper than a row index of
-    the (N, 2) array.
+    the (N, 2) array. When every node lies in the domain, the mapped
+    nodes are returned as they are, uncopied, and the caller owns them.
     """
     p00, p01, _, p11, _, _ = state.P_upper
     L = np.array(_cholesky2(p00, p01, p11))
     g = _whitened_grid(config.grid_half_width, config.grid_resolution)
     pts = np.add((state.u, state.v), g @ L.T, order="F")
-    u, v = pts[:, 0], pts[:, 1]
     keep = surface.contains(pts)
-    if not keep.any():
+    kept = np.count_nonzero(keep)
+    if not kept:
         raise DegenerateSamplingError("no sigma-region samples in domain")
-    return np.vstack((u[keep], v[keep])).T
+    return pts if kept == len(pts) else np.asfortranarray(pts[keep])
 
 
 def _cholesky2(p00, p01, p11):
@@ -312,28 +312,36 @@ def project_range(surface: BSplineSurface, z_d: float, R_d: float,
 
     Raises NoIntersectionError when the range shell misses the sampled
     region entirely; callers fall back to the 3-D range update.
+
+    One pass over the cloud's columns: the shell distances, the shell
+    test and the kept samples' chart distances are formed in place, in
+    the operation order of sqrt(du du + dv dv + dz dz) and its mean.
     """
     lever, J = _lever_arm(surface, state, extrinsics)
     (x, y, z), (l_x, l_y, l_z) = anchor, lever
     A_prime = a_u, a_v, a_z = x - l_x, y - l_y, z - l_z
     samples = sample_sigma_region(state, surface, config)
     u, v = samples[:, 0], samples[:, 1]
-    du = u - a_u
-    dv = v - a_v
-    dz = surface.elevation_many(samples) - a_z
-    # both distances are summed in the order of np.linalg.norm's row sum
-    dists = np.sqrt(du * du + dv * dv + dz * dz)
+    d, dv = u - a_u, v - a_v
+    d *= d
+    d += np.multiply(dv, dv, out=dv)
+    dz = surface.elevation_many(samples)
+    dz -= a_z
+    d += np.multiply(dz, dz, out=dz)
+    np.sqrt(d, out=d)
+    d -= z_d
     tol = config.shell_tolerance
-    if tol is None:
-        tol = math.sqrt(R_d)
-    keep = np.abs(dists - z_d) <= tol
+    keep = np.abs(d, out=d) <= (math.sqrt(R_d) if tol is None else tol)
     if not keep.any():
         raise NoIntersectionError("range shell misses the sigma region")
     t_A = world_to_chart(surface.closest_point(A_prime))
     t_u, t_v = t_A.tolist()
-    eu = t_u - u[keep]
-    ev = t_v - v[keep]
-    z_dU = float(np.mean(np.sqrt(eu * eu + ev * ev)))
+    eu, ev = u[keep], v[keep]
+    np.subtract(t_u, eu, out=eu)
+    np.subtract(t_v, ev, out=ev)
+    eu *= eu
+    eu += np.multiply(ev, ev, out=ev)
+    z_dU = float(np.mean(np.sqrt(eu, out=eu)))
     R_dU = project_range_variance(surface, R_d, J, state, A_prime)
     return ProjectedRange(z_dU, R_dU, t_A)
 

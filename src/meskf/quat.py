@@ -24,11 +24,17 @@ _ndarray = np.ndarray
 
 
 def normalize(q):
-    """q / |q|; a zero quaternion is a ValueError."""
+    """q / |q|, first scaled by its largest magnitude where the sum of
+    squares is not normal; zero is a ValueError, a NaN or inf gives NaNs."""
     w, x, y, z = q.tolist() if type(q) is _ndarray else q
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n == 0.0:
-        raise ValueError("quaternion has zero norm")
+    s = w * w + x * x + y * y + z * z
+    if not 2.2250738585072014e-308 <= s <= 1.7976931348623157e308:
+        m = max(abs(w), abs(x), abs(y), abs(z)) if s == s else s  # NaN
+        if m == 0.0:
+            raise ValueError("quaternion has zero norm")
+        w, x, y, z = w / m, x / m, y / m, z / m
+        s = w * w + x * x + y * y + z * z
+    n = math.sqrt(s)
     return (w / n, x / n, y / n, z / n)
 
 

@@ -76,22 +76,22 @@ def _cross(a, b):
 
 def _sensor_model(surface: BSplineSurface, state: FilterState,
                   ext: RobotExtrinsics, rotation: bool = True,
-                  lift: bool = True):
+                  lift: bool | None = True):
     """Sensor position and its error-state Jacobian at one state.
 
     Returns (p, J, q, W) as plain floats: p the world position (3,), J
     its 3x3 Jacobian as rows, q the world-from-sensor quaternion
     q_x(alpha) ⊗ q_y(beta) ⊗ q_z(gamma) ⊗ q_RS, and W the sensor-frame
     rotation rates per unit change of (u, v, gamma), three 3-vectors.
-    q and W are None unless ``rotation`` is set; without ``lift``, p and J
-    are those of the lever arm R_WR r_RS alone.
+    q and W are None unless ``rotation`` is set; with ``lift`` False, p
+    and J are the lever arm R_WR r_RS's alone, and None with ``lift`` None.
     """
     u, v, g = state.u, state.v, state.gamma_R
     s, s_u, s_v, s_uu, s_uv, s_vv = surface.eval_point(u, v)
     ca, sa, cb, sb = frame_cos_sin(s_u, s_v)
     cg, sg = math.cos(g), math.sin(g)
     r = ext.r_RS
-    lever = r != (0.0, 0.0, 0.0)
+    lever = lift is not None and r != (0.0, 0.0, 0.0)
     c = 1.0 if lift else 0.0          # the chart lift (u, v, S) or none
     J = [[c, 0.0, 0.0], [0.0, c, 0.0], [c * s_u, c * s_v, 0.0]]
     p = [c * u, c * v, c * s]
@@ -137,7 +137,7 @@ def _sensor_model(surface: BSplineSurface, state: FilterState,
         rates = [(r00 * w0 + r10 * w1 + r20 * w2,
                   r01 * w0 + r11 * w1 + r21 * w2,
                   r02 * w0 + r12 * w1 + r22 * w2) for w0, w1, w2 in rates]
-    return p, J, q, rates
+    return (None, None, q, rates) if lift is None else (p, J, q, rates)
 
 
 def predict_pose(surface: BSplineSurface, state: FilterState,
@@ -227,8 +227,8 @@ def orientation_update(state: FilterState, surface: BSplineSurface,
     Used by the chart-projected filter variant, which replaces the
     position rows with projected chart measurements but still needs the
     orientation rows to keep the heading observable. Three rows on
-    floats, through ``core.correct_rows``.
+    floats, through ``core.correct_rows``, with no lever-arm terms.
     """
-    _, _, q, rates = _sensor_model(surface, state, extrinsics)
+    _, _, q, rates = _sensor_model(surface, state, extrinsics, lift=None)
     y, H = _rotation_rows(q, rates, meas.z_q)
     return correct_rows(state, y, H, meas.P_m[3:6, 3:6].tolist())

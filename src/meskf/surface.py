@@ -113,10 +113,16 @@ class BSplineSurface:
                  self.knots_v[-self.degree_v - 1]))
 
     def contains(self, t: np.ndarray) -> np.ndarray:
+        """(N,) mask of the chart points t in the closed domain: the one
+        domain rule of the point clouds, formed in place."""
         t = np.atleast_2d(np.asarray(t, dtype=float))
+        u, v = t[:, 0], t[:, 1]
         u0, u1, v0, v1 = self._bounds
-        return ((t[:, 0] >= u0) & (t[:, 0] <= u1)
-                & (t[:, 1] >= v0) & (t[:, 1] <= v1))
+        keep = u >= u0
+        keep &= u <= u1
+        keep &= v >= v0
+        keep &= v <= v1
+        return keep
 
     def _check_box(self, u_lo: float, u_hi: float, v_lo: float,
                    v_hi: float):
@@ -164,7 +170,7 @@ class BSplineSurface:
     # -- elevation / gradient ------------------------------------------------
 
     def elevation_many(self, t: np.ndarray) -> np.ndarray:
-        """(N,) elevations, ``eval_point``'s bit for bit.
+        """(N,) elevations, ``eval_point``'s bit for bit, in a new array.
 
         The cloud's bounding box gives the patches it covers, by bisect
         on the knots; a sigma-region cloud mostly lies in one. Each
@@ -174,8 +180,7 @@ class BSplineSurface:
         """
         t = np.atleast_2d(np.asarray(t, dtype=float))
         u, v = t[:, 0], t[:, 1]
-        u_lo, u_hi = float(u.min()), float(u.max())
-        v_lo, v_hi = float(v.min()), float(v.max())
+        (u_lo, v_lo), (u_hi, v_hi) = t.min(0).tolist(), t.max(0).tolist()
         self._check_box(u_lo, u_hi, v_lo, v_hi)
         lo_u, hi_u, lo_v, hi_v = self._search
         ku, kv = self._ku, self._kv
@@ -274,8 +279,13 @@ class BSplineSurface:
         backtracking finds no lower cost before the damped step does; the
         cost then differs from its neighbours' only by rounding. Raises
         NumericalFailureError (carrying the best iterate) if none of this
-        happens within CLOSEST_POINT_MAX_ITER iterations.
+        happens within CLOSEST_POINT_MAX_ITER iterations. The search is
+        ``_closest_point``, which also returns the last iterate's S_u, S_v.
         """
+        return np.array(self._closest_point(r)[:3])
+
+    def _closest_point(self, r):
+        """``closest_point``'s (u, v, S) and (S_u, S_v) there, as floats."""
         rx, ry, rz = map(float, r)
         if not all(map(math.isfinite, (rx, ry, rz))):
             raise ValueError("query point must be finite")
@@ -304,7 +314,7 @@ class BSplineSurface:
                 dv = (a00 * b1 - a01 * b0) / det
             step = math.hypot(du, dv)
             if step < CLOSEST_POINT_TOL:
-                return np.array([u, v, z])
+                return u, v, z, gu, gv
             # backtracking damping on the squared residual, until the
             # cost falls or the damped step is below the tolerance: then
             # there is no descent left above the cost's rounding
@@ -321,12 +331,12 @@ class BSplineSurface:
                 # "not >=": with an infinite step, lam underflows to 0 and
                 # the NaN product ends the loop too
                 if not lam * step >= CLOSEST_POINT_TOL:
-                    return np.array([u, v, z])
+                    return u, v, z, gu, gv
             moved = math.hypot(u_new - u, v_new - v)
             u, v, cost = u_new, v_new, cost_new
             z, gu, gv, huu, huv, hvv = new
             if lam * step < CLOSEST_POINT_TOL or moved < CLOSEST_POINT_TOL:
-                return np.array([u, v, z])
+                return u, v, z, gu, gv
         raise NumericalFailureError(
             "closest-point iteration did not converge",
             best=np.array([u, v, z]))

@@ -176,10 +176,49 @@ class TestProjectPosition:
         np.testing.assert_allclose(w, [s2 / 2, s2], atol=1e-6)
 
     def test_association_is_closest_point(self, curved):
-        state = small_state((1.0, 1.0))
+        # (u, v, S) is closest_point's and (S_u, S_v) eval_point's there,
+        # bit for bit
         r_Sm = curved.chart_to_world(np.array([1.1, 0.9])) + [0, 0, 0.3]
-        p = associate_to_surface(curved, r_Sm, np.zeros(3))
-        np.testing.assert_allclose(p, curved.closest_point(r_Sm), atol=1e-12)
+        u, v, s, s_u, s_v = associate_to_surface(curved, r_Sm, np.zeros(3))
+        assert (np.array([u, v, s]).tobytes()
+                == curved.closest_point(r_Sm).tobytes())
+        assert (s, s_u, s_v) == curved.eval_point(u, v)[:3]
+
+    @pytest.mark.parametrize("lever", [False, True],
+                             ids=["no_lever", "lever"])
+    def test_surface_evaluated_once_less(self, curved, monkeypatch,
+                                         surface_calls, lever):
+        # the projection reads the gradient at the associated point from
+        # the closest-point search, so it evaluates the surface only in
+        # that search and, with a lever arm, once for the lever arm; its
+        # outputs are those of evaluating the associated point again
+        def reevaluated(surface, r_Sm, lever_p):
+            u, v, s = surface.closest_point(np.subtract(r_Sm, lever_p))
+            return (u, v, s) + surface.eval_point(u, v)[1:3]
+
+        ext = (RobotExtrinsics(np.array([0.3, -0.2, 0.5]),
+                               quat.from_rotvec(np.array([0.1, 0.2, 0.3])))
+               if lever else IDENT)
+        evals = surface_calls("eval_point")
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            t = rng.uniform(-8, 8, size=2)
+            state = FilterState(t, rng.uniform(-np.pi, np.pi),
+                                random_spd(rng, 3, 1e-3))
+            r_Sm = (np.array([*t, curved.eval_point(*t)[0]])
+                    + rng.normal(0.0, 0.05, size=3))
+            P_m = random_spd(rng, 3, 0.01)
+            lever_p = _lever_arm(curved, state, ext)[0]
+            evals.clear()
+            curved.closest_point(np.subtract(r_Sm, lever_p))
+            search = len(evals)
+            evals.clear()
+            proj = project_position(curved, r_Sm, P_m, ext, state)
+            assert len(evals) == search + lever
+            with monkeypatch.context() as m:
+                m.setattr(projection, "associate_to_surface", reevaluated)
+                again = project_position(curved, r_Sm, P_m, ext, state)
+            assert proj.z_t == again.z_t and proj.P_t == again.P_t
 
     def test_update_moves_position_only(self, curved):
         state = FilterState(np.array([1.0, 1.0]), 0.5, np.eye(3) * 0.01)

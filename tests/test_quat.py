@@ -1,4 +1,6 @@
 """Quaternion algebra (Hamilton convention, scalar-first)."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,3 +241,38 @@ def test_scalar_constructors_return_plain_floats():
 def test_zero_quaternion_is_refused(name, zero):
     with pytest.raises(ValueError):
         getattr(quat, name)(zero)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e154, 1e-160])
+def test_normalize_scales_a_sum_of_squares_out_of_range(scale):
+    # the sum of squares of these components over- or underflows, or is
+    # subnormal; scaled by the largest magnitude first, the result is
+    # the unit quaternion of a moderate q, to rounding
+    q = (0.3, -0.4, 0.5, 0.6)
+    np.testing.assert_allclose(quat.normalize([c * scale for c in q]),
+                               quat.normalize(q), rtol=0, atol=1e-15)
+    for c in (scale, -5e-324):
+        assert quat.normalize((0.0, c, 0.0, 0.0)) == (
+            0.0, math.copysign(1.0, c), 0.0, 0.0)
+
+
+def test_normalize_is_the_plain_quotient_for_a_normal_sum():
+    # bitwise q / sqrt(sum of squares) wherever that sum is normal,
+    # however small or large the components
+    rng = np.random.default_rng(12)
+    for q in (rng.standard_normal((2000, 4))
+              * 10.0 ** rng.uniform(-150, 150, size=(2000, 1))).tolist():
+        s = sum(c * c for c in q)
+        assert 2.0 ** -1022 <= s < math.inf
+        n = math.sqrt(s)
+        assert quat.normalize(q) == tuple(c / n for c in q)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("q", [(NAN, 0.0, 0.0, 0.0), (0.0, NAN, 0.0, 0.0),
+                               (1e200, 0.0, NAN, 1.0), (INF, 0.0, 0.0, 0.0),
+                               (0.0, 0.0, -INF, NAN)])
+def test_normalize_of_a_non_finite_component_is_nan(q):
+    assert all(map(math.isnan, quat.normalize(q)))

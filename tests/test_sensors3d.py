@@ -183,6 +183,22 @@ def test_orientation_update_moves_heading_only_flat(flat):
     assert abs(s2.gamma_R - truth_g) < abs(s.gamma_R - truth_g)
 
 
+def test_orientation_update_forms_no_lever_terms(curved, monkeypatch):
+    # the orientation rows read q and the rates only: with a lever arm
+    # the model builds no R_WR for it, and q and the rates are the full
+    # model's, bit for bit
+    s = FilterState(np.array([1.0, -2.0]), 0.4, np.eye(3) * 0.01)
+    _, _, q, rates = _sensor_model(curved, s, EXT)
+    meas = pose_meas([0.0, 0.0, 0.0], quat.multiply(q, (0.99, 0.1, 0, 0)))
+
+    def refuse(*args):
+        raise AssertionError("formed the lever arm's terms")
+
+    monkeypatch.setattr(sensors3d, "frame_matrix", refuse)
+    assert _sensor_model(curved, s, EXT, lift=None) == (None, None, q, rates)
+    orientation_update(s, curved, EXT, meas)
+
+
 def test_predict_range_pythagorean(flat):
     s = FilterState(np.array([0.0, 0.0]), 0.0, np.eye(3))
     d = predict_range(flat, s, IDENT, np.array([3.0, 4.0, 0.0]))
@@ -247,3 +263,15 @@ def test_measurements_refuse_non_finite_fields(cls, fields, field, bad):
     cls(**fields)
     with pytest.raises(ValueError, match=f"{cls.__name__}.{field} must be"):
         cls(**{**fields, field: bad})
+
+
+def test_pose_measurement_normalizes_z_q_of_any_scale():
+    # the sum of squares of these z_q over- or underflows; normalised
+    # with it as it is, they gave a zero quaternion and a "zero norm"
+    # refusal. An exact zero is refused.
+    for scale in (1e200, 1e-200):
+        meas = PoseMeasurement(POSE["z_p"], (scale, 0.0, 0.0, 0.0),
+                               POSE["P_m"])
+        assert meas.z_q == (1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="zero norm"):
+        PoseMeasurement(POSE["z_p"], (0.0, 0.0, -0.0, 0.0), POSE["P_m"])
