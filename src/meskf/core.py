@@ -49,9 +49,11 @@ class FilterState:
     __slots__ = ("u", "v", "gamma_R", "P_upper")
 
     def __init__(self, t_R, gamma_R, P_x):
-        self.u, self.v = _floats(t_R, (2,), "t_R", "two numbers").tolist()
+        self.u, self.v = _floats(t_R, (2,), "FilterState.t_R",
+                                 "two numbers").tolist()
         self.gamma_R = wrap_angle(float(gamma_R))
-        self.P_upper = _upper(_floats(P_x, (3, 3), "P_x", "a 3x3 matrix"))
+        self.P_upper = _upper(_floats(P_x, (3, 3), "FilterState.P_x",
+                                      "a 3x3 matrix"))
 
     @classmethod
     def from_floats(cls, u: float, v: float, gamma_R: float,
@@ -81,13 +83,14 @@ class FilterState:
 
 
 def _floats(x, shape, field, what):
+    """``x`` as a fresh float array of ``shape``; otherwise a ValueError
+    saying that ``field`` must be ``what``."""
     try:
         a = np.array(x, dtype=float)
     except (TypeError, ValueError) as e:
-        raise ValueError(f"FilterState.{field} must be {what}: {e}") from e
+        raise ValueError(f"{field} must be {what}: {e}") from e
     if a.shape != shape:
-        raise ValueError(f"FilterState.{field} must be {what}, not of "
-                         f"shape {a.shape}")
+        raise ValueError(f"{field} must be {what}, not of shape {a.shape}")
     return a
 
 
@@ -97,14 +100,41 @@ def _upper(P: np.ndarray) -> tuple:
     return p00, p01, p02, p11, p12, p22
 
 
-@dataclass
 class OdometryInput:
-    """One odometry sample. Its pairs are read by unpacking: floats, as
-    the simulator builds them, and numpy arrays give the same bits."""
-    v_m: tuple               # body-frame linear velocity (vx, vy), m/s
-    omega_m: float           # angular rate, rad/s
-    sigma_v: tuple           # 2x2 velocity noise covariance, two rows
-    sigma_omega: float       # angular-rate noise variance
+    """One odometry sample, held as plain floats: the body-frame linear
+    velocity ``v_m`` = (vx, vy), m/s, the angular rate ``omega_m``,
+    rad/s, the 2x2 velocity noise covariance ``sigma_v`` as two row
+    tuples and the angular-rate noise variance ``sigma_omega``.
+
+    The public constructor takes numbers or arrays, checks the shapes
+    and converts them, so that a filter step on an array-built sample
+    runs on floats too; ``from_floats`` takes floats as they are, as the
+    simulator builds them.
+    """
+    __slots__ = ("v_m", "omega_m", "sigma_v", "sigma_omega")
+
+    def __init__(self, v_m, omega_m, sigma_v, sigma_omega):
+        self.v_m = tuple(_floats(v_m, (2,), "OdometryInput.v_m",
+                                 "two numbers").tolist())
+        self.omega_m = float(omega_m)
+        self.sigma_v = tuple(map(tuple, _floats(
+            sigma_v, (2, 2), "OdometryInput.sigma_v",
+            "a 2x2 matrix").tolist()))
+        self.sigma_omega = float(sigma_omega)
+
+    @classmethod
+    def from_floats(cls, v_m: tuple, omega_m: float, sigma_v: tuple,
+                    sigma_omega: float) -> "OdometryInput":
+        """Sample over floats, (vx, vy) and the two rows of sigma_v as
+        tuples, taken as they are."""
+        odom = cls.__new__(cls)
+        odom.v_m, odom.omega_m = v_m, omega_m
+        odom.sigma_v, odom.sigma_omega = sigma_v, sigma_omega
+        return odom
+
+    def __repr__(self):
+        return (f"OdometryInput(v_m={self.v_m}, omega_m={self.omega_m}, "
+                f"sigma_v={self.sigma_v}, sigma_omega={self.sigma_omega})")
 
 
 @dataclass

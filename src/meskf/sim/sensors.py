@@ -225,7 +225,8 @@ def synthesize_measurements(clean: NoiseFreeMeasurements, seed: int,
     sigma_w = suite.odometry_angular_std ** 2
     vx, vy = (truth.v_m + noise_v).T.tolist()
     omega = (truth.omega + noise_w).tolist()
-    odometry = [OdometryInput((x, y), w, sigma_v, sigma_w)
+    odometry_input = OdometryInput.from_floats
+    odometry = [odometry_input((x, y), w, sigma_v, sigma_w)
                 for x, y, w in zip(vx, vy, omega)]
 
     # pose: position noise added, Tait-Bryan orientation noise composed

@@ -405,6 +405,7 @@ def test_states_hand_out_independent_arrays(curved):
     # the public constructor copies its inputs
     assert not any(np.shares_memory(a, b)
                    for a in (s.p, s.q, s.P) for b in (p, q, P))
+    assert type(s.xyz[0]) is float and type(s.wxyz[0]) is float
     states = [s]
     states.append(propagate_3d(states[-1], odom(w=0.2), 0.05))
     states.append(pseudo_update(states[-1], curved,
@@ -418,7 +419,36 @@ def test_states_hand_out_independent_arrays(curved):
         for x, y in ((a.p, b.p), (a.q, b.q), (a.P, b.P)):
             assert not np.shares_memory(x, y)
     for state in states[1:]:
+        # after every event the mean is plain floats, and p and q are
+        # fresh arrays on every read: writing into one leaves the state
+        assert type(state.xyz) is tuple and type(state.wxyz) is tuple
+        assert [type(x) for x in state.xyz + state.wxyz] == [float] * 7
+        for name in ("p", "q"):
+            a, b = getattr(state, name), getattr(state, name)
+            assert a is not b and not np.shares_memory(a, b)
+            a[:] = np.nan
+            assert not np.isnan(getattr(state, name)).any()
         assert state.p.shape == (3,) and state.q.shape == (4,)
         assert state.P.shape == (6, 6)
         assert state.p.dtype == state.q.dtype == state.P.dtype == float
         assert abs(np.linalg.norm(state.q) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("p, q, P, field", [
+    ([1.0, 2.0], (1, 0, 0, 0), np.eye(6), "p"),
+    ([1.0, 2.0, 3.0, 4.0], (1, 0, 0, 0), np.eye(6), "p"),
+    ([[1.0, 2.0, 3.0]], (1, 0, 0, 0), np.eye(6), "p"),
+    ("abc", (1, 0, 0, 0), np.eye(6), "p"),
+    (np.zeros(3), (1, 0, 0), np.eye(6), "q"),
+    (np.zeros(3), [[1, 0], [0, 0]], np.eye(6), "q"),
+    (np.zeros(3), (0.0, 0.0, 0.0, 0.0), np.eye(6), "q"),
+    (np.zeros(3), (1, 0, 0, 0), np.eye(3), "P"),
+    (np.zeros(3), (1, 0, 0, 0), np.eye(6)[0], "P"),
+    (np.zeros(3), (1, 0, 0, 0), None, "P"),
+], ids=["two", "four", "row", "text", "three", "2x2", "zero", "3x3",
+        "vector", "none"])
+def test_state_refuses_wrong_shapes(p, q, P, field):
+    # refused where it is built: a 2-entry position used to propagate to
+    # a 2-entry position, and a 3x3 P to fail at numpy's first product
+    with pytest.raises(ValueError, match=f"FullPoseState.{field} must be"):
+        FullPoseState(p, q, P)

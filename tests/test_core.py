@@ -128,27 +128,48 @@ def test_propagate_covariance_matches_matrix_form(curved, u, v, g, vx, vy,
 
 
 def test_odometry_of_arrays_propagates_to_the_bits_of_floats(curved):
-    # public callers pass numpy arrays and scalars, the simulator pairs
-    # of floats: both are unpacked as they are, with the same bits, in
-    # the chart filters' propagation and in the C-ESEKF's
+    # public callers pass numpy arrays and scalars, the simulator floats
+    # through from_floats: the public constructor converts, so both give
+    # the same bits, and states of plain floats, in the chart filters'
+    # propagation and in the C-ESEKF's
+    def all_floats(*values):
+        return all(type(x) is float for x in values)
+
     rng = np.random.default_rng(5)
     for _ in range(50):
         v, w = rng.normal(0, 0.5, 2), rng.normal(0, 0.3)
         sv, sw = random_spd(rng, 2, 1e-4), rng.uniform(1e-6, 1e-4)
         arrays = OdometryInput(v, np.float64(w), sv, np.float64(sw))
-        floats = OdometryInput(tuple(v.tolist()), w,
-                               tuple(map(tuple, sv.tolist())), sw)
+        floats = OdometryInput.from_floats(
+            tuple(v.tolist()), w, tuple(map(tuple, sv.tolist())), sw)
+        for o in (arrays, floats):
+            assert all_floats(*o.v_m, o.omega_m, *o.sigma_v[0],
+                              *o.sigma_v[1], o.sigma_omega)
         s = FilterState(rng.uniform(-5, 5, 2), rng.uniform(-3, 3),
                         random_spd(rng, 3, 0.01))
         a, b = (propagate(curved, s, o, 0.05) for o in (arrays, floats))
         assert (np.array((a.u, a.v, a.gamma_R, *a.P_upper)).tobytes()
                 == np.array((b.u, b.v, b.gamma_R, *b.P_upper)).tobytes())
+        assert all_floats(a.u, a.v, a.gamma_R, *a.P_upper)
         full = FullPoseState(rng.normal(0, 1, 3),
                              quat.from_rotvec(rng.normal(0, 0.3, 3)),
                              random_spd(rng, 6, 0.01))
         a, b = (propagate_3d(full, o, 0.05) for o in (arrays, floats))
         for x, y in ((a.p, b.p), (a.q, b.q), (a.P, b.P)):
             assert x.tobytes() == y.tobytes()
+        assert all_floats(*a.xyz, *a.wxyz)
+
+
+@pytest.mark.parametrize("v_m, sigma_v, field", [
+    ([1.0], np.eye(2), "v_m"),
+    ([1.0, 2.0, 3.0], np.eye(2), "v_m"),
+    ("ab", np.eye(2), "v_m"),
+    ([1.0, 2.0], np.eye(3), "sigma_v"),
+    ([1.0, 2.0], [1.0, 1.0], "sigma_v"),
+], ids=["one", "three", "text", "3x3", "vector"])
+def test_odometry_refuses_wrong_shapes(v_m, sigma_v, field):
+    with pytest.raises(ValueError, match=f"OdometryInput.{field} must be"):
+        OdometryInput(v_m, 0.1, sigma_v, 1e-4)
 
 
 def test_propagate_grows_covariance(curved):
